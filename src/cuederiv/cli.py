@@ -470,6 +470,9 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"capability limit: {exc}", file=sys.stderr)
         return CAPABILITY_EXIT
+    except OverflowError as exc:
+        print(f"capability limit: float overflow ({exc})", file=sys.stderr)
+        return CAPABILITY_EXIT
     except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return USAGE_EXIT

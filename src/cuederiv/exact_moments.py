@@ -7,7 +7,10 @@ Two independent finite-N routes are implemented:
 * ``moment_structure``: the expansion of the moment as a polynomial in
   1/(1 - u) whose coefficients combine a confluent-hypergeometric factor
   (``structure_a``) with derivatives of a 2s x 2s block determinant
-  (``structure_b``).
+  (``structure_b``).  In exact mode the determinant's polynomial in r = |z|
+  (``structure_b_expansion``) is built by a Laplace expansion over the
+  C(2s, s) column subsets of its z-rows, one small integer determinant per
+  subset and partition.
 
 Both accept Fraction input for bit-exact results and float input for large N.
 """
@@ -16,12 +19,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from numbers import Rational
 from typing import Union
 
 import numpy as np
 
-from .combinatorics import Partition, enumerate_partitions, partition_factorial, syt_count
+from .combinatorics import enumerate_partitions, partition_factorial, syt_count
 from .errors import CapabilityError
 from .linalg import det_exact, det_float
 from .specfun import hyp1f1, reciprocal_gamma
@@ -138,13 +142,16 @@ def derivative_entry(p: int, q: int, N: int, s: int, u: ExactNumber) -> ExactNum
     return _entry_from_kd(p, q, float(u), kd)
 
 
-def _partition_data(s: int):
-    """(partition, f, padded factorial, derivative orders) for each shape in Y_s."""
+def _partition_data(h: int, s: int):
+    """(f, padded factorial, derivative orders) for each shape of weight h and
+    length at most s; orders are lambda_i + s - i for i = 1..s."""
     data = []
-    for lam in enumerate_partitions(s):
+    for lam in enumerate_partitions(h):
+        if lam.length > s:
+            continue
         padded = lam.padded(s)
         orders = tuple(padded[i] + s - (i + 1) for i in range(s))
-        data.append((lam, syt_count(lam), partition_factorial(lam, s), orders))
+        data.append((syt_count(lam), partition_factorial(lam, s), orders))
     return data
 
 
@@ -170,14 +177,15 @@ def moment_exact(N: int, s: int, u: ExactNumber) -> ExactNumber:
             raise ValueError("u = |z|^2 must be non-negative")
         kd = _k_derivatives_float(N, s, uval, 4 * s - 2)
 
-    data = _partition_data(s)
+    # Orders run over 0..2s-1; compute each distinct entry once.
+    table = [
+        [_entry_from_kd(p, q, uval, kd) for q in range(2 * s)] for p in range(2 * s)
+    ]
+    data = _partition_data(s, s)
     total = Fraction(0) if exact else 0.0
-    for lam, f_lam, fact_lam, p_orders in data:
-        for mu, f_mu, fact_mu, q_orders in data:
-            rows = [
-                [_entry_from_kd(p, q, uval, kd) for q in q_orders]
-                for p in p_orders
-            ]
+    for f_lam, fact_lam, p_orders in data:
+        for f_mu, fact_mu, q_orders in data:
+            rows = [[table[p][q] for q in q_orders] for p in p_orders]
             det = det_exact(rows) if exact else det_float(rows)
             if exact:
                 total += Fraction(f_lam * f_mu, fact_lam * fact_mu) * det
@@ -249,61 +257,15 @@ def _block_exponent(N: int, s: int, row: int, col: int) -> int:
     return N + 2 * s - 1 - j
 
 
-def _structure_det_monomial(N: int, s: int, orders: tuple[int, ...]):
-    """Symbolic determinant (dict power-of-r -> int) of the differentiated block
-    matrix at z = w = -r; entry (i,j) is the orders[i]-th derivative of a monomial.
-    """
-    n = 2 * s
-    matrix: list[list[tuple[int, int] | None]] = []
-    for i in range(n):
-        o = orders[i]
-        row_entries: list[tuple[int, int] | None] = []
-        for j in range(n):
-            a = _block_exponent(N, s, i, j)
-            if o > a:
-                row_entries.append(None)
-            else:
-                coeff = math.perm(a, o) * (-1) ** (a - o)
-                row_entries.append((coeff, a - o))
-        matrix.append(row_entries)
-
-    result: dict[int, int] = {}
-
-    def expand(row: int, used: int, coeff: int, exp: int, sign: int) -> None:
-        if row == n:
-            result[exp] = result.get(exp, 0) + sign * coeff
-            return
-        parity = 0
-        for j in range(n):
-            bit = 1 << j
-            if used & bit:
-                continue
-            entry = matrix[row][j]
-            if entry is not None:
-                c, e = entry
-                expand(
-                    row + 1,
-                    used | bit,
-                    coeff * c,
-                    exp + e,
-                    sign if parity % 2 == 0 else -sign,
-                )
-            parity += 1
-
-    expand(0, 0, 1, 0, 1)
-    return {e: c for e, c in result.items() if c}
-
-
-def _derivative_orders(N: int, s: int, lam: Partition, mu: Partition):
-    lam_pad = lam.padded(s)
-    mu_pad = mu.padded(s)
-    n_orders = tuple(lam_pad[i] + s - (i + 1) for i in range(s))
-    m_orders = tuple(mu_pad[j] + s - (j + 1) for j in range(s))
-    return n_orders, m_orders
-
-
 def structure_b_expansion(N: int, s: int, h1: int, h2: int) -> dict[int, Fraction]:
     """b_(h1,h2) as an exact polynomial in r = |z|: power -> coefficient.
+
+    Generalized Laplace expansion of the differentiated block matrix along its
+    s z-rows.  Every entry of a row with derivative order o in a column with
+    exponent a is perm(a, o) (-r)^(a - o), so the z-minor on a column subset S
+    is (-r)^(sum_S a_j - sum_i o_i) det[perm(a_j, o_i)], and sum_i o_i =
+    h1 + s(s-1)/2 whatever the partition.  The partition sums of the two
+    blocks therefore separate, subset by subset, into integer determinants.
 
     Includes the (-s r)^|h2-h1| prefactor; all surviving powers are even, so
     the result is secretly a polynomial in u = r^2.
@@ -315,25 +277,37 @@ def structure_b_expansion(N: int, s: int, h1: int, h2: int) -> dict[int, Fractio
         raise CapabilityError(
             f"structure expansion supports s <= {STRUCTURE_S_CAP}, got {s}"
         )
-    total: dict[int, Fraction] = {}
-    for lam in enumerate_partitions(h1):
-        if lam.length > s:
-            continue
-        for mu in enumerate_partitions(h2):
-            if mu.length > s:
-                continue
-            n_orders, m_orders = _derivative_orders(N, s, lam, mu)
-            weight = Fraction(
-                syt_count(lam) * syt_count(mu),
-                partition_factorial(lam, s) * partition_factorial(mu, s),
-            )
-            det = _structure_det_monomial(N, s, n_orders + m_orders)
-            for e, c in det.items():
-                total[e] = total.get(e, Fraction(0)) + weight * c
+
+    def block_sum(data, exponents):
+        """sum over partitions of f / [lambda]! * det[perm(a_j, o_i)]."""
+        total = Fraction(0)
+        for f, fact, orders in data:
+            rows = [[math.perm(a, o) for a in exponents] for o in orders]
+            total += Fraction(f, fact) * det_exact(rows)
+        return total
+
+    z_data, w_data = _partition_data(h1, s), _partition_data(h2, s)
+    z_exps = [_block_exponent(N, s, 0, j) for j in range(2 * s)]
+    w_exps = [_block_exponent(N, s, s, j) for j in range(2 * s)]
     shift = abs(h2 - h1)
-    prefactor = Fraction((-s) ** shift)
-    shifted = {e + shift: prefactor * c for e, c in total.items() if c}
-    return {e: c for e, c in shifted.items() if c}
+    prefactor = (-s) ** shift
+    result: dict[int, Fraction] = {}
+    for cols in combinations(range(2 * s), s):
+        z_sum = block_sum(z_data, [z_exps[j] for j in cols])
+        if not z_sum:
+            continue
+        rest = [j for j in range(2 * s) if j not in cols]
+        w_sum = block_sum(w_data, [w_exps[j] for j in rest])
+        if not w_sum:
+            continue
+        e = sum(z_exps[j] for j in cols) + sum(w_exps[j] for j in rest)
+        e -= h1 + h2 + s * (s - 1)
+        # Laplace sign (-1)^(s(s-1)/2 + sum of 0-based columns), times (-1)^e
+        # from (-r)^e.
+        sign = (-1) ** (s * (s - 1) // 2 + sum(cols) + e)
+        term = sign * prefactor * z_sum * w_sum
+        result[e + shift] = result.get(e + shift, 0) + term
+    return {e: c for e, c in result.items() if c}
 
 
 def structure_b(N: int, s: int, h1: int, h2: int, r: ExactNumber) -> ExactNumber:
@@ -347,13 +321,9 @@ def structure_b(N: int, s: int, h1: int, h2: int, r: ExactNumber) -> ExactNumber
     exact = isinstance(r, Rational)
     rv = Fraction(r) if exact else float(r)
     total: ExactNumber = Fraction(0) if exact else 0.0
-    for lam in enumerate_partitions(h1):
-        if lam.length > s:
-            continue
-        for mu in enumerate_partitions(h2):
-            if mu.length > s:
-                continue
-            n_orders, m_orders = _derivative_orders(N, s, lam, mu)
+    w_data = _partition_data(h2, s)
+    for f_lam, fact_lam, n_orders in _partition_data(h1, s):
+        for f_mu, fact_mu, m_orders in w_data:
             orders = n_orders + m_orders
             n = 2 * s
             rows = []
@@ -369,16 +339,9 @@ def structure_b(N: int, s: int, h1: int, h2: int, r: ExactNumber) -> ExactNumber
                 rows.append(row)
             det = det_exact(rows) if exact else det_float(rows)
             if exact:
-                total += Fraction(
-                    syt_count(lam) * syt_count(mu),
-                    partition_factorial(lam, s) * partition_factorial(mu, s),
-                ) * det
+                total += Fraction(f_lam * f_mu, fact_lam * fact_mu) * det
             else:
-                total += (
-                    syt_count(lam)
-                    * syt_count(mu)
-                    / (partition_factorial(lam, s) * partition_factorial(mu, s))
-                ) * det
+                total += (f_lam * f_mu / (fact_lam * fact_mu)) * det
     prefactor = (-s * rv) ** abs(h2 - h1)
     return prefactor * total
 
@@ -491,8 +454,6 @@ def appendix_d00(m: int, l: int, s: int, N: int) -> Fraction:
     Implemented for s <= 3 only; this is a cross-check of structure_b, not a
     production path.
     """
-    from itertools import combinations
-
     _validate_sizes(N, s)
     if s > 3:
         raise CapabilityError(f"appendix coefficients support s <= 3, got {s}")

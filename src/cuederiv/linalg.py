@@ -27,10 +27,10 @@ def det_exact(rows) -> Fraction:
         for x in row:
             if not isinstance(x, Rational):
                 raise TypeError(f"det_exact needs rational entries, got {type(x)}")
-            d = Fraction(x).denominator
+            d = x.denominator
             lcm = lcm * d // math.gcd(lcm, d)
         scale /= lcm
-        m.append([int(Fraction(x) * lcm) for x in row])
+        m.append([int(x * lcm) for x in row])
 
     sign = 1
     prev = 1

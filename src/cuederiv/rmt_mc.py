@@ -148,25 +148,29 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _run_chunks(N, samples, seed, threads, worker, progress=None):
-    """Map `worker(phases, rng)` over deterministic chunks, in chunk order."""
+    """Map `worker(phases, rng)` over deterministic chunks, in chunk order.
+
+    Progress is reported from the calling thread as results arrive in chunk
+    order, so the sequence of `done` counts does not depend on `threads`.
+    """
     layout = _chunk_layout(N, samples)
-    done = [0]
 
     def run(entry):
         index, size = entry
         rng = _chunk_rng(seed, index)
-        phases = haar_phases(N, size, rng)
-        result = worker(phases, rng)
-        if progress is not None:
-            done[0] += size
-            progress(done[0], samples)
-        return result
+        return worker(haar_phases(N, size, rng), rng)
 
     threads = threads or default_thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, layout))
-    return [run(entry) for entry in layout]
+    parts = []
+    done = 0
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = pool.map(run, layout) if threads > 1 else map(run, layout)
+        for (_, size), part in zip(layout, results):
+            parts.append(part)
+            done += size
+            if progress is not None:
+                progress(done, samples)
+    return parts
 
 
 def _log_terms(phases: np.ndarray, z: complex):

@@ -62,6 +62,16 @@ class TestExactCommand:
         assert code == 2
         assert "capability" in err
 
+    def test_float_overflow_is_capability_exit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "exact", "--N", "200", "--s", "12", "--u", "0.998001",
+            "--mode", "float", "--route", "determinant",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("capability limit:") and "overflow" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_usage_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--N", "2")
         assert code == 1

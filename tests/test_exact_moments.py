@@ -199,13 +199,15 @@ class TestStructureB:
         assert abs(values[0] - values[1]) < 1e-6
         assert abs(values[1] - 1) < 1e-6
 
-    def test_expansion_matches_numeric_evaluation(self):
-        N, s = 5, 2
+    @pytest.mark.parametrize("s", (1, 2, 3, 4))
+    @pytest.mark.parametrize("N", (1, 5, 10))
+    def test_expansion_matches_numeric_evaluation(self, N, s):
         r = Fraction(1, 3)
-        for h1, h2 in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]:
-            poly = structure_b_expansion(N, s, h1, h2)
-            value = sum(c * r**e for e, c in poly.items())
-            assert value == structure_b(N, s, h1, h2, r)
+        for h1 in range(s + 1):
+            for h2 in range(s + 1):
+                poly = structure_b_expansion(N, s, h1, h2)
+                value = sum(c * r**e for e, c in poly.items())
+                assert value == structure_b(N, s, h1, h2, r), (h1, h2)
 
     def test_float_mode(self):
         N, s, r = 6, 2, 0.37

@@ -114,6 +114,23 @@ class TestEstimators:
         assert a.mean != c.mean
         assert a.generator == "pcg64" and a.seed == 42
 
+    def test_progress_in_chunk_order(self):
+        # N = 10 packs 40000 draws a chunk, so 50000 draws make two chunks.
+        reports = {}
+        for threads in (1, 2):
+            calls = []
+            estimate_moment(
+                10, 1.0, 0.5, 50_000, seed=7, threads=threads,
+                progress=lambda done, total: calls.append((done, total)),
+            )
+            reports[threads] = calls
+        done = [d for d, _ in reports[2]]
+        assert len(done) >= 2
+        assert all(a < b for a, b in zip(done, done[1:]))
+        assert done[-1] == 50_000
+        assert all(total == 50_000 for _, total in reports[2])
+        assert reports[2] == reports[1]
+
     def test_rotation_invariance(self):
         z = 0.5 * np.exp(1j * 1.234)
         a = estimate_moment(6, 1.0, z, 20_000, seed=5)
