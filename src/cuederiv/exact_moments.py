@@ -17,6 +17,7 @@ Both accept Fraction input for bit-exact results and float input for large N.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -257,6 +258,58 @@ def _block_exponent(N: int, s: int, row: int, col: int) -> int:
     return N + 2 * s - 1 - j
 
 
+def _block_sums(s: int):
+    """block_sum(h, exponents) for one call, each value built on first use.
+
+    The sum over partitions lambda of h (length <= s) of f_lambda / [lambda]!
+    times det[perm(a_j, o_i)] for the column exponents a: Z_h(S) on the
+    z-rows, W_h(S^c) on the w-rows.  Keyed by the exponents, one table serves
+    both blocks and every (h1, h2) of a structure_c_upoly or moment_structure
+    call; nothing is kept between calls.
+    """
+    if s > STRUCTURE_S_CAP:
+        raise CapabilityError(
+            f"structure expansion supports s <= {STRUCTURE_S_CAP}, got {s}"
+        )
+    data = [_partition_data(h, s) for h in range(s + 1)]
+    det = functools.cache(det_exact)
+
+    @functools.cache
+    def block_sum(h: int, exponents: tuple[int, ...]) -> Fraction:
+        total = Fraction(0)
+        for f, fact, orders in data[h]:
+            rows = tuple(tuple(math.perm(a, o) for a in exponents) for o in orders)
+            total += Fraction(f, fact) * det(rows)
+        return total
+
+    return block_sum
+
+
+def _b_expansion(N: int, s: int, h1: int, h2: int, block_sum) -> dict[int, Fraction]:
+    """structure_b_expansion from the block sums of `_block_sums(s)`."""
+    z_exps = [_block_exponent(N, s, 0, j) for j in range(2 * s)]
+    w_exps = [_block_exponent(N, s, s, j) for j in range(2 * s)]
+    shift = abs(h2 - h1)
+    prefactor = (-s) ** shift
+    result: dict[int, Fraction] = {}
+    for cols in combinations(range(2 * s), s):
+        z_sum = block_sum(h1, tuple(z_exps[j] for j in cols))
+        if not z_sum:
+            continue
+        rest = [j for j in range(2 * s) if j not in cols]
+        w_sum = block_sum(h2, tuple(w_exps[j] for j in rest))
+        if not w_sum:
+            continue
+        e = sum(z_exps[j] for j in cols) + sum(w_exps[j] for j in rest)
+        e -= h1 + h2 + s * (s - 1)
+        # Laplace sign (-1)^(s(s-1)/2 + sum of 0-based columns), times (-1)^e
+        # from (-r)^e.
+        sign = (-1) ** (s * (s - 1) // 2 + sum(cols) + e)
+        term = sign * prefactor * z_sum * w_sum
+        result[e + shift] = result.get(e + shift, 0) + term
+    return {e: c for e, c in result.items() if c}
+
+
 def structure_b_expansion(N: int, s: int, h1: int, h2: int) -> dict[int, Fraction]:
     """b_(h1,h2) as an exact polynomial in r = |z|: power -> coefficient.
 
@@ -273,41 +326,7 @@ def structure_b_expansion(N: int, s: int, h1: int, h2: int) -> dict[int, Fractio
     _validate_sizes(N, s)
     if not (0 <= h1 <= s and 0 <= h2 <= s):
         raise ValueError("structure_b requires 0 <= h1, h2 <= s")
-    if s > STRUCTURE_S_CAP:
-        raise CapabilityError(
-            f"structure expansion supports s <= {STRUCTURE_S_CAP}, got {s}"
-        )
-
-    def block_sum(data, exponents):
-        """sum over partitions of f / [lambda]! * det[perm(a_j, o_i)]."""
-        total = Fraction(0)
-        for f, fact, orders in data:
-            rows = [[math.perm(a, o) for a in exponents] for o in orders]
-            total += Fraction(f, fact) * det_exact(rows)
-        return total
-
-    z_data, w_data = _partition_data(h1, s), _partition_data(h2, s)
-    z_exps = [_block_exponent(N, s, 0, j) for j in range(2 * s)]
-    w_exps = [_block_exponent(N, s, s, j) for j in range(2 * s)]
-    shift = abs(h2 - h1)
-    prefactor = (-s) ** shift
-    result: dict[int, Fraction] = {}
-    for cols in combinations(range(2 * s), s):
-        z_sum = block_sum(z_data, [z_exps[j] for j in cols])
-        if not z_sum:
-            continue
-        rest = [j for j in range(2 * s) if j not in cols]
-        w_sum = block_sum(w_data, [w_exps[j] for j in rest])
-        if not w_sum:
-            continue
-        e = sum(z_exps[j] for j in cols) + sum(w_exps[j] for j in rest)
-        e -= h1 + h2 + s * (s - 1)
-        # Laplace sign (-1)^(s(s-1)/2 + sum of 0-based columns), times (-1)^e
-        # from (-r)^e.
-        sign = (-1) ** (s * (s - 1) // 2 + sum(cols) + e)
-        term = sign * prefactor * z_sum * w_sum
-        result[e + shift] = result.get(e + shift, 0) + term
-    return {e: c for e, c in result.items() if c}
+    return _b_expansion(N, s, h1, h2, _block_sums(s))
 
 
 def structure_b(N: int, s: int, h1: int, h2: int, r: ExactNumber) -> ExactNumber:
@@ -376,13 +395,12 @@ def structure_c(N: int, s: int, h: int, r: ExactNumber) -> ExactNumber:
     return total
 
 
-def structure_c_upoly(N: int, s: int, h: int) -> UPolynomial:
-    """C_h(N, .) as an exact polynomial in u = r^2."""
-    _validate_sizes(N, s)
+def _c_upoly(N: int, s: int, h: int, block_sum) -> UPolynomial:
+    """structure_c_upoly from the block sums of `_block_sums(s)`."""
     acc: dict[int, Fraction] = {}
     for h1, h2, mult in _structure_pairs(s, h):
         a_poly = _structure_a_upoly(s, h1, h2)
-        b_poly = structure_b_expansion(N, s, h1, h2)
+        b_poly = _b_expansion(N, s, h1, h2, block_sum)
         for k, ac in enumerate(a_poly.coefficients):
             if ac == 0:
                 continue
@@ -399,6 +417,12 @@ def structure_c_upoly(N: int, s: int, h: int) -> UPolynomial:
     for k, c in acc.items():
         coeffs[k] = c
     return UPolynomial(coeffs)
+
+
+def structure_c_upoly(N: int, s: int, h: int) -> UPolynomial:
+    """C_h(N, .) as an exact polynomial in u = r^2."""
+    _validate_sizes(N, s)
+    return _c_upoly(N, s, h, _block_sums(s))
 
 
 def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
@@ -419,9 +443,10 @@ def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
     exact = isinstance(u, Rational)
     if exact:
         uval = Fraction(u)
+        block_sum = _block_sums(s)
         total = Fraction(0)
         for h in range(2 * s + 1):
-            c_h = structure_c_upoly(N, s, h)(uval)
+            c_h = _c_upoly(N, s, h, block_sum)(uval)
             total += c_h / (1 - uval) ** (s * s + 2 * s - h)
         return total
     uval = float(u)

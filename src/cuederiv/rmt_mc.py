@@ -1,10 +1,15 @@
 """Monte Carlo ground truth over Haar-distributed unitary matrices.
 
-Sampling draws a complex Ginibre matrix, takes its QR decomposition and fixes
-the R-diagonal phases (plain QR is not Haar), then extracts eigenphases.
-Estimators consume eigenphases in fixed-size chunks, each chunk owning a
-generator derived from (seed, chunk index), so results are reproducible for
-any thread count.
+The moment estimators draw CUE(N) through its Verblunsky coefficients, which
+are independent (Killip & Nenciu, IMRN 2004): for k < N-1, |alpha_k|^2 is
+Beta(1, N-k-1) with a uniform phase, and alpha_(N-1) is uniform on the unit
+circle.  Szego's recursion then gives Phi_N(z) = det(z - U) and Phi_N'(z) in
+O(N) per draw and point, with |Lambda_N| = |Phi_N| and |Lambda_N'| = |Phi_N'|
+since |det U| = 1.  Zero counts still need eigenphases: they draw a complex
+Ginibre matrix, take its QR decomposition and fix the R-diagonal phases (plain
+QR is not Haar), then extract eigenphases.  Estimators work in fixed-size
+chunks, each chunk owning a generator derived from (seed, chunk index), so
+results are reproducible for any thread count.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 from .errors import EigenphaseCollisionError
 
 GENERATOR_NAME = "pcg64"
+MOMENT_GENERATOR_NAME = "pcg64/verblunsky"
 COLLISION_TOLERANCE = 1e-14
 _CHUNK_ELEMENT_BUDGET = 4_000_000
 
@@ -148,7 +154,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _run_chunks(N, samples, seed, threads, worker, progress=None):
-    """Map `worker(phases, rng)` over deterministic chunks, in chunk order.
+    """Map `worker(size, rng)` over deterministic chunks, in chunk order.
 
     Progress is reported from the calling thread as results arrive in chunk
     order, so the sequence of `done` counts does not depend on `threads`.
@@ -157,8 +163,7 @@ def _run_chunks(N, samples, seed, threads, worker, progress=None):
 
     def run(entry):
         index, size = entry
-        rng = _chunk_rng(seed, index)
-        return worker(haar_phases(N, size, rng), rng)
+        return worker(size, _chunk_rng(seed, index))
 
     threads = threads or default_thread_count()
     parts = []
@@ -173,22 +178,68 @@ def _run_chunks(N, samples, seed, threads, worker, progress=None):
     return parts
 
 
-def _log_terms(phases: np.ndarray, z: complex):
-    """Per-draw (log|Lambda|, log|sum of log-derivative|, collision mask)."""
-    w = np.exp(-1j * phases)
-    factors = 1.0 - z * w
-    bad = np.min(np.abs(factors), axis=1) < COLLISION_TOLERANCE
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_lam = np.sum(np.log(np.abs(factors)), axis=1)
-        log_deriv_sum = np.log(np.abs(np.sum(-w / factors, axis=1)))
-    return log_lam, log_deriv_sum, bad
+def _verblunsky(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Verblunsky coefficients of `count` CUE(N) draws, shape (count, N).
+
+    |alpha_k|^2 = 1 - v^(1/(N-k-1)) with v uniform on (0, 1] is Beta(1, N-k-1);
+    the last coefficient has modulus 1.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    v = 1.0 - rng.random((count, N - 1))
+    modulus = np.ones((count, N))
+    modulus[:, :-1] = np.sqrt(-np.expm1(np.log(v) / np.arange(N - 1, 0, -1)))
+    return modulus * np.exp(2j * np.pi * rng.random((count, N)))
+
+
+def _szego(alpha: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log|Phi_N(z)|, log|Phi_N'(z)|, unresolved) per point and draw, shape (P, B).
+
+    Runs Szego's recursion Phi_(k+1) = z Phi_k - conj(alpha_k) Phi_k^*,
+    Phi_(k+1)^* = Phi_k^* - alpha_k z Phi_k and its z-derivative from
+    Phi_0 = Phi_0^* = 1, for each row of `alpha` (shape (B, N)) and each z in
+    `points`.  Every step divides all four values by the power of two that
+    brings max(|Phi_k|, |Phi_k^*|) into [1/2, 1), which is exact, and carries
+    the exponent, so large N cannot overflow.  `unresolved` marks a Phi_N(z) within
+    COLLISION_TOLERANCE of zero relative to the two terms of the last step,
+    i.e. z on an eigenvalue.
+    """
+    alpha = np.ascontiguousarray(np.transpose(alpha))
+    z = np.asarray(points, dtype=complex)[:, None]
+    shape = (len(z), alpha.shape[1])
+    phi = np.ones(shape, dtype=complex)
+    phi_star = np.ones(shape, dtype=complex)
+    dphi = np.zeros(shape, dtype=complex)
+    dphi_star = np.zeros(shape, dtype=complex)
+    exponent = np.zeros(shape, dtype=np.int64)
+    for k, a in enumerate(alpha, start=1):
+        a_conj = a.conj()
+        z_phi = z * phi
+        dz_phi = phi + z * dphi
+        if k == len(alpha):
+            cancelled = np.abs(z_phi) + np.abs(phi_star)
+        phi, phi_star = z_phi - a_conj * phi_star, phi_star - a * z_phi
+        dphi, dphi_star = dz_phi - a_conj * dphi_star, dphi_star - a * dz_phi
+        _, e = np.frexp(np.maximum(np.abs(phi), np.abs(phi_star)))
+        scale = np.ldexp(1.0, -e)
+        phi *= scale
+        phi_star *= scale
+        dphi *= scale
+        dphi_star *= scale
+        exponent += e
+    unresolved = np.abs(phi) < COLLISION_TOLERANCE * cancelled * scale
+    shift = exponent * math.log(2.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(phi)) + shift, np.log(np.abs(dphi)) + shift, unresolved
 
 
 def _collect_values(N, samples, seed, threads, evaluate, progress=None):
-    """Evaluate per-draw statistics, resampling eigenphase collisions."""
+    """Evaluate per-draw statistics from Verblunsky coefficients, redrawing
+    the draws that `evaluate` flags as unresolved."""
 
-    def worker(phases, rng):
-        values, bad = evaluate(phases)
+    def worker(size, rng):
+        alpha = _verblunsky(N, size, rng)
+        values, bad = evaluate(alpha)
         resampled = 0
         attempts = 0
         while np.any(bad):
@@ -197,10 +248,10 @@ def _collect_values(N, samples, seed, threads, evaluate, progress=None):
                 raise EigenphaseCollisionError("persistent eigenphase collisions")
             count = int(np.sum(bad))
             resampled += count
-            phases[bad] = haar_phases(N, count, rng)
-            redone, rebad = evaluate(phases[bad])
+            alpha[bad] = _verblunsky(N, count, rng)
+            redone, rebad = evaluate(alpha[bad])
             values[bad] = redone
-            still_bad = np.zeros(len(phases), dtype=bool)
+            still_bad = np.zeros(len(alpha), dtype=bool)
             still_bad[np.flatnonzero(bad)[rebad]] = True
             bad = still_bad
         return values, resampled
@@ -228,6 +279,7 @@ def _estimate_from_values(values, seed, resampled, diagnostics: bool) -> MomentE
         std_error=se,
         samples=n,
         seed=seed,
+        generator=MOMENT_GENERATOR_NAME,
         top_contribution_fraction=top_fraction,
         resampled=resampled,
     )
@@ -255,12 +307,12 @@ def estimate_moment(
     z = complex(z)
 
     if s == 0:
-        return MomentEstimate(mean=1.0, std_error=0.0, samples=samples, seed=seed)
+        return MomentEstimate(mean=1.0, std_error=0.0, samples=samples, seed=seed,
+                              generator=MOMENT_GENERATOR_NAME)
 
-    def evaluate(phases):
-        log_lam, log_deriv_sum, bad = _log_terms(phases, z)
-        values = np.exp(2 * s * (log_lam + log_deriv_sum))
-        return values, bad
+    def evaluate(alpha):
+        _, log_dphi, _ = _szego(alpha, [z])
+        return np.exp(2 * s * log_dphi[0]), np.zeros(len(alpha), dtype=bool)
 
     values, resampled = _collect_values(N, samples, seed, threads, evaluate, progress)
     return _estimate_from_values(values, seed, resampled, diagnostics=s < 0)
@@ -277,7 +329,11 @@ def estimate_joint_moment(
     threads: int | None = None,
     progress=None,
 ) -> MomentEstimate:
-    """Monte Carlo estimate of E[ |Lambda'/Lambda(z2)|^(2h) |Lambda(z1)|^(2s) ]."""
+    """Monte Carlo estimate of E[ |Lambda'/Lambda(z2)|^(2h) |Lambda(z1)|^(2s) ].
+
+    A draw with z2 on an eigenvalue (possible only for |z2| = 1) is redrawn
+    and counted in `resampled`.
+    """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     if h <= -1:
@@ -286,13 +342,15 @@ def estimate_joint_moment(
     z2 = complex(z2)
 
     if h == 0 and s == 0:
-        return MomentEstimate(mean=1.0, std_error=0.0, samples=samples, seed=seed)
+        return MomentEstimate(mean=1.0, std_error=0.0, samples=samples, seed=seed,
+                              generator=MOMENT_GENERATOR_NAME)
 
-    def evaluate(phases):
-        log_lam1, _, bad1 = _log_terms(phases, z1)
-        _, log_deriv_sum2, bad2 = _log_terms(phases, z2)
-        values = np.exp(2 * h * log_deriv_sum2 + 2 * s * log_lam1)
-        return values, bad1 | bad2
+    def evaluate(alpha):
+        # At z1 == z2 and s == h the bracket is exactly 0, so the values equal
+        # estimate_moment's draw for draw.
+        log_phi, log_dphi, unresolved = _szego(alpha, [z1] if z1 == z2 else [z1, z2])
+        bracket = 2 * s * log_phi[0] - 2 * h * log_phi[-1]
+        return np.exp(2 * h * log_dphi[-1] + bracket), unresolved[-1]
 
     values, resampled = _collect_values(N, samples, seed, threads, evaluate, progress)
     return _estimate_from_values(values, seed, resampled, diagnostics=h < 0 or s < 0)
@@ -379,8 +437,8 @@ def mean_zero_counts(
             for _ in radii
         ]
 
-    def worker(phases, rng):
-        moduli = _critical_point_moduli(phases)
+    def worker(size, rng):
+        moduli = _critical_point_moduli(haar_phases(N, size, rng))
         return np.stack([np.sum(moduli < r, axis=1) for r in radii], axis=1)
 
     parts = _run_chunks(N, samples, seed, threads, worker, progress)

@@ -130,7 +130,7 @@ class TestMcCommand:
         assert code == 0
         (row,) = parse_report(out)["results"]
         assert row["seed"] == 11 and row["samples"] == 2000
-        assert row["generator"] == "pcg64"
+        assert row["generator"] == "pcg64/verblunsky"
         assert row["std_error"] > 0
 
     def test_joint(self, capsys):

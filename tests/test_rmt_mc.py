@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from cuederiv import rmt_mc
 from cuederiv.errors import EigenphaseCollisionError
 from cuederiv.exact_moments import moment_exact
 from cuederiv.rmt_mc import (
@@ -112,7 +113,11 @@ class TestEstimators:
         c = estimate_moment(6, 1.0, 0.5, 4000, seed=43)
         assert a.mean == b.mean and a.std_error == b.std_error
         assert a.mean != c.mean
-        assert a.generator == "pcg64" and a.seed == 42
+        assert a.generator == "pcg64/verblunsky" and a.seed == 42
+        # N = 60 packs 1111 draws a chunk, so 4000 draws make four chunks.
+        j1 = estimate_joint_moment(60, 1.0, 1.0, 0.3, 0.5j, 4000, seed=42)
+        j4 = estimate_joint_moment(60, 1.0, 1.0, 0.3, 0.5j, 4000, seed=42, threads=4)
+        assert j1.mean == j4.mean and j1.std_error == j4.std_error
 
     def test_progress_in_chunk_order(self):
         # N = 10 packs 40000 draws a chunk, so 50000 draws make two chunks.
@@ -165,9 +170,94 @@ class TestEstimators:
         b = estimate_moment(6, 1.0, z, 5000, seed=12)
         assert a.mean == b.mean
 
+    def test_joint_on_unit_circle(self):
+        est = estimate_joint_moment(6, 0, 1, 0.3, 1.0, 2000, seed=5)
+        assert math.isfinite(est.mean)
+        assert isinstance(est.resampled, int) and est.resampled >= 0
+
+    def test_unresolved_draws_are_redrawn(self, monkeypatch):
+        # Phi_1(z) = z - conj(alpha_0) vanishes at z2 = 1 when alpha_0 = 1.
+        draw = rmt_mc._verblunsky
+        calls = []
+
+        def colliding_first(N, count, rng):
+            calls.append(count)
+            alpha = draw(N, count, rng)
+            if len(calls) == 1:
+                alpha[:3] = 1.0
+            return alpha
+
+        monkeypatch.setattr(rmt_mc, "_verblunsky", colliding_first)
+        est = estimate_joint_moment(1, 0.0, 1.0, 0.3, 1.0, 10, seed=0)
+        assert est.resampled == 3 and math.isfinite(est.mean)
+
+        monkeypatch.setattr(
+            rmt_mc, "_verblunsky", lambda N, count, rng: np.ones((count, N), dtype=complex)
+        )
+        with pytest.raises(EigenphaseCollisionError):
+            estimate_joint_moment(1, 0.0, 1.0, 0.3, 1.0, 10, seed=0)
+
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             estimate_moment(6, 1.0, 0.5, 1, seed=0)
+
+
+def szego_coefficients(alpha):
+    """Coefficients of Phi_N, constant term first, by Szego's recursion."""
+    phi = np.array([1.0 + 0j])
+    for a in alpha:
+        star = np.conj(phi[::-1])
+        phi = np.concatenate([[0], phi]) - np.conj(a) * np.concatenate([star, [0]])
+    return phi
+
+
+class TestSzego:
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            [np.exp(0.4j)],
+            [0.5 - 0.2j, np.exp(2.0j)],
+            [0.3, -0.2 + 0.4j, 0.5j, -0.6, 0.1 + 0.1j, 0.7 * np.exp(1j), -0.25j,
+             np.exp(-1.3j)],
+        ],
+        ids=["N1", "N2", "N8"],
+    )
+    def test_recursion_matches_eigenphase_product(self, alpha):
+        roots = np.roots(szego_coefficients(alpha)[::-1])
+        assert np.allclose(np.abs(roots), 1.0, atol=1e-12)
+        sample = SpectrumSample(len(alpha), np.mod(np.angle(roots), 2 * np.pi))
+        points = [0.0, 0.3 + 0.2j, -0.8j, np.exp(0.9j), -1.0, 1.7 - 0.4j]
+        log_phi, log_dphi, unresolved = rmt_mc._szego(np.array([alpha]), points)
+        assert not np.any(unresolved)
+        for i, z in enumerate(points):
+            lam, dlam = eval_lambda_and_deriv(sample, z)
+            assert abs(math.exp(log_phi[i, 0]) - abs(lam)) <= 1e-10 * max(1.0, abs(lam))
+            assert abs(math.exp(log_dphi[i, 0]) - abs(dlam)) <= 1e-10 * max(1.0, abs(dlam))
+
+    def test_zero_on_the_circle_is_flagged(self):
+        alpha = np.array([[np.exp(0.7j)]])
+        log_phi, _, unresolved = rmt_mc._szego(alpha, [0.3, np.conj(alpha[0, 0])])
+        assert unresolved.tolist() == [[False], [True]]
+        assert log_phi[1, 0] == -math.inf
+
+    def test_large_n_stays_finite(self):
+        alpha = rmt_mc._verblunsky(3000, 4, rng(13))
+        log_phi, log_dphi, _ = rmt_mc._szego(alpha, [0.5, 1.0, 2.0])
+        assert np.all(np.isfinite(log_phi)) and np.all(np.isfinite(log_dphi))
+        # 1 = (|z| - 1)^N <= |Phi_N(z)| <= (|z| + 1)^N at z = 2, past 1e308
+        assert np.all(log_phi[2] >= -1e-9) and np.all(log_phi[2] <= 3000 * math.log(3.0))
+        assert np.all(log_phi[2] > math.log(1e308))
+
+    @pytest.mark.parametrize("N, haar_draws", [(6, 4000), (60, 1000)])
+    def test_samplers_agree_in_distribution(self, N, haar_draws):
+        z = 0.5
+        w = np.exp(-1j * haar_phases(N, haar_draws, rng(21)))
+        factors = 1.0 - z * w
+        log_lam = np.sum(np.log(np.abs(factors)), axis=1)
+        log_dlam = log_lam + np.log(np.abs(np.sum(-w / factors, axis=1)))
+        log_phi, log_dphi, _ = rmt_mc._szego(rmt_mc._verblunsky(N, 20_000, rng(22)), [z])
+        assert scipy.stats.ks_2samp(log_lam, log_phi[0]).pvalue > 0.01
+        assert scipy.stats.ks_2samp(log_dlam, log_dphi[0]).pvalue > 0.01
 
 
 class TestPolyAndZeros:
