@@ -5,25 +5,20 @@ closed-form asymptotics, Monte Carlo over Haar unitaries) plus the
 number-theory side series they are conjectured to match.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .combinatorics import (
-    DescendingComposition,
     Partition,
     enumerate_partitions,
-    omega_weight,
     partition_factorial,
     syt_count,
 )
 from .errors import CapabilityError, EigenphaseCollisionError
 from .exact_moments import (
     UPolynomial,
-    appendix_d00,
     cue_moment_integer,
     cue_moment_ks,
     cue_moment_radial,
-    derivative_entry,
-    k_polynomial,
     moment_exact,
     moment_structure,
     structure_a,
@@ -43,24 +38,15 @@ from .asymptotics import (
 )
 from .rmt_mc import (
     MomentEstimate,
-    PolyCoeffs,
-    SpectrumSample,
-    count_zeros_inside,
     estimate_joint_moment,
     estimate_moment,
-    eval_lambda_and_deriv,
     mean_zero_counts,
-    poly_coeffs,
-    sample_spectrum,
 )
 from .specfun import (
     ExpMomentTable,
-    bessel_j0_of_sqrt,
     exp_moment,
-    generalized_laguerre,
     hyp1f1,
     laguerre,
-    log_gamma,
     zeta_real,
 )
 from .zeta import (

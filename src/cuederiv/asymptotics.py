@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import enumerate_partitions, partition_factorial, syt_count
+from .combinatorics import _partition_data
 from .linalg import det_float
 from .specfun import ExpMomentTable, hyp1f1, laguerre
 
@@ -116,11 +115,7 @@ def micro_b(s: int, c: float) -> float:
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
     table = ExpMomentTable.build(c, 4 * s - 2)
-    data = []
-    for lam in enumerate_partitions(s):
-        padded = lam.padded(s)
-        exponents = tuple(padded[i] + s - (i + 1) for i in range(s))
-        data.append((syt_count(lam), partition_factorial(lam, s), exponents))
+    data = _partition_data(s, s)
     total = 0.0
     for f_lam, fact_lam, p in data:
         for f_mu, fact_mu, q in data:

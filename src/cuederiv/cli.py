@@ -37,12 +37,7 @@ from .exact_moments import (
     moment_exact,
     moment_structure,
 )
-from .rmt_mc import (
-    default_thread_count,
-    estimate_joint_moment,
-    estimate_moment,
-    mean_zero_counts,
-)
+from .rmt_mc import estimate_joint_moment, estimate_moment, mean_zero_counts
 from .zeta import (
     arithmetic_factor,
     conjecture_rhs,
@@ -123,14 +118,13 @@ def _result(label: str, value, provenance: str, **extra):
     return row
 
 
-def _progress_printer(enabled: bool):
-    if not enabled:
-        return None
+def _mc_options(args):
+    """Thread count and progress callback for a Monte Carlo call."""
 
     def show(done, total):
         print(f"progress: {done}/{total} draws", file=sys.stderr)
 
-    return show
+    return {"threads": args.threads, "progress": show if args.progress else None}
 
 
 def build_parser() -> _Parser:
@@ -214,33 +208,29 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run_exact(args, threads):
+def _run_exact(args):
     if args.mode == "exact":
         u = _fraction(args.u) if args.u is not None else _fraction(args.r) ** 2
         r = _fraction(args.r) if args.r is not None else None
     else:
         u = float(Fraction(args.u)) if args.u is not None else float(Fraction(args.r)) ** 2
         r = float(Fraction(args.r)) if args.r is not None else math.sqrt(u)
-    results = []
-    if args.route in ("determinant", "both"):
-        results.append(_result("moment", moment_exact(args.N, args.s, u),
-                               "partition-determinant"))
-    if args.route in ("structure", "both"):
-        results.append(_result("moment", moment_structure(args.N, args.s, u),
-                               "structure-expansion"))
     if args.route == "cue-circle":
-        results.append(_result("cue_moment", cue_moment_integer(args.N, args.s),
-                               "selberg-product-circle"))
-        results.append(_result("cue_moment", cue_moment_ks(args.N, args.s),
-                               "gamma-product-circle"))
+        return [_result("cue_moment", cue_moment_integer(args.N, args.s),
+                        "selberg-product-circle"),
+                _result("cue_moment", cue_moment_ks(args.N, args.s),
+                        "gamma-product-circle")]
     if args.route == "cue-radial":
         if r is None:
-            r = math.sqrt(float(u)) if args.mode == "float" else None
-        if r is None:
             raise SystemExit2("cue-radial needs --r (rational in exact mode)")
-        results.append(_result("cue_moment", cue_moment_radial(args.N, args.s, r),
-                               "block-determinant-ratio"))
-    return results
+        return [_result("cue_moment", cue_moment_radial(args.N, args.s, r),
+                        "block-determinant-ratio")]
+    rows = []
+    for route, name in (("determinant", "exact"), ("structure", "structure")):
+        if args.route in (route, "both"):
+            provenance, evaluate = _ROUTES[name]
+            rows.append(_result("moment", evaluate(args, u)[0], provenance))
+    return rows
 
 
 def _run_asympt(args):
@@ -288,18 +278,17 @@ def _run_asympt(args):
     return rows
 
 
-def _run_mc(args, threads, progress):
+def _run_mc(args):
     if args.what == "moment":
         if args.z is None:
             raise SystemExit2("mc moment needs --z")
         est = estimate_moment(args.N, args.s, args.z, args.samples, args.seed,
-                              threads=threads, progress=progress)
+                              **_mc_options(args))
     else:
         if args.h is None or args.z1 is None or args.z2 is None:
             raise SystemExit2("mc joint needs --h, --z1, --z2")
         est = estimate_joint_moment(args.N, args.s, args.h, args.z1, args.z2,
-                                    args.samples, args.seed, threads=threads,
-                                    progress=progress)
+                                    args.samples, args.seed, **_mc_options(args))
     extra = {
         "std_error": est.std_error,
         "samples": est.samples,
@@ -350,77 +339,74 @@ def _run_zeta(args):
     ]
 
 
-def _compare_routes(args, threads, progress):
+def _route_n(args, name):
+    if args.N is None:
+        raise SystemExit2(f"route {name!r} needs --N")
+    return args.N
+
+
+def _closed_s1(args, u):
+    N = _route_n(args, "closed-s1")
+    if int(args.s) != 1:
+        raise SystemExit2("route 'closed-s1' is the s=1 squares sum")
+    return sum(j * j * u ** (j - 1) for j in range(1, N + 1)), {}
+
+
+def _mc_route(args, u):
+    est = estimate_moment(_route_n(args, "mc"), args.s, args.r, args.samples, args.seed,
+                          **_mc_options(args))
+    return est.mean, {"std_error": est.std_error}
+
+
+# route -> (provenance, evaluate(args, u) -> (value, extra row fields)).  The
+# evaluators look library functions up when called, so a patched module
+# attribute (monkeypatch, tracing) takes effect.
+_ROUTES = {
+    "exact": ("partition-determinant", lambda args, u: (
+        moment_exact(_route_n(args, "exact"), int(args.s), u), {})),
+    "structure": ("structure-expansion", lambda args, u: (
+        moment_structure(_route_n(args, "structure"), int(args.s), u), {})),
+    "closed-s1": ("squares-geometric-sum", _closed_s1),
+    "mc": ("monte-carlo-haar", _mc_route),
+    "global": ("hypergeometric-global-limit", lambda args, u: (
+        global_moment(args.s, args.r), {})),
+}
+
+
+def _compare_routes(args):
     names = [part.strip() for part in args.routes.split(",") if part.strip()]
     if len(names) != 2:
         raise SystemExit2("compare needs exactly two routes")
     u = args.r * args.r
-    values = {}
-    ses = {}
+    rows = []
     for name in names:
-        if name == "exact":
-            if args.N is None:
-                raise SystemExit2("route 'exact' needs --N")
-            values[name] = float(moment_exact(args.N, int(args.s), u))
-        elif name == "structure":
-            if args.N is None:
-                raise SystemExit2("route 'structure' needs --N")
-            values[name] = float(moment_structure(args.N, int(args.s), u))
-        elif name == "closed-s1":
-            if args.N is None:
-                raise SystemExit2("route 'closed-s1' needs --N")
-            if int(args.s) != 1:
-                raise SystemExit2("route 'closed-s1' is the s=1 squares sum")
-            values[name] = float(sum(j * j * u ** (j - 1) for j in range(1, args.N + 1)))
-        elif name == "mc":
-            if args.N is None:
-                raise SystemExit2("route 'mc' needs --N")
-            est = estimate_moment(args.N, args.s, args.r, args.samples, args.seed,
-                                  threads=threads, progress=progress)
-            values[name] = est.mean
-            ses[name] = est.std_error
-        elif name == "global":
-            values[name] = global_moment(args.s, args.r)
-        else:
+        if name not in _ROUTES:
             raise SystemExit2(f"unknown route {name!r}")
-
-    a, b = (values[name] for name in names)
+        provenance, evaluate = _ROUTES[name]
+        value, extra = evaluate(args, u)
+        rows.append(_result(name, float(value), provenance, **extra))
+    a, b = (row["value"] for row in rows)
     absolute = abs(a - b)
     relative = absolute / max(abs(a), abs(b), 1e-300)
-    rows = [
-        _result(names[0], values[names[0]], _route_provenance(names[0]),
-                **({"std_error": ses[names[0]]} if names[0] in ses else {})),
-        _result(names[1], values[names[1]], _route_provenance(names[1]),
-                **({"std_error": ses[names[1]]} if names[1] in ses else {})),
-    ]
+    ses = {row["label"]: row["std_error"] for row in rows if "std_error" in row}
     if ses:
         combined_se = math.sqrt(sum(se * se for se in ses.values()))
         normalized = absolute / combined_se if combined_se else math.inf
-        passed = normalized <= args.se_multiplier
         rows.append(_result("discrepancy", absolute, "cross-route",
                             relative=relative, se_normalized=normalized,
-                            criterion=f"<= {args.se_multiplier} SE", passed=passed))
+                            criterion=f"<= {args.se_multiplier} SE",
+                            passed=normalized <= args.se_multiplier))
     else:
-        passed = relative <= args.tolerance
         rows.append(_result("discrepancy", absolute, "cross-route",
                             relative=relative,
-                            criterion=f"relative <= {args.tolerance}", passed=passed))
-    return rows, passed
+                            criterion=f"relative <= {args.tolerance}",
+                            passed=relative <= args.tolerance))
+    return rows
 
 
-def _route_provenance(name: str) -> str:
-    return {
-        "exact": "partition-determinant",
-        "structure": "structure-expansion",
-        "closed-s1": "squares-geometric-sum",
-        "mc": "monte-carlo-haar",
-        "global": "hypergeometric-global-limit",
-    }[name]
-
-
-def _run_zeros(args, threads, progress):
+def _run_zeros(args):
     estimates = mean_zero_counts(args.N, args.radii, args.samples, args.seed,
-                                 threads=threads, progress=progress)
+                                 **_mc_options(args))
     rows = []
     for r, est in zip(args.radii, estimates):
         rows.append(_result("zero_count", est.mean, "monte-carlo-haar",
@@ -445,25 +431,21 @@ def _emit(report, fmt):
         print(f"{label},{value!r},{provenance}")
 
 
+_COMMANDS = {
+    "exact": _run_exact,
+    "asympt": _run_asympt,
+    "mc": _run_mc,
+    "zeta": _run_zeta,
+    "compare": _compare_routes,
+    "zeros": _run_zeros,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        threads = args.threads or default_thread_count()
-        progress = _progress_printer(args.progress)
-        passed = True
-        if args.command == "exact":
-            results = _run_exact(args, threads)
-        elif args.command == "asympt":
-            results = _run_asympt(args)
-        elif args.command == "mc":
-            results = _run_mc(args, threads, progress)
-        elif args.command == "zeta":
-            results = _run_zeta(args)
-        elif args.command == "compare":
-            results, passed = _compare_routes(args, threads, progress)
-        else:
-            results = _run_zeros(args, threads, progress)
+        results = _COMMANDS[args.command](args)
     except SystemExit2 as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_EXIT
@@ -486,7 +468,7 @@ def main(argv=None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     _emit(report, args.format)
-    return 0 if passed else COMPARISON_EXIT
+    return 0 if all(row.get("passed", True) for row in results) else COMPARISON_EXIT
 
 
 def _jsonable(value):

@@ -1,4 +1,4 @@
-"""Partitions, standard Young tableaux counts, and merged-derivative weights.
+"""Partitions, standard Young tableau counts, and partition weights.
 
 Everything here is exact integer combinatorics.  Partitions are stored dense
 (nonzero parts only) and read with zero padding, since every formula downstream
@@ -7,7 +7,6 @@ indexes parts past the length of the partition.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 
 
@@ -75,50 +74,6 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-class DescendingComposition:
-    """A strictly decreasing tuple q_1 > ... > q_n >= 0 summing to n(n+1)/2.
-
-    These index the terms of the merged multi-derivative expansion; the
-    companion weight is :func:`omega_weight`.
-    """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q):
-        q = tuple(int(v) for v in q)
-        n = len(q)
-        if n < 1:
-            raise ValueError("composition must be nonempty")
-        if any(a <= b for a, b in zip(q, q[1:])) or q[-1] < 0:
-            raise ValueError(f"{q} is not strictly decreasing and non-negative")
-        if sum(q) != n * (n + 1) // 2:
-            raise ValueError(f"{q} does not sum to n(n+1)/2 = {n*(n+1)//2}")
-        self.q = q
-
-    @property
-    def order(self) -> int:
-        return len(self.q)
-
-    def to_partition(self) -> Partition:
-        """The partition lambda with lambda_j = q_j - n + j (1-based j)."""
-        n = len(self.q)
-        return Partition(self.q[j] - n + (j + 1) for j in range(n))
-
-    @classmethod
-    def from_partition(cls, lam: Partition, n: int) -> "DescendingComposition":
-        padded = lam.padded(n)
-        return cls(padded[j] + n - (j + 1) for j in range(n))
-
-    def __eq__(self, other):
-        return isinstance(other, DescendingComposition) and self.q == other.q
-
-    def __hash__(self):
-        return hash(self.q)
-
-    def __repr__(self):
-        return f"DescendingComposition{self.q}"
-
-
 def enumerate_partitions(m: int) -> list[Partition]:
     """All partitions of weight m, in descending lexicographic order.
 
@@ -137,29 +92,6 @@ def enumerate_partitions(m: int) -> list[Partition]:
 
     descend(m, m if m else 1, ())
     return result
-
-
-@lru_cache(maxsize=None)
-def partition_count(m: int) -> int:
-    """p(m) via the Euler pentagonal recurrence."""
-    if m < 0:
-        return 0
-    if m == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > m and g2 > m:
-            break
-        sign = -1 if k % 2 == 0 else 1
-        if g1 <= m:
-            total += sign * partition_count(m - g1)
-        if g2 <= m:
-            total += sign * partition_count(m - g2)
-        k += 1
-    return total
 
 
 def syt_count(lam: Partition) -> int:
@@ -186,65 +118,6 @@ def conjugate_parts(parts) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
 
 
-def enumerate_standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
-    """All standard fillings of lam by backtracking; brute-force oracle for syt_count."""
-    m = lam.weight
-    if m == 0:
-        return [()]
-    shape = lam.parts
-    rows = len(shape)
-    fillings: list[tuple[tuple[int, ...], ...]] = []
-    grid = [[0] * shape[i] for i in range(rows)]
-    fill_len = [0] * rows
-
-    def place(value):
-        if value > m:
-            fillings.append(tuple(tuple(row) for row in grid))
-            return
-        for i in range(rows):
-            j = fill_len[i]
-            if j >= shape[i]:
-                continue
-            if i > 0 and fill_len[i - 1] <= j:
-                continue
-            grid[i][j] = value
-            fill_len[i] += 1
-            place(value + 1)
-            fill_len[i] -= 1
-
-    place(1)
-    return fillings
-
-
-@lru_cache(maxsize=None)
-def _omega(q: tuple[int, ...]) -> int:
-    n = len(q)
-    if n == 1:
-        return 1
-    if q == tuple(range(n, 0, -1)):
-        return 1
-    # q[-1] == 0 here: remove one unit from each entry and a second unit from
-    # position j wherever the strict descent allows it.
-    total = 0
-    for j in range(n - 1):
-        gap = q[j] - (q[j + 1] if j + 1 < n else 0)
-        if gap >= 2:
-            reduced = tuple(
-                q[i] - 2 if i == j else q[i] - 1 for i in range(n - 1)
-            )
-            total += _omega(reduced)
-    return total
-
-
-def omega_weight(q: DescendingComposition) -> int:
-    """Weight of the composition in the merged-derivative expansion.
-
-    Computed by the corner-sum recursion, independently of syt_count, so the
-    identity omega(q) == f_lambda stays a genuine cross-check.
-    """
-    return _omega(q.q)
-
-
 def partition_factorial(lam: Partition, m: int):
     """Product of (lambda_i + m - i)! over i = 1..m with zero padding."""
     if m < lam.length:
@@ -254,3 +127,16 @@ def partition_factorial(lam: Partition, m: int):
     for i, part in enumerate(padded):
         product *= factorial(part + m - (i + 1))
     return product
+
+
+def _partition_data(h: int, s: int):
+    """(f, padded factorial, derivative orders) for each shape of weight h and
+    length at most s; orders are lambda_i + s - i for i = 1..s."""
+    data = []
+    for lam in enumerate_partitions(h):
+        if lam.length > s:
+            continue
+        padded = lam.padded(s)
+        orders = tuple(padded[i] + s - (i + 1) for i in range(s))
+        data.append((syt_count(lam), partition_factorial(lam, s), orders))
+    return data

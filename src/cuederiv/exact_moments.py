@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .combinatorics import enumerate_partitions, partition_factorial, syt_count
+from .combinatorics import _partition_data
 from .errors import CapabilityError
 from .linalg import det_exact, det_float
 from .specfun import hyp1f1, reciprocal_gamma
@@ -69,12 +69,6 @@ class UPolynomial:
 
     def __repr__(self):
         return f"UPolynomial({self.coefficients})"
-
-
-def k_polynomial(N: int, s: int) -> UPolynomial:
-    """K_N(u) = sum of u^j for j = 0 .. N+s-1."""
-    _validate_sizes(N, s)
-    return UPolynomial([1] * (N + s))
 
 
 def _validate_sizes(N: int, s: int) -> None:
@@ -129,31 +123,6 @@ def _entry_from_kd(p: int, q: int, u, kd) -> ExactNumber:
     for t in range(min(p, q) + 1):
         total += math.comb(q, t) * math.perm(p, t) * u ** (p - t) * kd[p + q - t]
     return total
-
-
-def derivative_entry(p: int, q: int, N: int, s: int, u: ExactNumber) -> ExactNumber:
-    """The (p, q) determinant entry: (u^p K_N^(p)(u))^(q)."""
-    _validate_sizes(N, s)
-    if p < 0 or q < 0:
-        raise ValueError("derivative orders must be non-negative")
-    if isinstance(u, Rational):
-        kd = _k_derivatives_exact(N, s, Fraction(u), p + q)
-        return _entry_from_kd(p, q, Fraction(u), kd)
-    kd = _k_derivatives_float(N, s, float(u), p + q)
-    return _entry_from_kd(p, q, float(u), kd)
-
-
-def _partition_data(h: int, s: int):
-    """(f, padded factorial, derivative orders) for each shape of weight h and
-    length at most s; orders are lambda_i + s - i for i = 1..s."""
-    data = []
-    for lam in enumerate_partitions(h):
-        if lam.length > s:
-            continue
-        padded = lam.padded(s)
-        orders = tuple(padded[i] + s - (i + 1) for i in range(s))
-        data.append((syt_count(lam), partition_factorial(lam, s), orders))
-    return data
 
 
 def moment_exact(N: int, s: int, u: ExactNumber) -> ExactNumber:
@@ -466,60 +435,6 @@ def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
     if isinstance(r, Rational):
         return b00 / (1 - Fraction(r) ** 2) ** (s * s)
     return b00 / (1.0 - float(r) ** 2) ** (s * s)
-
-
-# ---------------------------------------------------------------------------
-# Combinatorial cross-check coefficients for the b_(0,0) expansion
-# ---------------------------------------------------------------------------
-
-
-def appendix_d00(m: int, l: int, s: int, N: int) -> Fraction:
-    """Signed subset-sum coefficient of |z|^(2Nl - s^2 + s + 2m) in b_(0,0).
-
-    Implemented for s <= 3 only; this is a cross-check of structure_b, not a
-    production path.
-    """
-    _validate_sizes(N, s)
-    if s > 3:
-        raise CapabilityError(f"appendix coefficients support s <= 3, got {s}")
-    if not 0 <= l <= s:
-        raise ValueError("l must satisfy 0 <= l <= s")
-    # The overall sign carries an extra (-1)^(s(s-1)/2) from the row ordering
-    # of the Laplace expansion; equality with structure_b is the arbiter.
-    prefactor = Fraction((-1) ** (m + s * (s - 1) // 2))
-    for i in range(1, s):
-        prefactor /= math.factorial(i) ** 2
-
-    total = 0
-    low = list(range(s))
-    high = list(range(s, 2 * s))
-    for i_set in combinations(low, s - l):
-        for j_set in combinations(high, l):
-            if sum(i_set) + sum(j_set) != m:
-                continue
-            i_comp = [x for x in low if x not in i_set]
-            j_comp = [x for x in high if x not in j_set]
-            term = 1
-            for a in range(len(i_set)):
-                for b in range(a + 1, len(i_set)):
-                    term *= i_set[b] - i_set[a]
-            for a in range(len(j_set)):
-                for b in range(a + 1, len(j_set)):
-                    term *= j_set[b] - j_set[a]
-            for ia in i_set:
-                for jb in j_set:
-                    term *= N + jb - ia
-            for ja in j_comp:
-                for ib in i_comp:
-                    term *= N + ja - ib
-            for a in range(len(j_comp)):
-                for b in range(a + 1, len(j_comp)):
-                    term *= j_comp[b] - j_comp[a]
-            for a in range(len(i_comp)):
-                for b in range(a + 1, len(i_comp)):
-                    term *= i_comp[b] - i_comp[a]
-            total += term
-    return prefactor * total
 
 
 # ---------------------------------------------------------------------------

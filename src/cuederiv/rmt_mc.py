@@ -18,7 +18,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,22 +28,6 @@ GENERATOR_NAME = "pcg64"
 MOMENT_GENERATOR_NAME = "pcg64/verblunsky"
 COLLISION_TOLERANCE = 1e-14
 _CHUNK_ELEMENT_BUDGET = 4_000_000
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Eigenphases of a single Haar-unitary draw."""
-
-    N: int
-    phases: np.ndarray
-
-    def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=float)
-        if phases.shape != (self.N,):
-            raise ValueError(f"expected {self.N} phases, got shape {phases.shape}")
-        if np.any(phases < 0) or np.any(phases >= 2 * np.pi):
-            raise ValueError("phases must lie in [0, 2*pi)")
-        object.__setattr__(self, "phases", phases)
 
 
 @dataclass(frozen=True)
@@ -57,25 +41,6 @@ class MomentEstimate:
     generator: str = GENERATOR_NAME
     top_contribution_fraction: float | None = None
     resampled: int = 0
-
-
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Coefficients of the characteristic polynomial, constant term first."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=complex)
-        object.__setattr__(self, "coefficients", coeffs)
-        if abs(coeffs[0] - 1.0) > 1e-9:
-            raise ValueError("constant term of the characteristic polynomial must be 1")
-        if abs(abs(coeffs[-1]) - 1.0) > 1e-9:
-            raise ValueError("leading coefficient must have modulus 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def default_thread_count() -> int:
@@ -100,37 +65,6 @@ def haar_phases(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
     q = q * (diag / np.abs(diag))[:, None, :]
     eigenvalues = np.linalg.eigvals(q)
     return np.mod(np.angle(eigenvalues), 2 * np.pi)
-
-
-def sample_spectrum(N: int, rng: np.random.Generator) -> SpectrumSample:
-    """One CUE spectrum via the Ginibre-QR route with phase correction."""
-    return SpectrumSample(N, haar_phases(N, 1, rng)[0])
-
-
-def eval_lambda_and_deriv(sample: SpectrumSample, z: complex) -> tuple[complex, complex]:
-    """(Lambda(z), Lambda'(z)) from the eigenphase product form.
-
-    Raises EigenphaseCollisionError when z is within 1e-14 of an eigenvalue,
-    where the log-derivative sum is meaningless.
-    """
-    w = np.exp(-1j * sample.phases)
-    factors = 1.0 - complex(z) * w
-    if np.min(np.abs(factors)) < COLLISION_TOLERANCE:
-        raise EigenphaseCollisionError(f"z = {z} collides with an eigenphase")
-    lam = complex(np.prod(factors))
-    log_deriv = complex(np.sum(-w / factors))
-    return lam, lam * log_deriv
-
-
-def log_abs_lambda_and_deriv(sample: SpectrumSample, z: complex) -> tuple[float, float]:
-    """(log|Lambda(z)|, log|Lambda'(z)|) via sums of logs; safe at large N."""
-    w = np.exp(-1j * sample.phases)
-    factors = 1.0 - complex(z) * w
-    if np.min(np.abs(factors)) < COLLISION_TOLERANCE:
-        raise EigenphaseCollisionError(f"z = {z} collides with an eigenphase")
-    log_lam = float(np.sum(np.log(np.abs(factors))))
-    log_deriv_sum = math.log(abs(complex(np.sum(-w / factors))))
-    return log_lam, log_lam + log_deriv_sum
 
 
 def _chunk_layout(N: int, samples: int) -> list[tuple[int, int]]:
@@ -261,19 +195,20 @@ def _collect_values(N, samples, seed, threads, evaluate, progress=None):
     return values, sum(part[1] for part in parts)
 
 
-def _estimate_from_values(values, seed, resampled, diagnostics: bool) -> MomentEstimate:
+def _estimate_from_values(values, seed, resampled) -> MomentEstimate:
+    """Mean, standard error and the tail share: the fraction of the total
+    contributed by the top 1% of draws, which nears 1 when the mean is
+    carried by a few draws (a heavy or infinite-mean tail)."""
     n = len(values)
     mean = float(np.mean(values))
     if n >= 2:
         se = float(np.std(values, ddof=1) / math.sqrt(n))
     else:
         se = math.inf
-    top_fraction = None
-    if diagnostics:
-        k = max(1, n // 100)
-        largest = np.partition(values, n - k)[n - k :]
-        total = float(np.sum(values))
-        top_fraction = float(np.sum(largest) / total) if total else None
+    k = max(1, n // 100)
+    largest = np.partition(values, n - k)[n - k :]
+    total = float(np.sum(values))
+    top_fraction = float(np.sum(largest) / total) if total else None
     return MomentEstimate(
         mean=mean,
         std_error=se,
@@ -296,9 +231,9 @@ def estimate_moment(
 ) -> MomentEstimate:
     """Monte Carlo estimate of E|Lambda_N'(z)|^(2s).
 
-    Deterministic for fixed (seed, samples); s may be negative (> -1), in
-    which case the estimate carries a heavy-tail diagnostic: the fraction of
-    the total contributed by the top 1% of draws.
+    Deterministic for fixed (seed, samples); s may be negative (> -1).  The
+    estimate carries the tail share `top_contribution_fraction`: the fraction
+    of the total contributed by the top 1% of draws.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -315,7 +250,7 @@ def estimate_moment(
         return np.exp(2 * s * log_dphi[0]), np.zeros(len(alpha), dtype=bool)
 
     values, resampled = _collect_values(N, samples, seed, threads, evaluate, progress)
-    return _estimate_from_values(values, seed, resampled, diagnostics=s < 0)
+    return _estimate_from_values(values, seed, resampled)
 
 
 def estimate_joint_moment(
@@ -353,28 +288,12 @@ def estimate_joint_moment(
         return np.exp(2 * h * log_dphi[-1] + bracket), unresolved[-1]
 
     values, resampled = _collect_values(N, samples, seed, threads, evaluate, progress)
-    return _estimate_from_values(values, seed, resampled, diagnostics=h < 0 or s < 0)
+    return _estimate_from_values(values, seed, resampled)
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomial coefficients and zero counting
+# Zero counting
 # ---------------------------------------------------------------------------
-
-
-def _coeffs_from_phases(phases: np.ndarray) -> np.ndarray:
-    """Batched coefficients of prod_j (1 - z e^(-i theta_j)); shape (B, N+1)."""
-    batch, N = phases.shape
-    coeffs = np.zeros((batch, N + 1), dtype=complex)
-    coeffs[:, 0] = 1.0
-    w = np.exp(-1j * phases)
-    for j in range(N):
-        coeffs[:, 1 : j + 2] -= w[:, j, None] * coeffs[:, : j + 1].copy()
-    return coeffs
-
-
-def poly_coeffs(sample: SpectrumSample) -> PolyCoeffs:
-    """Coefficients of Lambda_N(z) by incremental multiplication of factors."""
-    return PolyCoeffs(_coeffs_from_phases(sample.phases[None, :])[0])
 
 
 def _critical_point_moduli(phases: np.ndarray) -> np.ndarray:
@@ -397,27 +316,6 @@ def _critical_point_moduli(phases: np.ndarray) -> np.ndarray:
     return moduli[:, 1:]
 
 
-def count_zeros_inside(sample: SpectrumSample, r: float) -> int:
-    """Zeros of Lambda_N'(z) with modulus < r, by eigenvalues of the
-    differentiation matrix built from the eigenphases.
-
-    Roots within 1e-8 of the circle are counted by the sign of |root| - r and
-    flagged with a warning.
-    """
-    if not 0 < r < 1:
-        raise ValueError("requires 0 < r < 1")
-    if sample.N == 1:
-        return 0
-    moduli = _critical_point_moduli(sample.phases[None, :])[0]
-    ambiguous = np.abs(moduli - r) < 1e-8
-    if np.any(ambiguous):
-        warnings.warn(
-            f"{int(np.sum(ambiguous))} root(s) within 1e-8 of |z| = {r}; "
-            "counted by the sign of |root| - r"
-        )
-    return int(np.sum(moduli < r))
-
-
 def mean_zero_counts(
     N: int,
     radii,
@@ -426,7 +324,11 @@ def mean_zero_counts(
     threads: int | None = None,
     progress=None,
 ) -> list[MomentEstimate]:
-    """Monte Carlo mean zero count of Lambda_N' inside each radius in `radii`."""
+    """Monte Carlo mean zero count of Lambda_N' inside each radius in `radii`.
+
+    Roots within 1e-8 of a circle |z| = r are counted by the sign of
+    |root| - r and flagged with a warning.
+    """
     radii = [float(r) for r in radii]
     for r in radii:
         if not 0 < r < 1:
@@ -439,6 +341,13 @@ def mean_zero_counts(
 
     def worker(size, rng):
         moduli = _critical_point_moduli(haar_phases(N, size, rng))
+        for r in radii:
+            ambiguous = int(np.sum(np.abs(moduli - r) < 1e-8))
+            if ambiguous:
+                warnings.warn(
+                    f"{ambiguous} root(s) within 1e-8 of |z| = {r}; "
+                    "counted by the sign of |root| - r"
+                )
         return np.stack([np.sum(moduli < r, axis=1) for r in radii], axis=1)
 
     parts = _run_chunks(N, samples, seed, threads, worker, progress)

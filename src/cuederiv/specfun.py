@@ -1,8 +1,7 @@
 """Special functions shared by the exact, asymptotic and zeta modules.
 
-All routines are scalar and pure.  The Laguerre evaluators stay exact on
-rational inputs; the rest work in double precision (the Bessel series uses
-80-bit intermediates to absorb cancellation at larger arguments).
+All routines are scalar and pure.  The Laguerre evaluator stays exact on
+rational inputs; the rest work in double precision.
 """
 
 from __future__ import annotations
@@ -15,13 +14,6 @@ from numbers import Rational
 import numpy as np
 
 _SERIES_LIMIT = 100_000
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -62,47 +54,6 @@ def laguerre(s: int, x):
         coeff = Fraction(math.comb(s, k) * (-1) ** k, math.factorial(k))
         total += (coeff if exact else float(coeff)) * xv**k
     return total
-
-
-def generalized_laguerre(n: int, alpha, x):
-    """Generalized Laguerre polynomial L_n^(alpha)(x) by the finite sum.
-
-    L_n^(alpha)(x) = sum_k (-1)^k binomial(n+alpha, n-k) x^k / k!.
-    Exact on rational (alpha, x), consistent with laguerre at alpha = 0.
-    """
-    if n < 0:
-        raise ValueError("generalized_laguerre order must be non-negative")
-    exact = isinstance(alpha, Rational) and isinstance(x, Rational)
-    av = Fraction(alpha) if exact else float(alpha)
-    xv = Fraction(x) if exact else float(x)
-    total = Fraction(0) if exact else 0.0
-    for k in range(n + 1):
-        binom = Fraction(1) if exact else 1.0
-        for i in range(n - k):
-            binom = binom * (n + av - i)
-        binom = binom / math.factorial(n - k)
-        term = (-1) ** k * binom * xv**k / math.factorial(k)
-        total = total + term
-    return total
-
-
-def bessel_j0_of_sqrt(x: float) -> float:
-    """J0(2 sqrt(x)) = sum_j (-x)^j / (j!)^2 for x >= 0.
-
-    The alternating sum is done in extended precision: at x = 50 the largest
-    term is ~1e4 while the result is O(0.1).
-    """
-    if x < 0:
-        raise ValueError("bessel_j0_of_sqrt requires x >= 0")
-    xl = np.longdouble(x)
-    term = np.longdouble(1.0)
-    total = np.longdouble(1.0)
-    for j in range(1, _SERIES_LIMIT):
-        term *= -xl / (np.longdouble(j) * np.longdouble(j))
-        total += term
-        if abs(term) <= np.longdouble(1e-25) * max(abs(total), np.longdouble(1e-30)):
-            return float(total)
-    raise ArithmeticError(f"Bessel series did not converge for x = {x}")
 
 
 def exp_moment(k: int, c: float) -> float:

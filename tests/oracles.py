@@ -1,0 +1,172 @@
+"""Reference implementations that the tests compare the library against.
+
+Each one computes a quantity the library also computes, by an independent
+and slower route: brute force, a different recursion, or the textbook form.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+
+import numpy as np
+
+from cuederiv.combinatorics import Partition
+from cuederiv.errors import CapabilityError
+
+
+def eigenphase_lambda_and_deriv(phases, z: complex) -> tuple[complex, complex]:
+    """(Lambda(z), Lambda'(z)) from the product over eigenphases,
+    Lambda(z) = prod_j (1 - z e^(-i theta_j))."""
+    w = np.exp(-1j * np.asarray(phases, dtype=float))
+    factors = 1.0 - complex(z) * w
+    lam = complex(np.prod(factors))
+    return lam, lam * complex(np.sum(-w / factors))
+
+
+@lru_cache(maxsize=None)
+def partition_count(m: int) -> int:
+    """p(m) via the Euler pentagonal recurrence."""
+    if m < 0:
+        return 0
+    if m == 0:
+        return 1
+    total = 0
+    k = 1
+    while True:
+        g1 = k * (3 * k - 1) // 2
+        g2 = k * (3 * k + 1) // 2
+        if g1 > m and g2 > m:
+            break
+        sign = -1 if k % 2 == 0 else 1
+        if g1 <= m:
+            total += sign * partition_count(m - g1)
+        if g2 <= m:
+            total += sign * partition_count(m - g2)
+        k += 1
+    return total
+
+
+def enumerate_standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
+    """All standard fillings of lam by backtracking; brute-force oracle for syt_count."""
+    m = lam.weight
+    if m == 0:
+        return [()]
+    shape = lam.parts
+    rows = len(shape)
+    fillings: list[tuple[tuple[int, ...], ...]] = []
+    grid = [[0] * shape[i] for i in range(rows)]
+    fill_len = [0] * rows
+
+    def place(value):
+        if value > m:
+            fillings.append(tuple(tuple(row) for row in grid))
+            return
+        for i in range(rows):
+            j = fill_len[i]
+            if j >= shape[i]:
+                continue
+            if i > 0 and fill_len[i - 1] <= j:
+                continue
+            grid[i][j] = value
+            fill_len[i] += 1
+            place(value + 1)
+            fill_len[i] -= 1
+
+    place(1)
+    return fillings
+
+
+class DescendingComposition:
+    """A strictly decreasing tuple q_1 > ... > q_n >= 0 summing to n(n+1)/2.
+
+    These index the terms of the merged multi-derivative expansion; the
+    companion weight is :func:`omega_weight`.
+    """
+
+    __slots__ = ("q",)
+
+    def __init__(self, q):
+        q = tuple(int(v) for v in q)
+        n = len(q)
+        if n < 1:
+            raise ValueError("composition must be nonempty")
+        if any(a <= b for a, b in zip(q, q[1:])) or q[-1] < 0:
+            raise ValueError(f"{q} is not strictly decreasing and non-negative")
+        if sum(q) != n * (n + 1) // 2:
+            raise ValueError(f"{q} does not sum to n(n+1)/2 = {n*(n+1)//2}")
+        self.q = q
+
+    def to_partition(self) -> Partition:
+        """The partition lambda with lambda_j = q_j - n + j (1-based j)."""
+        n = len(self.q)
+        return Partition(self.q[j] - n + (j + 1) for j in range(n))
+
+    @classmethod
+    def from_partition(cls, lam: Partition, n: int) -> "DescendingComposition":
+        padded = lam.padded(n)
+        return cls(padded[j] + n - (j + 1) for j in range(n))
+
+
+@lru_cache(maxsize=None)
+def _omega(q: tuple[int, ...]) -> int:
+    n = len(q)
+    if n == 1:
+        return 1
+    if q == tuple(range(n, 0, -1)):
+        return 1
+    # q[-1] == 0 here: remove one unit from each entry and a second unit from
+    # position j wherever the strict descent allows it.
+    total = 0
+    for j in range(n - 1):
+        gap = q[j] - (q[j + 1] if j + 1 < n else 0)
+        if gap >= 2:
+            reduced = tuple(
+                q[i] - 2 if i == j else q[i] - 1 for i in range(n - 1)
+            )
+            total += _omega(reduced)
+    return total
+
+
+def omega_weight(q: DescendingComposition) -> int:
+    """Weight of the composition in the merged-derivative expansion.
+
+    Computed by the corner-sum recursion, independently of syt_count, so the
+    identity omega(q) == f_lambda stays a genuine cross-check.
+    """
+    return _omega(q.q)
+
+
+def appendix_d00(m: int, l: int, s: int, N: int) -> Fraction:
+    """Signed subset-sum coefficient of |z|^(2Nl - s^2 + s + 2m) in b_(0,0).
+
+    Implemented for s <= 3 only; a cross-check of structure_b_expansion.
+    """
+    if s > 3:
+        raise CapabilityError(f"appendix coefficients support s <= 3, got {s}")
+    # The overall sign carries an extra (-1)^(s(s-1)/2) from the row ordering
+    # of the Laplace expansion; equality with structure_b is the arbiter.
+    prefactor = Fraction((-1) ** (m + s * (s - 1) // 2))
+    for i in range(1, s):
+        prefactor /= math.factorial(i) ** 2
+
+    def vandermonde(xs):
+        return math.prod(b - a for a, b in combinations(xs, 2))
+
+    total = 0
+    low = list(range(s))
+    high = list(range(s, 2 * s))
+    for i_set in combinations(low, s - l):
+        for j_set in combinations(high, l):
+            if sum(i_set) + sum(j_set) != m:
+                continue
+            i_comp = [x for x in low if x not in i_set]
+            j_comp = [x for x in high if x not in j_set]
+            term = vandermonde(i_set) * vandermonde(j_set)
+            term *= vandermonde(j_comp) * vandermonde(i_comp)
+            term *= math.prod(N + jb - ia for ia in i_set for jb in j_set)
+            term *= math.prod(N + ja - ib for ja in j_comp for ib in i_comp)
+            total += term
+    return prefactor * total

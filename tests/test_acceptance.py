@@ -18,14 +18,8 @@ from cuederiv.asymptotics import (
     micro_b,
     micro_b_bessel,
 )
-from cuederiv.combinatorics import (
-    DescendingComposition,
-    enumerate_partitions,
-    omega_weight,
-    syt_count,
-)
+from cuederiv.combinatorics import enumerate_partitions, syt_count
 from cuederiv.exact_moments import (
-    appendix_d00,
     cue_moment_integer,
     cue_moment_ks,
     cue_moment_radial,
@@ -36,6 +30,7 @@ from cuederiv.exact_moments import (
 from cuederiv.rmt_mc import estimate_joint_moment, estimate_moment, mean_zero_counts
 from cuederiv.specfun import hyp1f1, laguerre, zeta_real
 from cuederiv.zeta import arithmetic_factor, deriv_moment_series
+from oracles import DescendingComposition, appendix_d00, omega_weight
 
 
 def report(number, text):

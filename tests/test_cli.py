@@ -132,6 +132,18 @@ class TestMcCommand:
         assert row["seed"] == 11 and row["samples"] == 2000
         assert row["generator"] == "pcg64/verblunsky"
         assert row["std_error"] > 0
+        assert 0 < row["top_contribution_fraction"] < 1
+
+    def test_tail_share_flags_infinite_mean(self, capsys):
+        # E|Lambda'/Lambda(z2)|^2 is infinite at |z2| = 1: a few draws carry
+        # nearly all of the finite-sample total.
+        code, out, _ = run_cli(
+            capsys, "mc", "--what", "joint", "--N", "6", "--s", "0", "--h", "1",
+            "--z1", "0.3", "--z2", "1", "--samples", "20000", "--seed", "1",
+        )
+        assert code == 0
+        (row,) = parse_report(out)["results"]
+        assert row["top_contribution_fraction"] > 0.9
 
     def test_joint(self, capsys):
         code, out, _ = run_cli(

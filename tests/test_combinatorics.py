@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cuederiv.combinatorics import (
-    DescendingComposition,
     Partition,
     enumerate_partitions,
+    partition_factorial,
+    syt_count,
+)
+from oracles import (
+    DescendingComposition,
     enumerate_standard_tableaux,
     omega_weight,
     partition_count,
-    partition_factorial,
-    syt_count,
 )
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,17 +10,12 @@ from cuederiv.errors import EigenphaseCollisionError
 from cuederiv.exact_moments import moment_exact
 from cuederiv.rmt_mc import (
     MomentEstimate,
-    SpectrumSample,
-    count_zeros_inside,
     estimate_joint_moment,
     estimate_moment,
-    eval_lambda_and_deriv,
     haar_phases,
-    log_abs_lambda_and_deriv,
     mean_zero_counts,
-    poly_coeffs,
-    sample_spectrum,
 )
+from oracles import eigenphase_lambda_and_deriv
 
 
 def rng(seed=0):
@@ -31,10 +27,6 @@ class TestSampler:
         phases = haar_phases(8, 50, rng())
         assert phases.shape == (50, 8)
         assert np.all(phases >= 0) and np.all(phases < 2 * np.pi)
-
-    def test_single_sample(self):
-        sample = sample_spectrum(5, rng())
-        assert sample.N == 5 and sample.phases.shape == (5,)
 
     def test_u1_phase_uniform(self):
         # N = 1 Haar is the uniform phase; Kolmogorov-Smirnov at 1% level
@@ -66,40 +58,27 @@ class TestSampler:
 
 
 class TestEval:
+    # The eigenphase product form is TestSzego's oracle; these pin it down.
     def test_z_zero(self):
-        sample = sample_spectrum(5, rng(1))
-        lam, dlam = eval_lambda_and_deriv(sample, 0.0)
+        phases = haar_phases(5, 1, rng(1))[0]
+        lam, dlam = eigenphase_lambda_and_deriv(phases, 0.0)
         assert abs(lam - 1.0) < 1e-14
-        assert abs(dlam + np.sum(np.exp(-1j * sample.phases))) < 1e-13
+        assert abs(dlam + np.sum(np.exp(-1j * phases))) < 1e-13
 
     def test_n1_closed_form(self):
-        sample = SpectrumSample(1, np.array([0.0]))
-        lam, dlam = eval_lambda_and_deriv(sample, 0.25)
+        lam, dlam = eigenphase_lambda_and_deriv([0.0], 0.25)
         assert abs(lam - 0.75) < 1e-15
         assert abs(dlam + 1.0) < 1e-15
 
     def test_finite_difference_oracle(self):
-        sample = sample_spectrum(8, rng(2))
+        phases = haar_phases(8, 1, rng(2))[0]
         z = 0.4 - 0.3j
         h = 1e-6
-        _, dlam = eval_lambda_and_deriv(sample, z)
-        plus, _ = eval_lambda_and_deriv(sample, z + h)
-        minus, _ = eval_lambda_and_deriv(sample, z - h)
+        _, dlam = eigenphase_lambda_and_deriv(phases, z)
+        plus, _ = eigenphase_lambda_and_deriv(phases, z + h)
+        minus, _ = eigenphase_lambda_and_deriv(phases, z - h)
         fd = (plus - minus) / (2 * h)
         assert abs(fd - dlam) <= 1e-5 * abs(dlam)
-
-    def test_log_route_matches_product_route(self):
-        sample = sample_spectrum(200, rng(3))
-        z = 0.5 + 0.2j
-        lam, dlam = eval_lambda_and_deriv(sample, z)
-        log_lam, log_dlam = log_abs_lambda_and_deriv(sample, z)
-        assert abs(log_lam - math.log(abs(lam))) <= 1e-9 * abs(log_lam)
-        assert abs(log_dlam - math.log(abs(dlam))) <= 1e-9 * max(abs(log_dlam), 1)
-
-    def test_collision_raises(self):
-        sample = SpectrumSample(2, np.array([0.0, np.pi]))
-        with pytest.raises(EigenphaseCollisionError):
-            eval_lambda_and_deriv(sample, 1.0 + 1e-16)
 
 
 class TestEstimators:
@@ -225,12 +204,12 @@ class TestSzego:
     def test_recursion_matches_eigenphase_product(self, alpha):
         roots = np.roots(szego_coefficients(alpha)[::-1])
         assert np.allclose(np.abs(roots), 1.0, atol=1e-12)
-        sample = SpectrumSample(len(alpha), np.mod(np.angle(roots), 2 * np.pi))
+        phases = np.angle(roots)
         points = [0.0, 0.3 + 0.2j, -0.8j, np.exp(0.9j), -1.0, 1.7 - 0.4j]
         log_phi, log_dphi, unresolved = rmt_mc._szego(np.array([alpha]), points)
         assert not np.any(unresolved)
         for i, z in enumerate(points):
-            lam, dlam = eval_lambda_and_deriv(sample, z)
+            lam, dlam = eigenphase_lambda_and_deriv(phases, z)
             assert abs(math.exp(log_phi[i, 0]) - abs(lam)) <= 1e-10 * max(1.0, abs(lam))
             assert abs(math.exp(log_dphi[i, 0]) - abs(dlam)) <= 1e-10 * max(1.0, abs(dlam))
 
@@ -261,41 +240,28 @@ class TestSzego:
 
 
 class TestPolyAndZeros:
-    def test_coefficients_invariants(self):
-        sample = sample_spectrum(7, rng(4))
-        pc = poly_coeffs(sample)
-        assert pc.degree == 7
-        assert abs(pc.coefficients[0] - 1.0) < 1e-12
-        assert abs(abs(pc.coefficients[-1]) - 1.0) < 1e-12
-
-    def test_coefficients_evaluate_to_product(self):
-        sample = sample_spectrum(6, rng(5))
-        z = 0.3 + 0.1j
-        direct, _ = eval_lambda_and_deriv(sample, z)
-        via_coeffs = np.polyval(poly_coeffs(sample).coefficients[::-1], z)
-        assert abs(direct - via_coeffs) < 1e-12
-
     def test_n1_has_no_zeros(self):
-        sample = SpectrumSample(1, np.array([1.0]))
-        for r in (0.1, 0.5, 0.9):
-            assert count_zeros_inside(sample, r) == 0
+        for est in mean_zero_counts(1, (0.1, 0.5, 0.9), 10, seed=0):
+            assert est.mean == 0.0
 
     def test_count_bounded_and_monotone(self):
-        sample = sample_spectrum(9, rng(6))
-        counts = [count_zeros_inside(sample, r) for r in (0.2, 0.5, 0.8, 0.97)]
-        assert all(0 <= c <= 8 for c in counts)
-        assert counts == sorted(counts)
+        means = [est.mean for est in mean_zero_counts(9, (0.2, 0.5, 0.8, 0.97), 200, seed=6)]
+        assert all(0 <= m <= 8 for m in means)
+        assert means == sorted(means)
 
-    def test_boundary_warning(self):
-        sample = sample_spectrum(6, rng(8))
-        lam = poly_coeffs(sample).coefficients
-        deriv = lam[1:] * np.arange(1, 7)
-        roots = np.roots(deriv[::-1])
-        target = sorted(abs(roots))[0]
-        if not 0 < target < 1:
-            pytest.skip("no interior root in this draw")
+    def test_boundary_warning(self, monkeypatch):
+        # A root 5e-9 outside |z| = 0.5 is counted outside, with a warning.
+        moduli = np.array([[0.2, 0.5 + 5e-9, 0.9]])
+        monkeypatch.setattr(
+            rmt_mc, "_critical_point_moduli",
+            lambda phases: np.repeat(moduli, len(phases), axis=0),
+        )
         with pytest.warns(UserWarning, match="within 1e-8"):
-            count_zeros_inside(sample, float(target) + 5e-9)
+            (est,) = mean_zero_counts(4, [0.5], 3, seed=0)
+        assert est.mean == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean_zero_counts(4, [0.6], 3, seed=0)
 
     def test_mean_zero_counts_columns(self):
         radii = [0.3, math.sqrt(0.5)]

@@ -8,30 +8,11 @@ import scipy.special
 
 from cuederiv.specfun import (
     ExpMomentTable,
-    bessel_j0_of_sqrt,
     exp_moment,
-    generalized_laguerre,
     hyp1f1,
     laguerre,
-    log_gamma,
     zeta_real,
 )
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-        assert abs(log_gamma(10.0) - math.log(362880)) < 1e-13
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-
-    def test_relative_accuracy_on_range(self):
-        for x in (0.5, 1.7, 33.0, 1e3, 1e4):
-            ref = float(scipy.special.gammaln(x))
-            assert abs(log_gamma(x) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 class TestHyp1F1:
@@ -85,62 +66,18 @@ class TestLaguerre:
 
 
 class TestGeneralizedLaguerre:
-    def test_order_zero_and_one(self):
-        assert generalized_laguerre(0, 2.5, 9.0) == 1.0
-        alpha, x = Fraction(5, 2), Fraction(1, 4)
-        assert generalized_laguerre(1, alpha, x) == 1 + alpha - x
-
-    def test_matches_plain_laguerre_exactly(self):
-        for n in range(6):
-            x = Fraction(3, 7)
-            assert generalized_laguerre(n, 0, x) == laguerre(n, x)
-
-    def test_scipy_agreement(self):
-        for n in range(5):
-            for alpha in (0.0, 1.0, 2.5):
-                for x in (-4.0, 0.3, 2.0):
-                    ref = float(scipy.special.eval_genlaguerre(n, alpha, x))
-                    assert abs(generalized_laguerre(n, alpha, x) - ref) < 1e-11 * max(1, abs(ref))
-
     def test_mixed_derivative_double_sum(self):
         # (s-h2)! L^(h2-h1)_(s-h2)(-s^2 r^2) equals the binomial double sum
         s, h1, h2 = 3, 1, 2
         r = 0.5
         x = s * s * r * r
-        lhs = math.factorial(s - h2) * generalized_laguerre(s - h2, h2 - h1, -x)
+        lhs = math.factorial(s - h2) * scipy.special.eval_genlaguerre(s - h2, h2 - h1, -x)
         rhs = sum(
             math.comb(s - h2, k) * math.comb(s - h1, h2 - h1 + k)
             * math.factorial(s - k - h2) * x**k
             for k in range(s - h2 + 1)
         )
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
-
-
-class TestBesselJ0Sqrt:
-    def test_at_zero(self):
-        assert bessel_j0_of_sqrt(0.0) == 1.0
-
-    def test_first_zero_by_bisection_on_own_series(self):
-        # J0's first zero at 2 sqrt(x) ~= 2.404825557695773
-        lo, hi = 1.0, 2.0  # x-range bracketing (2.4048/2)^2 ~ 1.4458
-        assert bessel_j0_of_sqrt(lo) > 0 > bessel_j0_of_sqrt(hi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if bessel_j0_of_sqrt(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        root = 2 * math.sqrt(0.5 * (lo + hi))
-        assert abs(root - 2.404825557695773) < 1e-10
-
-    def test_against_scipy_to_1e12(self):
-        for x in (1e-3, 0.3, 2.0, 10.0, 30.0, 50.0):
-            ref = float(scipy.special.j0(2 * math.sqrt(x)))
-            assert abs(bessel_j0_of_sqrt(x) - ref) <= 1e-12 * max(abs(ref), 1e-3), x
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bessel_j0_of_sqrt(-1.0)
 
 
 class TestExpMoment:
