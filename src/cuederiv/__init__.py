@@ -5,17 +5,15 @@ closed-form asymptotics, Monte Carlo over Haar unitaries) plus the
 number-theory side series they are conjectured to match.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .combinatorics import (
-    Partition,
     enumerate_partitions,
     partition_factorial,
     syt_count,
 )
 from .errors import CapabilityError, EigenphaseCollisionError
 from .exact_moments import (
-    UPolynomial,
     cue_moment_integer,
     cue_moment_ks,
     cue_moment_radial,
@@ -43,7 +41,6 @@ from .rmt_mc import (
     mean_zero_counts,
 )
 from .specfun import (
-    ExpMomentTable,
     exp_moment,
     hyp1f1,
     laguerre,

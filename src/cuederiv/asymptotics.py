@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .combinatorics import _partition_data
+from .combinatorics import _partition_det_sum
 from .linalg import det_float
-from .specfun import ExpMomentTable, hyp1f1, laguerre
+from .specfun import _kummer_factor, exp_moment, laguerre
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,7 @@ def global_moment(s: float, r: float) -> float:
         raise ValueError("global regime requires 0 <= r < 1")
     if s <= -1:
         raise ValueError("requires s > -1")
-    x = s * s * r * r
-    return (
-        math.exp(-x)
-        * math.gamma(s + 1)
-        * hyp1f1(s + 1, 1.0, x)
-        / (1 - r * r) ** (s * s + 2 * s)
-    )
+    return _kummer_factor(s, s * s * r * r) / (1 - r * r) ** (s * s + 2 * s)
 
 
 def joint_moment(s: float, h: float, z1: complex, z2: complex) -> float:
@@ -74,12 +69,8 @@ def joint_moment(s: float, h: float, z1: complex, z2: complex) -> float:
     if h <= -1:
         raise ValueError("requires h > -1")
     rho = abs(z1) ** 2 * (1 - abs(z2) ** 2) ** 2 / abs(1 - z1 * z2.conjugate()) ** 2
-    x = s * s * rho
-    return (
-        math.exp(-x)
-        * math.gamma(h + 1)
-        * hyp1f1(h + 1, 1.0, x)
-        / ((1 - abs(z2) ** 2) ** (2 * h) * (1 - abs(z1) ** 2) ** (s * s))
+    return _kummer_factor(h, s * s * rho) / (
+        (1 - abs(z2) ** 2) ** (2 * h) * (1 - abs(z1) ** 2) ** (s * s)
     )
 
 
@@ -114,17 +105,13 @@ def micro_b(s: int, c: float) -> float:
     """
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
-    table = ExpMomentTable.build(c, 4 * s - 2)
-    data = _partition_data(s, s)
-    total = 0.0
-    for f_lam, fact_lam, p in data:
-        for f_mu, fact_mu, q in data:
-            rows = [[table[p[i] + q[j]] for j in range(s)] for i in range(s)]
-            total += f_lam * f_mu / (fact_lam * fact_mu) * det_float(rows)
-    return total
+    table = [exp_moment(k, c) for k in range(4 * s - 1)]
+    return _partition_det_sum(
+        s, s, s, lambda p, q: [[table[i + j] for j in q] for i in p], exact=False
+    )
 
 
-def _bessel_entry_coeffs(i: int, j: int, table: ExpMomentTable, deg: int) -> np.ndarray:
+def _bessel_entry_coeffs(i: int, j: int, table: list[float], deg: int) -> np.ndarray:
     """Taylor coefficients in (v, w) of the (i, j) kernel-derivative entry.
 
     Entry is the mixed (i-1, j-1) derivative of the finite-temperature Bessel
@@ -163,39 +150,20 @@ def micro_b_bessel(s: int, c: float) -> float:
     """
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
-    table = ExpMomentTable.build(c, 4 * s - 2)
+    table = [exp_moment(k, c) for k in range(4 * s - 1)]
     entries = {
         (i, j): _bessel_entry_coeffs(i, j, table, s)
         for i in range(1, s + 1)
         for j in range(1, s + 1)
     }
-    from itertools import permutations
-
     det_coeffs = np.zeros((s + 1, s + 1))
     for perm in permutations(range(1, s + 1)):
-        sign = _permutation_sign(perm)
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
         prod = entries[(1, perm[0])]
         for i in range(2, s + 1):
             prod = _truncated_product(prod, entries[(i, perm[i - 1])], s)
         det_coeffs += sign * prod
     return float(det_coeffs[s, s]) * math.factorial(s) ** 2
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def cue_limit(s: float, point: RegimePoint) -> float:
@@ -215,7 +183,7 @@ def cue_limit(s: float, point: RegimePoint) -> float:
     if int(s) != s or s < 1:
         raise ValueError("microscopic CUE limit implemented for positive integer s")
     s = int(s)
-    table = ExpMomentTable.build(point.c, 2 * s - 2)
+    table = [exp_moment(k, point.c) for k in range(2 * s - 1)]
     rows = [[table[i + j] for j in range(s)] for i in range(s)]
     coefficient = math.factorial(s) * det_float(rows)
     for j in range(1, s + 1):

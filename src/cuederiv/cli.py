@@ -101,6 +101,13 @@ def _radii(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad radius list: {text!r}") from exc
 
 
+def _integer_s(args) -> int:
+    """--s for a formula defined at integer s only; a fraction is a usage error."""
+    if not float(args.s).is_integer():
+        raise SystemExit2(f"{args.command} needs an integer --s here, got {args.s}")
+    return int(args.s)
+
+
 def _number_payload(value):
     """JSON form of a result: floats as-is, Fractions as num/den strings."""
     if isinstance(value, Fraction):
@@ -263,12 +270,12 @@ def _run_asympt(args):
     if regime == "mesoscopic":
         if args.alpha is None or args.N is None:
             raise SystemExit2("mesoscopic needs --alpha and --N")
-        return [_result("moment_asymptotic", meso_moment(int(args.s), args.alpha, args.N),
+        return [_result("moment_asymptotic", meso_moment(_integer_s(args), args.alpha, args.N),
                         "laguerre-mesoscopic")]
     # microscopic
     if args.c is None:
         raise SystemExit2("microscopic needs --c")
-    s = int(args.s)
+    s = _integer_s(args)
     coeff = micro_b(s, args.c)
     rows = [_result("coefficient", coeff, "exp-moment-determinant"),
             _result("coefficient", micro_b_bessel(s, args.c), "bessel-kernel-determinant")]
@@ -304,9 +311,8 @@ def _run_mc(args):
 def _run_zeta(args):
     what = args.what
     if what in ("divisor-table", "log-table"):
-        s = int(args.s)
         table = (divisor_table if what == "divisor-table" else log_convolution_table)(
-            s, args.n_max
+            _integer_s(args), args.n_max
         )
         rows = [_result("table_head",
                         [float(table.values[n]) for n in range(1, min(args.n_max, 10) + 1)],
@@ -319,7 +325,7 @@ def _run_zeta(args):
         if args.sigma is None:
             raise SystemExit2(f"{what} needs --sigma")
         fn = deriv_moment_series if what == "deriv-series" else lindelof_series
-        res = fn(int(args.s), args.sigma, args.n_max)
+        res = fn(_integer_s(args), args.sigma, args.n_max)
         return [_result("series", res.value,
                         "log-convolution-series" if what == "deriv-series" else "divisor-series",
                         tail_bound=res.tail_bound, tail_estimate=res.tail_estimate,
@@ -347,7 +353,7 @@ def _route_n(args, name):
 
 def _closed_s1(args, u):
     N = _route_n(args, "closed-s1")
-    if int(args.s) != 1:
+    if _integer_s(args) != 1:
         raise SystemExit2("route 'closed-s1' is the s=1 squares sum")
     return sum(j * j * u ** (j - 1) for j in range(1, N + 1)), {}
 
@@ -363,9 +369,9 @@ def _mc_route(args, u):
 # attribute (monkeypatch, tracing) takes effect.
 _ROUTES = {
     "exact": ("partition-determinant", lambda args, u: (
-        moment_exact(_route_n(args, "exact"), int(args.s), u), {})),
+        moment_exact(_route_n(args, "exact"), _integer_s(args), u), {})),
     "structure": ("structure-expansion", lambda args, u: (
-        moment_structure(_route_n(args, "structure"), int(args.s), u), {})),
+        moment_structure(_route_n(args, "structure"), _integer_s(args), u), {})),
     "closed-s1": ("squares-geometric-sum", _closed_s1),
     "mc": ("monte-carlo-haar", _mc_route),
     "global": ("hypergeometric-global-limit", lambda args, u: (

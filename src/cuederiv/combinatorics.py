@@ -1,91 +1,30 @@
-"""Partitions, standard Young tableau counts, and partition weights.
+"""Partitions, standard Young tableau counts, and the partition-determinant sum.
 
-Everything here is exact integer combinatorics.  Partitions are stored dense
-(nonzero parts only) and read with zero padding, since every formula downstream
-indexes parts past the length of the partition.
+Everything here is exact integer combinatorics, apart from the float branch of
+the determinant sum.  A partition is a weakly decreasing tuple of positive
+integers; formulas that index parts past its length pad it with zeros.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import factorial
 
-
-class Partition:
-    """A weakly decreasing sequence of positive integers.
-
-    Reading ``parts[i]`` past the number of stored parts returns 0.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts if p != 0)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts {parts} are not weakly decreasing")
-        if parts and parts[-1] < 0:
-            raise ValueError(f"parts {parts} contain a negative entry")
-        self.parts = parts
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def part(self, i: int) -> int:
-        """The i-th part (0-based), 0 when i >= length."""
-        if i < 0:
-            raise IndexError("negative part index")
-        return self.parts[i] if i < len(self.parts) else 0
-
-    def padded(self, m: int) -> tuple[int, ...]:
-        """Parts padded with zeros to length m; requires m >= length."""
-        if m < len(self.parts):
-            raise ValueError(f"cannot pad {self} to length {m} < {len(self.parts)}")
-        return self.parts + (0,) * (m - len(self.parts))
-
-    def hook_lengths(self):
-        """Hook length of every box, row by row."""
-        cols = conjugate_parts(self.parts)
-        return [
-            [self.parts[i] - j + cols[j] - i - 1 for j in range(self.parts[i])]
-            for i in range(len(self.parts))
-        ]
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.part(i)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
+from .linalg import det_exact, det_float
 
 
-def enumerate_partitions(m: int) -> list[Partition]:
+def enumerate_partitions(m: int) -> list[tuple[int, ...]]:
     """All partitions of weight m, in descending lexicographic order.
 
     m = 0 yields the single empty partition.
     """
     if m < 0:
         raise ValueError("weight must be non-negative")
-    result: list[Partition] = []
+    result: list[tuple[int, ...]] = []
 
     def descend(remaining, cap, prefix):
         if remaining == 0:
-            result.append(Partition(prefix))
+            result.append(prefix)
             return
         for first in range(min(cap, remaining), 0, -1):
             descend(remaining - first, first, prefix + (first,))
@@ -94,19 +33,18 @@ def enumerate_partitions(m: int) -> list[Partition]:
     return result
 
 
-def syt_count(lam: Partition) -> int:
+def syt_count(lam: tuple[int, ...]) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
-    if lam.weight == 0:
-        return 1
+    weight = sum(lam)
+    cols = conjugate_parts(lam)
     hook_product = 1
-    for row in lam.hook_lengths():
-        for h in row:
-            hook_product *= h
-    numerator = factorial(lam.weight)
-    count, remainder = divmod(numerator, hook_product)
+    for i, part in enumerate(lam):
+        for j in range(part):
+            hook_product *= part - j + cols[j] - i - 1
+    count, remainder = divmod(factorial(weight), hook_product)
     if remainder:
         raise ArithmeticError(
-            f"hook product {hook_product} does not divide {lam.weight}! for {lam}"
+            f"hook product {hook_product} does not divide {weight}! for {lam}"
         )
     return count
 
@@ -118,13 +56,12 @@ def conjugate_parts(parts) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
 
 
-def partition_factorial(lam: Partition, m: int):
+def partition_factorial(lam: tuple[int, ...], m: int):
     """Product of (lambda_i + m - i)! over i = 1..m with zero padding."""
-    if m < lam.length:
+    if m < len(lam):
         raise ValueError(f"m = {m} is smaller than the length of {lam}")
-    padded = lam.padded(m)
     product = 1
-    for i, part in enumerate(padded):
+    for i, part in enumerate(lam + (0,) * (m - len(lam))):
         product *= factorial(part + m - (i + 1))
     return product
 
@@ -134,9 +71,27 @@ def _partition_data(h: int, s: int):
     length at most s; orders are lambda_i + s - i for i = 1..s."""
     data = []
     for lam in enumerate_partitions(h):
-        if lam.length > s:
+        if len(lam) > s:
             continue
-        padded = lam.padded(s)
+        padded = lam + (0,) * (s - len(lam))
         orders = tuple(padded[i] + s - (i + 1) for i in range(s))
         data.append((syt_count(lam), partition_factorial(lam, s), orders))
     return data
+
+
+def _partition_det_sum(s: int, h1: int, h2: int, rows, exact: bool):
+    """Sum over lambda of h1 and mu of h2 (lengths <= s) of
+    f_lambda f_mu / ([lambda]! [mu]!) det rows(p, q).
+
+    p and q are the derivative orders of lambda and mu (see _partition_data);
+    `rows` builds the matrix from them.  Exact (Fraction) or float arithmetic.
+    """
+    total = Fraction(0) if exact else 0.0
+    mu_data = _partition_data(h2, s)
+    for f_lam, fact_lam, p in _partition_data(h1, s):
+        for f_mu, fact_mu, q in mu_data:
+            if exact:
+                total += Fraction(f_lam * f_mu, fact_lam * fact_mu) * det_exact(rows(p, q))
+            else:
+                total += f_lam * f_mu / (fact_lam * fact_mu) * det_float(rows(p, q))
+    return total

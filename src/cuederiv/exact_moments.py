@@ -13,6 +13,8 @@ Two independent finite-N routes are implemented:
   subset and partition.
 
 Both accept Fraction input for bit-exact results and float input for large N.
+Polynomials in u are coefficient lists, lowest power first, without trailing
+zeros.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from typing import Union
 
 import numpy as np
 
-from .combinatorics import _partition_data
+from .combinatorics import _partition_data, _partition_det_sum
 from .errors import CapabilityError
-from .linalg import det_exact, det_float
+from .linalg import det_exact
 from .specfun import hyp1f1, reciprocal_gamma
 
 ExactNumber = Union[Fraction, float]
@@ -36,39 +38,6 @@ ExactNumber = Union[Fraction, float]
 EXACT_S_CAP = 8
 FLOAT_S_CAP = 12
 STRUCTURE_S_CAP = 4
-
-
-class UPolynomial:
-    """Dense polynomial in u with exact coefficients, lowest power first."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients = coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def derivative(self) -> "UPolynomial":
-        return UPolynomial(
-            [k * c for k, c in enumerate(self.coefficients)][1:]
-        )
-
-    def __call__(self, u):
-        total = Fraction(0) if isinstance(u, Rational) else 0.0
-        for c in reversed(self.coefficients):
-            total = total * u + (c if isinstance(u, Rational) else float(c))
-        return total
-
-    def __eq__(self, other):
-        return isinstance(other, UPolynomial) and self.coefficients == other.coefficients
-
-    def __repr__(self):
-        return f"UPolynomial({self.coefficients})"
 
 
 def _validate_sizes(N: int, s: int) -> None:
@@ -151,17 +120,9 @@ def moment_exact(N: int, s: int, u: ExactNumber) -> ExactNumber:
     table = [
         [_entry_from_kd(p, q, uval, kd) for q in range(2 * s)] for p in range(2 * s)
     ]
-    data = _partition_data(s, s)
-    total = Fraction(0) if exact else 0.0
-    for f_lam, fact_lam, p_orders in data:
-        for f_mu, fact_mu, q_orders in data:
-            rows = [[table[p][q] for q in q_orders] for p in p_orders]
-            det = det_exact(rows) if exact else det_float(rows)
-            if exact:
-                total += Fraction(f_lam * f_mu, fact_lam * fact_mu) * det
-            else:
-                total += (f_lam * f_mu) / (fact_lam * fact_mu) * det
-    return total
+    return _partition_det_sum(
+        s, s, s, lambda p, q: [[table[i][j] for j in q] for i in p], exact
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +151,7 @@ def structure_a(s, h1: int, h2: int, r: float) -> float:
     return value
 
 
-def _structure_a_upoly(s: int, h1: int, h2: int) -> UPolynomial:
+def _structure_a_upoly(s: int, h1: int, h2: int) -> list[int]:
     """Exact polynomial in u = r^2 equal to structure_a at integer s.
 
     Uses the Laguerre form: binom(s,h1) binom(s,h2) *
@@ -198,19 +159,15 @@ def _structure_a_upoly(s: int, h1: int, h2: int) -> UPolynomial:
     """
     if not 0 <= h1 <= h2:
         raise ValueError("requires 0 <= h1 <= h2")
-    if h2 > s:
-        return UPolynomial([])
     lead = math.comb(s, h1) * math.comb(s, h2)
-    coeffs = []
-    for k in range(s - h2 + 1):
-        coeffs.append(
-            lead
-            * math.comb(s - h2, k)
-            * math.comb(s - h1, h2 - h1 + k)
-            * math.factorial(s - h2 - k)
-            * (s * s) ** k
-        )
-    return UPolynomial(coeffs)
+    return [
+        lead
+        * math.comb(s - h2, k)
+        * math.comb(s - h1, h2 - h1 + k)
+        * math.factorial(s - h2 - k)
+        * (s * s) ** k
+        for k in range(s - h2 + 1)
+    ]
 
 
 def _block_exponent(N: int, s: int, row: int, col: int) -> int:
@@ -308,30 +265,18 @@ def structure_b(N: int, s: int, h1: int, h2: int, r: ExactNumber) -> ExactNumber
         raise ValueError("structure_b requires 0 <= h1, h2 <= s")
     exact = isinstance(r, Rational)
     rv = Fraction(r) if exact else float(r)
-    total: ExactNumber = Fraction(0) if exact else 0.0
-    w_data = _partition_data(h2, s)
-    for f_lam, fact_lam, n_orders in _partition_data(h1, s):
-        for f_mu, fact_mu, m_orders in w_data:
-            orders = n_orders + m_orders
-            n = 2 * s
-            rows = []
-            for i in range(n):
-                o = orders[i]
-                row = []
-                for j in range(n):
-                    a = _block_exponent(N, s, i, j)
-                    if o > a:
-                        row.append(Fraction(0) if exact else 0.0)
-                    else:
-                        row.append(math.perm(a, o) * (-rv) ** (a - o))
-                rows.append(row)
-            det = det_exact(rows) if exact else det_float(rows)
-            if exact:
-                total += Fraction(f_lam * f_mu, fact_lam * fact_mu) * det
-            else:
-                total += (f_lam * f_mu / (fact_lam * fact_mu)) * det
+    zero = Fraction(0) if exact else 0.0
+
+    exponents = [[_block_exponent(N, s, i, j) for j in range(2 * s)] for i in range(2 * s)]
+
+    def rows(p, q):
+        return [
+            [zero if o > a else math.perm(a, o) * (-rv) ** (a - o) for a in row]
+            for o, row in zip(p + q, exponents)
+        ]
+
     prefactor = (-s * rv) ** abs(h2 - h1)
-    return prefactor * total
+    return prefactor * _partition_det_sum(s, h1, h2, rows, exact)
 
 
 def _structure_pairs(s: int, h: int):
@@ -345,34 +290,27 @@ def _structure_pairs(s: int, h: int):
     return pairs
 
 
-def structure_c(N: int, s: int, h: int, r: ExactNumber) -> ExactNumber:
-    """C_h(N, r): the bilinear a*b sum over h1 + h2 = h."""
+def structure_c(N: int, s: int, h: int, r: float) -> float:
+    """C_h(N, r) in floats: the bilinear a*b sum over h1 + h2 = h.
+
+    The exact form is the polynomial structure_c_upoly.
+    """
     _validate_sizes(N, s)
     if h < 0:
         raise ValueError("h must be non-negative")
-    exact = isinstance(r, Rational)
-    if h > 2 * s:
-        return Fraction(0) if exact else 0.0
-    total: ExactNumber = Fraction(0) if exact else 0.0
+    r = float(r)
+    total = 0.0
     for h1, h2, mult in _structure_pairs(s, h):
-        if exact:
-            u = Fraction(r) ** 2
-            a_val = _structure_a_upoly(s, h1, h2)(u)
-        else:
-            a_val = structure_a(s, h1, h2, float(r))
-        total += mult * a_val * structure_b(N, s, h1, h2, r)
+        total += mult * structure_a(s, h1, h2, r) * structure_b(N, s, h1, h2, r)
     return total
 
 
-def _c_upoly(N: int, s: int, h: int, block_sum) -> UPolynomial:
+def _c_upoly(N: int, s: int, h: int, block_sum) -> list[Fraction]:
     """structure_c_upoly from the block sums of `_block_sums(s)`."""
     acc: dict[int, Fraction] = {}
     for h1, h2, mult in _structure_pairs(s, h):
-        a_poly = _structure_a_upoly(s, h1, h2)
         b_poly = _b_expansion(N, s, h1, h2, block_sum)
-        for k, ac in enumerate(a_poly.coefficients):
-            if ac == 0:
-                continue
+        for k, ac in enumerate(_structure_a_upoly(s, h1, h2)):
             for e, bc in b_poly.items():
                 power = 2 * k + e
                 if power % 2:
@@ -380,16 +318,14 @@ def _c_upoly(N: int, s: int, h: int, block_sum) -> UPolynomial:
                         f"odd power of r survived in C_{h} (N={N}, s={s})"
                     )
                 acc[power // 2] = acc.get(power // 2, Fraction(0)) + mult * ac * bc
-    if not acc:
-        return UPolynomial([])
-    coeffs = [Fraction(0)] * (max(acc) + 1)
-    for k, c in acc.items():
-        coeffs[k] = c
-    return UPolynomial(coeffs)
+    coeffs = [acc.get(k, Fraction(0)) for k in range(max(acc, default=-1) + 1)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
-def structure_c_upoly(N: int, s: int, h: int) -> UPolynomial:
-    """C_h(N, .) as an exact polynomial in u = r^2."""
+def structure_c_upoly(N: int, s: int, h: int) -> list[Fraction]:
+    """C_h(N, .) as exact coefficients in u = r^2, lowest power first."""
     _validate_sizes(N, s)
     return _c_upoly(N, s, h, _block_sums(s))
 
@@ -415,7 +351,9 @@ def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
         block_sum = _block_sums(s)
         total = Fraction(0)
         for h in range(2 * s + 1):
-            c_h = _c_upoly(N, s, h, block_sum)(uval)
+            c_h = Fraction(0)
+            for c in reversed(_c_upoly(N, s, h, block_sum)):
+                c_h = c_h * uval + c
             total += c_h / (1 - uval) ** (s * s + 2 * s - h)
         return total
     uval = float(u)

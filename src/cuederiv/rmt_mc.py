@@ -233,24 +233,15 @@ def estimate_moment(
 
     Deterministic for fixed (seed, samples); s may be negative (> -1).  The
     estimate carries the tail share `top_contribution_fraction`: the fraction
-    of the total contributed by the top 1% of draws.
+    of the total contributed by the top 1% of draws.  As in
+    estimate_joint_moment, a draw with z on an eigenvalue is redrawn.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     if s <= -1:
         raise ValueError("requires s > -1")
-    z = complex(z)
-
-    if s == 0:
-        return MomentEstimate(mean=1.0, std_error=0.0, samples=samples, seed=seed,
-                              generator=MOMENT_GENERATOR_NAME)
-
-    def evaluate(alpha):
-        _, log_dphi, _ = _szego(alpha, [z])
-        return np.exp(2 * s * log_dphi[0]), np.zeros(len(alpha), dtype=bool)
-
-    values, resampled = _collect_values(N, samples, seed, threads, evaluate, progress)
-    return _estimate_from_values(values, seed, resampled)
+    # |Lambda'/Lambda|^(2s) |Lambda|^(2s) = |Lambda'|^(2s) at one point.
+    return _estimate_joint(N, s, s, complex(z), complex(z), samples, seed, threads, progress)
 
 
 def estimate_joint_moment(
@@ -273,16 +264,18 @@ def estimate_joint_moment(
         raise ValueError("need at least 2 samples for a standard error")
     if h <= -1:
         raise ValueError("requires h > -1")
-    z1 = complex(z1)
-    z2 = complex(z2)
+    return _estimate_joint(N, s, h, complex(z1), complex(z2), samples, seed, threads, progress)
 
+
+def _estimate_joint(N, s, h, z1, z2, samples, seed, threads, progress) -> MomentEstimate:
+    """E[ |Lambda'/Lambda(z2)|^(2h) |Lambda(z1)|^(2s) ] over Verblunsky draws."""
     if h == 0 and s == 0:
         return MomentEstimate(mean=1.0, std_error=0.0, samples=samples, seed=seed,
                               generator=MOMENT_GENERATOR_NAME)
 
     def evaluate(alpha):
-        # At z1 == z2 and s == h the bracket is exactly 0, so the values equal
-        # estimate_moment's draw for draw.
+        # At z1 == z2 and s == h the bracket is exactly 0, so the values are
+        # |Lambda'(z1)|^(2s) draw for draw.
         log_phi, log_dphi, unresolved = _szego(alpha, [z1] if z1 == z2 else [z1, z2])
         bracket = 2 * s * log_phi[0] - 2 * h * log_phi[-1]
         return np.exp(2 * h * log_dphi[-1] + bracket), unresolved[-1]
@@ -329,6 +322,8 @@ def mean_zero_counts(
     Roots within 1e-8 of a circle |z| = r are counted by the sign of
     |root| - r and flagged with a warning.
     """
+    if samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
     radii = [float(r) for r in radii]
     for r in radii:
         if not 0 < r < 1:

@@ -7,7 +7,6 @@ rational inputs; the rest work in double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -41,6 +40,11 @@ def hyp1f1(a: float, b: float, x: float) -> float:
         if abs(term) <= 1e-17 * abs(total):
             return total
     raise ArithmeticError(f"1F1 series did not converge for ({a}, {b}, {x})")
+
+
+def _kummer_factor(a: float, x: float) -> float:
+    """e^(-x) Gamma(a+1) 1F1(a+1, 1; x)."""
+    return math.exp(-x) * math.gamma(a + 1) * hyp1f1(a + 1, 1.0, x)
 
 
 def laguerre(s: int, x):
@@ -90,21 +94,6 @@ def exp_moment(k: int, c: float) -> float:
     for j in range(top, k, -1):
         m = (c * m + e) / j
     return m
-
-
-@dataclass(frozen=True)
-class ExpMomentTable:
-    """Moments of x^k e^(-c x) on [0, 1] for k = 0 .. k_max."""
-
-    c: float
-    values: tuple[float, ...]
-
-    @classmethod
-    def build(cls, c: float, k_max: int) -> "ExpMomentTable":
-        return cls(float(c), tuple(exp_moment(k, c) for k in range(k_max + 1)))
-
-    def __getitem__(self, k: int) -> float:
-        return self.values[k]
 
 
 _BERNOULLI_2K = (

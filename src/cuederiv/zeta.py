@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import hyp1f1, zeta_real
+from .specfun import _kummer_factor, zeta_real
 
 _INNER_SUM_EPS = 1e-16
 
@@ -66,28 +66,29 @@ def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def divisor_table(s: int, n_max: int) -> DirichletTable:
-    """The s-fold divisor function d_s(1..n_max) by repeated sieve convolution."""
+def _self_convolution(f, s: int, n_max: int, label: str) -> DirichletTable:
+    """The s-fold Dirichlet self-convolution of the arithmetic function whose
+    values at 1..n_max are the array f(n_max)."""
     if s < 1 or n_max < 1:
         raise ValueError("requires s >= 1 and n_max >= 1")
-    ones = np.ones(n_max + 1)
-    ones[0] = 0.0
-    values = ones.copy()
+    base = np.zeros(n_max + 1)
+    base[1:] = f(n_max)
+    values = base.copy()
     for _ in range(s - 1):
-        values = dirichlet_convolve(values, ones)
-    return DirichletTable(n_max, values, label=f"d_{s}")
+        values = dirichlet_convolve(values, base)
+    return DirichletTable(n_max, values, label=label)
+
+
+def divisor_table(s: int, n_max: int) -> DirichletTable:
+    """The s-fold divisor function d_s(1..n_max) by repeated sieve convolution."""
+    return _self_convolution(np.ones, s, n_max, f"d_{s}")
 
 
 def log_convolution_table(s: int, n_max: int) -> DirichletTable:
     """The s-fold Dirichlet self-convolution of log(n)."""
-    if s < 1 or n_max < 1:
-        raise ValueError("requires s >= 1 and n_max >= 1")
-    logs = np.zeros(n_max + 1)
-    logs[1:] = np.log(np.arange(1, n_max + 1, dtype=float))
-    values = logs.copy()
-    for _ in range(s - 1):
-        values = dirichlet_convolve(values, logs)
-    return DirichletTable(n_max, values, label=f"log*^{s}")
+    return _self_convolution(
+        lambda m: np.log(np.arange(1, m + 1, dtype=float)), s, n_max, f"log*^{s}"
+    )
 
 
 @dataclass(frozen=True)
@@ -160,15 +161,12 @@ def _density_tail_estimate(squares: np.ndarray, log_degree: int, sigma: float) -
     return density * _log_power_tail(log_degree, 2 * sigma, n_max)
 
 
-def deriv_moment_series(s: int, sigma: float, n_max: int) -> SeriesResult:
-    """Truncated sum of ((log * ... * log)(n))^2 / n^(2 sigma), s-fold.
-
-    The tail estimate uses (log*...*log)(n) <= d_s(n) (log n)^s and an
-    empirical power bound on d_s (exact C = 1 when s = 1).
-    """
-    if sigma <= 0.5:
-        raise ValueError("requires sigma > 1/2")
-    table = log_convolution_table(s, n_max)
+def _truncated_series(table: DirichletTable, s: int, sigma: float, log_power: int,
+                      divisors) -> SeriesResult:
+    """Truncated sum of f(n)^2 / n^(2 sigma) for f = `table`, with tails from
+    f(n) <= d_s(n) (log n)^(log_power / 2) and an empirical power bound on d_s
+    (exact C = 1 when s = 1); `divisors()` returns the d_s table."""
+    n_max = table.n_max
     squares = table.values[1:] ** 2
     n = np.arange(1, n_max + 1, dtype=float)
     value = float(np.sum(squares * n ** (-2 * sigma)))
@@ -177,12 +175,23 @@ def deriv_moment_series(s: int, sigma: float, n_max: int) -> SeriesResult:
         constant, delta = 1.0, 0.0
     else:
         delta = (2 * sigma - 1) / 4
-        constant = _divisor_growth_constant(divisor_table(s, n_max), delta)
+        constant = _divisor_growth_constant(divisors(), delta)
     beta = 2 * sigma - 2 * delta
-    boundary = constant**2 * math.log(n_max) ** (2 * s) * n_max ** (-beta)
-    tail = constant**2 * _log_power_tail(2 * s, beta, n_max) + boundary
-    estimate = _density_tail_estimate(squares, s * s + 2 * s - 1, sigma)
+    boundary = constant**2 * math.log(n_max) ** log_power * n_max ** (-beta)
+    tail = constant**2 * _log_power_tail(log_power, beta, n_max) + boundary
+    estimate = _density_tail_estimate(squares, s * s - 1 + log_power, sigma)
     return SeriesResult(value, tail, n_max, tail_estimate=estimate)
+
+
+def deriv_moment_series(s: int, sigma: float, n_max: int) -> SeriesResult:
+    """Truncated sum of ((log * ... * log)(n))^2 / n^(2 sigma), s-fold.
+
+    The tail estimate uses (log*...*log)(n) <= d_s(n) (log n)^s.
+    """
+    if sigma <= 0.5:
+        raise ValueError("requires sigma > 1/2")
+    table = log_convolution_table(s, n_max)
+    return _truncated_series(table, s, sigma, 2 * s, lambda: divisor_table(s, n_max))
 
 
 def lindelof_series(s: int, sigma: float, n_max: int) -> SeriesResult:
@@ -190,20 +199,7 @@ def lindelof_series(s: int, sigma: float, n_max: int) -> SeriesResult:
     if sigma <= 0.5:
         raise ValueError("requires sigma > 1/2")
     table = divisor_table(s, n_max)
-    squares = table.values[1:] ** 2
-    n = np.arange(1, n_max + 1, dtype=float)
-    value = float(np.sum(squares * n ** (-2 * sigma)))
-
-    if s == 1:
-        constant, delta = 1.0, 0.0
-    else:
-        delta = (2 * sigma - 1) / 4
-        constant = _divisor_growth_constant(table, delta)
-    beta = 2 * sigma - 2 * delta
-    boundary = constant**2 * n_max ** (-beta)
-    tail = constant**2 * _log_power_tail(0, beta, n_max) + boundary
-    estimate = _density_tail_estimate(squares, s * s - 1, sigma)
-    return SeriesResult(value, tail, n_max, tail_estimate=estimate)
+    return _truncated_series(table, s, sigma, 0, lambda: table)
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +219,18 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.flatnonzero(sieve).astype(np.int64)
 
 
-_MOEBIUS = None
-
-
 def _moebius(n: int) -> int:
-    global _MOEBIUS
-    if _MOEBIUS is None or len(_MOEBIUS) <= n:
-        limit = max(n, 64)
-        mu = np.ones(limit + 1, dtype=np.int64)
-        primes = primes_up_to(limit)
-        for p in primes:
-            mu[p::p] *= -1
-            mu[p * p :: p * p] = 0
-        _MOEBIUS = mu
-    return int(_MOEBIUS[n])
+    """The Moebius function mu(n), by trial division."""
+    mu = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 
 def prime_zeta(k: float) -> float:
@@ -311,8 +305,7 @@ def rmt_leading_coefficient(s: float) -> float:
     (1-r^2)^(s^2+2s) times the global derivative moment."""
     if s <= 0:
         raise ValueError("requires s > 0")
-    x = s * s
-    return math.exp(-x) * math.gamma(s + 1) * hyp1f1(s + 1, 1.0, x)
+    return _kummer_factor(s, s * s)
 
 
 def conjecture_rhs(s: float, sigma: float, p_max: int = 100_000) -> float:

@@ -13,7 +13,6 @@ from itertools import combinations
 
 import numpy as np
 
-from cuederiv.combinatorics import Partition
 from cuederiv.errors import CapabilityError
 
 
@@ -49,12 +48,12 @@ def partition_count(m: int) -> int:
     return total
 
 
-def enumerate_standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
+def enumerate_standard_tableaux(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     """All standard fillings of lam by backtracking; brute-force oracle for syt_count."""
-    m = lam.weight
+    m = sum(lam)
     if m == 0:
         return [()]
-    shape = lam.parts
+    shape = lam
     rows = len(shape)
     fillings: list[tuple[tuple[int, ...], ...]] = []
     grid = [[0] * shape[i] for i in range(rows)]
@@ -99,14 +98,15 @@ class DescendingComposition:
             raise ValueError(f"{q} does not sum to n(n+1)/2 = {n*(n+1)//2}")
         self.q = q
 
-    def to_partition(self) -> Partition:
-        """The partition lambda with lambda_j = q_j - n + j (1-based j)."""
+    def to_partition(self) -> tuple[int, ...]:
+        """The partition lambda with lambda_j = q_j - n + j (1-based j), zero
+        parts dropped."""
         n = len(self.q)
-        return Partition(self.q[j] - n + (j + 1) for j in range(n))
+        return tuple(p for p in (self.q[j] - n + (j + 1) for j in range(n)) if p)
 
     @classmethod
-    def from_partition(cls, lam: Partition, n: int) -> "DescendingComposition":
-        padded = lam.padded(n)
+    def from_partition(cls, lam: tuple[int, ...], n: int) -> "DescendingComposition":
+        padded = lam + (0,) * (n - len(lam))
         return cls(padded[j] + n - (j + 1) for j in range(n))
 
 

@@ -193,7 +193,7 @@ def test_criterion_08_combinatorial_identities():
     start = time.time()
     for n in range(1, 7):
         for lam in enumerate_partitions(n):
-            if lam.length > n:
+            if len(lam) > n:
                 continue
             q = DescendingComposition.from_partition(lam, n)
             assert omega_weight(q) == syt_count(lam)

@@ -1,0 +1,56 @@
+"""The public names of `cuederiv`, pinned so that an API change is deliberate."""
+
+import types
+
+import cuederiv
+
+PUBLIC_NAMES = {
+    "CapabilityError",
+    "DirichletTable",
+    "EigenphaseCollisionError",
+    "MomentEstimate",
+    "RegimePoint",
+    "SeriesResult",
+    "arithmetic_factor",
+    "conjecture_rhs",
+    "cue_limit",
+    "cue_moment_integer",
+    "cue_moment_ks",
+    "cue_moment_radial",
+    "deriv_moment_series",
+    "divisor_table",
+    "enumerate_partitions",
+    "estimate_joint_moment",
+    "estimate_moment",
+    "exp_moment",
+    "expected_log_integral",
+    "expected_zero_count",
+    "global_moment",
+    "hyp1f1",
+    "joint_moment",
+    "laguerre",
+    "lindelof_series",
+    "log_convolution_table",
+    "mean_zero_counts",
+    "meso_moment",
+    "micro_b",
+    "micro_b_bessel",
+    "moment_exact",
+    "moment_structure",
+    "partition_factorial",
+    "structure_a",
+    "structure_b",
+    "structure_c",
+    "syt_count",
+    "zeta_real",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {
+        name
+        for name, value in vars(cuederiv).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(PUBLIC_NAMES) == 38
+    assert exported == PUBLIC_NAMES

@@ -236,6 +236,34 @@ class TestZerosCommand:
         assert rows[0]["value"] <= rows[1]["value"]
 
 
+    def test_one_sample_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "zeros", "--N", "10", "--radii", "0.5", "--samples", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "at least 2 samples" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "asympt --regime micro --s 1.5 --c 1",
+    "asympt --regime meso --s 1.5 --alpha 0.5 --N 100",
+    "zeta --what divisor-table --s 2.5 --n-max 10",
+    "zeta --what log-table --s 2.5 --n-max 10",
+    "zeta --what deriv-series --s 1.5 --sigma 0.8 --n-max 100",
+    "zeta --what lindelof-series --s 1.5 --sigma 0.8 --n-max 100",
+    "compare --routes exact,structure --N 4 --s 1.5 --r 0.5",
+    "compare --routes exact,closed-s1 --N 4 --s 1.5 --r 0.5",
+])
+def test_fractional_s_is_usage_error(argv, capsys):
+    # these formulas are defined at integer s only; truncating would report
+    # the value at another s under a config that names this one
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1
+    assert out == ""
+    assert "needs an integer --s" in err
+
+
 class TestCsvFormat:
     def test_csv_projection(self, capsys):
         code, out, _ = run_cli(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cuederiv.combinatorics import (
-    Partition,
+    _partition_data,
     enumerate_partitions,
     partition_factorial,
     syt_count,
@@ -19,34 +19,24 @@ from oracles import (
 
 class TestPartition:
     def test_padding(self):
-        lam = Partition((3, 1))
-        assert lam.weight == 4
-        assert lam.length == 2
-        assert lam[0] == 3 and lam[1] == 1 and lam[5] == 0
-        assert lam.padded(4) == (3, 1, 0, 0)
-
-    def test_zero_parts_dropped(self):
-        assert Partition((2, 1, 0, 0)).parts == (2, 1)
-
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            Partition((1, 2))
+        # (3, 1) is read as (3, 1, 0, 0) at s = 4: orders lambda_i + s - i
+        assert enumerate_partitions(4)[1] == (3, 1)
+        f, fact = syt_count((3, 1)), math.factorial(6) * math.factorial(3)
+        assert _partition_data(4, 4)[1] == (f, fact, (6, 3, 1, 0))
 
     def test_pad_too_short(self):
+        # shapes longer than s are skipped, and cannot be padded to s
+        assert _partition_data(2, 1) == [(1, 2, (2,))]
         with pytest.raises(ValueError):
-            Partition((2, 1)).padded(1)
+            partition_factorial((2, 1), 1)
 
 
 class TestEnumeration:
     def test_empty(self):
-        assert enumerate_partitions(0) == [Partition()]
+        assert enumerate_partitions(0) == [()]
 
     def test_three(self):
-        assert enumerate_partitions(3) == [
-            Partition((3,)),
-            Partition((2, 1)),
-            Partition((1, 1, 1)),
-        ]
+        assert enumerate_partitions(3) == [(3,), (2, 1), (1, 1, 1)]
 
     def test_eight_has_22(self):
         assert len(enumerate_partitions(8)) == 22
@@ -55,7 +45,9 @@ class TestEnumeration:
         for m in range(9):
             parts = enumerate_partitions(m)
             assert len(set(parts)) == len(parts)
-            assert all(p.weight == m for p in parts)
+            assert all(sum(p) == m for p in parts)
+            assert all(0 not in p for p in parts)
+            assert all(list(p) == sorted(p, reverse=True) for p in parts)
 
     def test_counts_match_pentagonal_recurrence(self):
         for m in range(31):
@@ -67,16 +59,16 @@ class TestEnumeration:
 
     @given(st.integers(min_value=0, max_value=14))
     def test_descending_lex_order(self, m):
-        parts = [p.parts for p in enumerate_partitions(m)]
+        parts = enumerate_partitions(m)
         assert parts == sorted(parts, reverse=True)
 
 
 class TestSytCount:
     def test_single_box(self):
-        assert syt_count(Partition((1,))) == 1
+        assert syt_count((1,)) == 1
 
     def test_two_one(self):
-        assert syt_count(Partition((2, 1))) == 2
+        assert syt_count((2, 1)) == 2
 
     def test_matches_backtracking_enumeration(self):
         for m in range(7):
@@ -105,7 +97,7 @@ class TestOmega:
     def test_equals_tableau_count_up_to_six(self):
         for n in range(1, 7):
             for lam in enumerate_partitions(n):
-                if lam.length > n:
+                if len(lam) > n:
                     continue
                 q = DescendingComposition.from_partition(lam, n)
                 assert omega_weight(q) == syt_count(lam), (n, lam)
@@ -119,15 +111,15 @@ class TestOmega:
 
 class TestPartitionFactorial:
     def test_empty(self):
-        assert partition_factorial(Partition(), 1) == 1
+        assert partition_factorial((), 1) == 1
 
     def test_single(self):
-        assert partition_factorial(Partition((1,)), 1) == 1
+        assert partition_factorial((1,), 1) == 1
 
     def test_two_one_padded_to_three(self):
         # (2+2)! (1+1)! (0+0)! = 24 * 2 * 1
-        assert partition_factorial(Partition((2, 1)), 3) == 48
+        assert partition_factorial((2, 1), 3) == 48
 
     def test_rejects_short_padding(self):
         with pytest.raises(ValueError):
-            partition_factorial(Partition((2, 1, 1)), 2)
+            partition_factorial((2, 1, 1), 2)

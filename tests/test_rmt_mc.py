@@ -179,6 +179,9 @@ class TestEstimators:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             estimate_moment(6, 1.0, 0.5, 1, seed=0)
+        for N in (1, 10):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                mean_zero_counts(N, [0.5], 1, seed=0)
 
 
 def szego_coefficients(alpha):

@@ -7,7 +7,6 @@ import scipy.integrate
 import scipy.special
 
 from cuederiv.specfun import (
-    ExpMomentTable,
     exp_moment,
     hyp1f1,
     laguerre,
@@ -129,14 +128,12 @@ class TestExpMoment:
             assert abs(fd + exp_moment(k + 1, c)) < 1e-6
 
     def test_decreasing_in_k(self):
-        table = ExpMomentTable.build(1.3, 30)
-        values = list(table.values)
+        values = [exp_moment(k, 1.3) for k in range(31)]
         assert all(0 < values[k + 1] < values[k] <= 1 for k in range(30))
 
     def test_table_limits(self):
-        table = ExpMomentTable.build(1e-12, 10)
         for k in range(11):
-            assert abs(table[k] - 1.0 / (k + 1)) < 1e-11
+            assert abs(exp_moment(k, 1e-12) - 1.0 / (k + 1)) < 1e-11
 
 
 class TestZetaReal:
