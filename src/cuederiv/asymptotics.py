@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .combinatorics import _partition_det_sum
+from .errors import CapabilityError
 from .linalg import det_float
 from .specfun import _kummer_factor, exp_moment, laguerre
 
@@ -57,7 +58,8 @@ def global_moment(s: float, r: float) -> float:
         raise ValueError("global regime requires 0 <= r < 1")
     if s <= -1:
         raise ValueError("requires s > -1")
-    return _kummer_factor(s, s * s * r * r) / (1 - r * r) ** (s * s + 2 * s)
+    return _finite_quotient(_kummer_factor(s, s * s * r * r), (1 - r * r) ** (s * s + 2 * s),
+                            "global moment")
 
 
 def joint_moment(s: float, h: float, z1: complex, z2: complex) -> float:
@@ -69,9 +71,20 @@ def joint_moment(s: float, h: float, z1: complex, z2: complex) -> float:
     if h <= -1:
         raise ValueError("requires h > -1")
     rho = abs(z1) ** 2 * (1 - abs(z2) ** 2) ** 2 / abs(1 - z1 * z2.conjugate()) ** 2
-    return _kummer_factor(h, s * s * rho) / (
-        (1 - abs(z2) ** 2) ** (2 * h) * (1 - abs(z1) ** 2) ** (s * s)
+    return _finite_quotient(
+        _kummer_factor(h, s * s * rho),
+        (1 - abs(z2) ** 2) ** (2 * h) * (1 - abs(z1) ** 2) ** (s * s),
+        "joint moment",
     )
+
+
+def _finite_quotient(numerator: float, denominator: float, what: str) -> float:
+    """numerator / denominator, raising CapabilityError where the quotient
+    leaves double precision, an underflowed denominator included."""
+    quotient = numerator / denominator if denominator else math.inf
+    if not math.isfinite(quotient):
+        raise CapabilityError(f"{what} exceeds double precision")
+    return quotient
 
 
 def expected_zero_count(r: float) -> float:

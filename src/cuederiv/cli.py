@@ -417,7 +417,8 @@ def _run_zeros(args):
     for r, est in zip(args.radii, estimates):
         rows.append(_result("zero_count", est.mean, "monte-carlo-haar",
                             r=r, std_error=est.std_error, samples=est.samples,
-                            seed=est.seed,
+                            seed=est.seed, generator=est.generator,
+                            fallback=est.fallback,
                             limit=expected_zero_count(r)))
     return rows
 

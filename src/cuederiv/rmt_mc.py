@@ -1,15 +1,15 @@
 """Monte Carlo ground truth over Haar-distributed unitary matrices.
 
-The moment estimators draw CUE(N) through its Verblunsky coefficients, which
-are independent (Killip & Nenciu, IMRN 2004): for k < N-1, |alpha_k|^2 is
+Every estimator draws CUE(N) through its Verblunsky coefficients, which are
+independent (Killip & Nenciu, IMRN 2004): for k < N-1, |alpha_k|^2 is
 Beta(1, N-k-1) with a uniform phase, and alpha_(N-1) is uniform on the unit
-circle.  Szego's recursion then gives Phi_N(z) = det(z - U) and Phi_N'(z) in
-O(N) per draw and point, with |Lambda_N| = |Phi_N| and |Lambda_N'| = |Phi_N'|
-since |det U| = 1.  Zero counts still need eigenphases: they draw a complex
-Ginibre matrix, take its QR decomposition and fix the R-diagonal phases (plain
-QR is not Haar), then extract eigenphases.  Estimators work in fixed-size
-chunks, each chunk owning a generator derived from (seed, chunk index), so
-results are reproducible for any thread count.
+circle.  Szego's recursion then gives Phi_N(z) = det(z - U) and its
+derivatives in O(N) per draw and point, with |Lambda_N| = |Phi_N| and
+|Lambda_N'| = |Phi_N'| since |det U| = 1.  Zero counts read the winding number
+of Phi_N' around each circle |z| = r; a draw whose winding cannot be certified
+falls back to the eigenphases of its GGT matrix.  Estimators work in
+fixed-size chunks, each chunk owning a generator derived from (seed, chunk
+index), so results are reproducible for any thread count.
 """
 
 from __future__ import annotations
@@ -24,15 +24,25 @@ import numpy as np
 
 from .errors import EigenphaseCollisionError
 
-GENERATOR_NAME = "pcg64"
-MOMENT_GENERATOR_NAME = "pcg64/verblunsky"
+GENERATOR_NAME = "pcg64/verblunsky"
 COLLISION_TOLERANCE = 1e-14
 _CHUNK_ELEMENT_BUDGET = 4_000_000
+# Winding certification (see _winding_counts).  The recursion runs on at most
+# _POINT_BUDGET (point, draw) pairs at a time, about 1 MB per complex array.
+_GRID_MIN = 32
+_ARC_PHASE_LIMIT = math.pi / 4
+_BISECTION_DEPTH = 12
+_POINT_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Monte Carlo mean with its standard error and reproducibility record."""
+    """Monte Carlo mean with its standard error and reproducibility record.
+
+    `resampled` counts draws redrawn because a point hit an eigenvalue;
+    `fallback` counts zero counts taken from eigenphases instead of the
+    winding number.
+    """
 
     mean: float
     std_error: float
@@ -41,6 +51,7 @@ class MomentEstimate:
     generator: str = GENERATOR_NAME
     top_contribution_fraction: float | None = None
     resampled: int = 0
+    fallback: int = 0
 
 
 def default_thread_count() -> int:
@@ -51,20 +62,6 @@ def default_thread_count() -> int:
         except ValueError:
             warnings.warn(f"ignoring non-integer CUEDERIV_THREADS={env!r}")
     return 1
-
-
-def haar_phases(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Eigenphases of `count` independent Haar unitaries, shape (count, N)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    real = rng.standard_normal((count, N, N))
-    imag = rng.standard_normal((count, N, N))
-    ginibre = (real + 1j * imag) / np.sqrt(2.0)
-    q, r = np.linalg.qr(ginibre)
-    diag = np.einsum("...ii->...i", r)
-    q = q * (diag / np.abs(diag))[:, None, :]
-    eigenvalues = np.linalg.eigvals(q)
-    return np.mod(np.angle(eigenvalues), 2 * np.pi)
 
 
 def _chunk_layout(N: int, samples: int) -> list[tuple[int, int]]:
@@ -126,30 +123,39 @@ def _verblunsky(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return modulus * np.exp(2j * np.pi * rng.random((count, N)))
 
 
-def _szego(alpha: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log|Phi_N(z)|, log|Phi_N'(z)|, unresolved) per point and draw, shape (P, B).
+def _szego_scaled(alpha: np.ndarray, z: np.ndarray, second: bool = False):
+    """(Phi_N, Phi_N', Phi_N'' or None, exponent, unresolved) at `z`, shape (P, B).
 
     Runs Szego's recursion Phi_(k+1) = z Phi_k - conj(alpha_k) Phi_k^*,
-    Phi_(k+1)^* = Phi_k^* - alpha_k z Phi_k and its z-derivative from
-    Phi_0 = Phi_0^* = 1, for each row of `alpha` (shape (B, N)) and each z in
-    `points`.  Every step divides all four values by the power of two that
-    brings max(|Phi_k|, |Phi_k^*|) into [1/2, 1), which is exact, and carries
-    the exponent, so large N cannot overflow.  `unresolved` marks a Phi_N(z) within
-    COLLISION_TOLERANCE of zero relative to the two terms of the last step,
-    i.e. z on an eigenvalue.
+    Phi_(k+1)^* = Phi_k^* - alpha_k z Phi_k and its z-derivatives from
+    Phi_0 = Phi_0^* = 1, for each row of `alpha` (shape (B, N)).  `z` must
+    broadcast against (1, B): a column (P, 1) of points shared by every draw,
+    or a row (1, B) with one point per draw.  Phi_N'' is carried only when
+    `second` is set.  Every step divides all values by the power of two that
+    brings max(|Phi_k|, |Phi_k^*|) into [1/2, 1), which is exact and keeps
+    every phase, and carries the exponent, so large N cannot overflow; the
+    true values are the returned ones times 2**exponent.  `unresolved` marks a
+    Phi_N(z) within COLLISION_TOLERANCE of zero relative to the two terms of
+    the last step, i.e. z on an eigenvalue.
     """
     alpha = np.ascontiguousarray(np.transpose(alpha))
-    z = np.asarray(points, dtype=complex)[:, None]
-    shape = (len(z), alpha.shape[1])
+    shape = np.broadcast_shapes(z.shape, (1, alpha.shape[1]))
     phi = np.ones(shape, dtype=complex)
     phi_star = np.ones(shape, dtype=complex)
     dphi = np.zeros(shape, dtype=complex)
     dphi_star = np.zeros(shape, dtype=complex)
+    ddphi = ddphi_star = None
+    if second:
+        ddphi = np.zeros(shape, dtype=complex)
+        ddphi_star = np.zeros(shape, dtype=complex)
     exponent = np.zeros(shape, dtype=np.int64)
     for k, a in enumerate(alpha, start=1):
         a_conj = a.conj()
         z_phi = z * phi
         dz_phi = phi + z * dphi
+        if second:
+            ddz_phi = 2 * dphi + z * ddphi
+            ddphi, ddphi_star = ddz_phi - a_conj * ddphi_star, ddphi_star - a * ddz_phi
         if k == len(alpha):
             cancelled = np.abs(z_phi) + np.abs(phi_star)
         phi, phi_star = z_phi - a_conj * phi_star, phi_star - a * z_phi
@@ -160,8 +166,22 @@ def _szego(alpha: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarra
         phi_star *= scale
         dphi *= scale
         dphi_star *= scale
+        if second:
+            ddphi *= scale
+            ddphi_star *= scale
         exponent += e
     unresolved = np.abs(phi) < COLLISION_TOLERANCE * cancelled * scale
+    return phi, dphi, ddphi, exponent, unresolved
+
+
+def _szego(alpha: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log|Phi_N(z)|, log|Phi_N'(z)|, unresolved) per point and draw, shape (P, B).
+
+    See _szego_scaled; `alpha` has shape (B, N) and every draw is evaluated
+    at every point.
+    """
+    z = np.asarray(points, dtype=complex)[:, None]
+    phi, dphi, _, exponent, unresolved = _szego_scaled(alpha, z)
     shift = exponent * math.log(2.0)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(phi)) + shift, np.log(np.abs(dphi)) + shift, unresolved
@@ -195,7 +215,7 @@ def _collect_values(N, samples, seed, threads, evaluate, progress=None):
     return values, sum(part[1] for part in parts)
 
 
-def _estimate_from_values(values, seed, resampled) -> MomentEstimate:
+def _estimate_from_values(values, seed, resampled=0, fallback=0) -> MomentEstimate:
     """Mean, standard error and the tail share: the fraction of the total
     contributed by the top 1% of draws, which nears 1 when the mean is
     carried by a few draws (a heavy or infinite-mean tail)."""
@@ -214,9 +234,9 @@ def _estimate_from_values(values, seed, resampled) -> MomentEstimate:
         std_error=se,
         samples=n,
         seed=seed,
-        generator=MOMENT_GENERATOR_NAME,
         top_contribution_fraction=top_fraction,
         resampled=resampled,
+        fallback=fallback,
     )
 
 
@@ -270,8 +290,7 @@ def estimate_joint_moment(
 def _estimate_joint(N, s, h, z1, z2, samples, seed, threads, progress) -> MomentEstimate:
     """E[ |Lambda'/Lambda(z2)|^(2h) |Lambda(z1)|^(2s) ] over Verblunsky draws."""
     if h == 0 and s == 0:
-        return MomentEstimate(mean=1.0, std_error=0.0, samples=samples, seed=seed,
-                              generator=MOMENT_GENERATOR_NAME)
+        return MomentEstimate(mean=1.0, std_error=0.0, samples=samples, seed=seed)
 
     def evaluate(alpha):
         # At z1 == z2 and s == h the bracket is exactly 0, so the values are
@@ -287,6 +306,99 @@ def _estimate_joint(N, s, h, z1, z2, samples, seed, threads, progress) -> Moment
 # ---------------------------------------------------------------------------
 # Zero counting
 # ---------------------------------------------------------------------------
+
+
+def _arg_rates(z, dphi, ddphi):
+    """d/dtheta arg Phi_N'(r e^(i theta)) = Re(z Phi_N''(z) / Phi_N'(z)); nan
+    where Phi_N' vanishes, which fails every test it meets."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.real(z * ddphi / dphi)
+
+
+def _winding_counts(alpha: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros of Phi_N' inside each circle |z| = r, per draw, by the argument
+    principle; returns (counts, uncertified), both of shape (B, R).
+
+    Phi_N' is sampled at M = max(N, _GRID_MIN) equally spaced points on each
+    circle.  An arc between neighbouring samples is accepted when the phase
+    step of Phi_N' across it and, at both ends, the rate of that phase times
+    the arc length in theta are at most _ARC_PHASE_LIMIT; the rate test keeps a
+    zero close to the circle from aliasing a full turn into a small step.  A
+    failing arc is halved, and its halves tested in turn, at most
+    _BISECTION_DEPTH times.  The count is the sum of accepted steps over 2 pi;
+    a (draw, radius) left with a failing arc is uncertified and its count is
+    meaningless.
+    """
+    B, N = alpha.shape
+    M = max(N, _GRID_MIN)
+    batch = max(1, _POINT_BUDGET // (len(radii) * M))
+    if B > batch:
+        parts = [_winding_counts(alpha[i : i + batch], radii) for i in range(0, B, batch)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    radii = np.asarray(radii, dtype=float)
+    length = 2 * np.pi / M
+    theta = length * np.arange(M)
+    z = (radii[:, None] * np.exp(1j * theta)).reshape(-1, 1)
+    _, dphi, ddphi, _, _ = _szego_scaled(alpha, z, second=True)
+    rate = _arg_rates(z, dphi, ddphi).reshape(len(radii), M, B)
+    dphi = dphi.reshape(len(radii), M, B)
+    # Arc (i, j, b) runs from sample j to sample j + 1 (mod M) on circle i.
+    circle, start, draw = (index.ravel() for index in np.indices(dphi.shape))
+    theta_a = theta[start]
+    d_a, d_b = dphi.ravel(), np.roll(dphi, -1, axis=1).ravel()
+    rate_a, rate_b = rate.ravel(), np.roll(rate, -1, axis=1).ravel()
+    winding = np.zeros(len(radii) * B)
+    for depth in range(_BISECTION_DEPTH + 1):
+        step = np.angle(d_b * d_a.conj())
+        limit = _ARC_PHASE_LIMIT / length
+        passed = (
+            (np.abs(step) <= _ARC_PHASE_LIMIT)
+            & (np.abs(rate_a) <= limit)
+            & (np.abs(rate_b) <= limit)
+        )
+        winding += np.bincount(circle[passed] * B + draw[passed], weights=step[passed],
+                               minlength=len(winding))
+        failed = ~passed
+        circle, draw, theta_a = circle[failed], draw[failed], theta_a[failed]
+        d_a, d_b, rate_a, rate_b = d_a[failed], d_b[failed], rate_a[failed], rate_b[failed]
+        if depth == _BISECTION_DEPTH or not len(circle):
+            break
+        length /= 2
+        theta_m = theta_a + length
+        z_m = (radii[circle] * np.exp(1j * theta_m))[None, :]
+        _, d_m, dd_m, _, _ = _szego_scaled(alpha[draw], z_m, second=True)
+        rate_m = _arg_rates(z_m, d_m, dd_m)[0]
+        d_m = d_m[0]
+        circle, draw = np.tile(circle, 2), np.tile(draw, 2)
+        theta_a = np.concatenate([theta_a, theta_m])
+        d_a, d_b = np.concatenate([d_a, d_m]), np.concatenate([d_m, d_b])
+        rate_a, rate_b = np.concatenate([rate_a, rate_m]), np.concatenate([rate_m, rate_b])
+    uncertified = np.zeros((len(radii), B), dtype=bool)
+    uncertified[circle, draw] = True
+    counts = np.rint(winding.reshape(len(radii), B) / (2 * np.pi)).astype(np.int64)
+    return counts.T, uncertified.T
+
+
+def _ggt_phases(alpha: np.ndarray) -> np.ndarray:
+    """Eigenphases of the GGT matrices of Verblunsky coefficients `alpha`,
+    shape (B, N).
+
+    G[k, l] = -conj(alpha_l) alpha_(k-1) rho_k ... rho_(l-1) for k <= l, with
+    alpha_(-1) = -1 and rho_k = sqrt(1 - |alpha_k|^2), G[l+1, l] = rho_l and
+    zero below: a unitary upper-Hessenberg matrix with det(z - G) = Phi_N(z)
+    (Simon, OPUC, 2005, sec. 4.1).
+    """
+    B, N = alpha.shape
+    rho = np.sqrt(1.0 - np.abs(alpha[:, :-1]) ** 2)
+    previous = np.concatenate([-np.ones((B, 1)), alpha[:, :-1]], axis=1)
+    # products[b, k, l] = rho_k ... rho_(l-1), the empty product 1 for l <= k
+    rho_before = np.concatenate([np.ones((B, 1)), rho], axis=1)
+    above = np.triu(np.ones((N, N), dtype=bool), 1)
+    products = np.cumprod(np.where(above, rho_before[:, None, :], 1.0), axis=2)
+    matrix = np.triu(-alpha.conj()[:, None, :] * previous[:, :, None] * products)
+    idx = np.arange(N - 1)
+    matrix[:, idx + 1, idx] = rho
+    return np.angle(np.linalg.eigvals(matrix))
 
 
 def _critical_point_moduli(phases: np.ndarray) -> np.ndarray:
@@ -319,8 +431,12 @@ def mean_zero_counts(
 ) -> list[MomentEstimate]:
     """Monte Carlo mean zero count of Lambda_N' inside each radius in `radii`.
 
-    Roots within 1e-8 of a circle |z| = r are counted by the sign of
-    |root| - r and flagged with a warning.
+    Each count is the winding number of Phi_N' around |z| = r (see
+    _winding_counts).  A draw whose winding is not certified at some radius is
+    counted there from the eigenphases of its GGT matrix instead, and the
+    estimate's `fallback` reports how many were.  On that route, roots within
+    1e-8 of the circle are counted by the sign of |root| - r and flagged with
+    a warning.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -328,35 +444,28 @@ def mean_zero_counts(
     for r in radii:
         if not 0 < r < 1:
             raise ValueError("radii must lie in (0, 1)")
-    if N == 1:
-        return [
-            MomentEstimate(mean=0.0, std_error=0.0, samples=samples, seed=seed)
-            for _ in radii
-        ]
 
     def worker(size, rng):
-        moduli = _critical_point_moduli(haar_phases(N, size, rng))
-        for r in radii:
-            ambiguous = int(np.sum(np.abs(moduli - r) < 1e-8))
-            if ambiguous:
-                warnings.warn(
-                    f"{ambiguous} root(s) within 1e-8 of |z| = {r}; "
-                    "counted by the sign of |root| - r"
-                )
-        return np.stack([np.sum(moduli < r, axis=1) for r in radii], axis=1)
+        alpha = _verblunsky(N, size, rng)
+        counts, uncertified = _winding_counts(alpha, radii)
+        redo = np.flatnonzero(np.any(uncertified, axis=1))
+        if len(redo):
+            moduli = _critical_point_moduli(_ggt_phases(alpha[redo]))
+            for col, r in enumerate(radii):
+                rows = uncertified[redo, col]
+                ambiguous = int(np.sum(np.abs(moduli[rows] - r) < 1e-8))
+                if ambiguous:
+                    warnings.warn(
+                        f"{ambiguous} root(s) within 1e-8 of |z| = {r}; "
+                        "counted by the sign of |root| - r"
+                    )
+                counts[redo[rows], col] = np.sum(moduli[rows] < r, axis=1)
+        return counts, np.sum(uncertified, axis=0)
 
     parts = _run_chunks(N, samples, seed, threads, worker, progress)
-    counts = np.concatenate(parts, axis=0).astype(float)
-    out = []
-    for col, _ in enumerate(radii):
-        values = counts[:, col]
-        se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
-        out.append(
-            MomentEstimate(
-                mean=float(np.mean(values)),
-                std_error=se,
-                samples=len(values),
-                seed=seed,
-            )
-        )
-    return out
+    counts = np.concatenate([part[0] for part in parts]).astype(float)
+    fallback = sum(part[1] for part in parts)
+    return [
+        _estimate_from_values(counts[:, col], seed, fallback=int(fallback[col]))
+        for col in range(len(radii))
+    ]

@@ -12,6 +12,8 @@ from numbers import Rational
 
 import numpy as np
 
+from .errors import CapabilityError
+
 _SERIES_LIMIT = 100_000
 
 
@@ -26,7 +28,8 @@ def hyp1f1(a: float, b: float, x: float) -> float:
     """Kummer's confluent hypergeometric function 1F1(a, b; x).
 
     Direct series for x >= 0; for x < 0 the Kummer transform
-    1F1(a,b;x) = e^x 1F1(b-a, b; -x) avoids an alternating sum.
+    1F1(a,b;x) = e^x 1F1(b-a, b; -x) avoids an alternating sum.  A series
+    whose sum overflows raises CapabilityError.
     """
     if b <= 0 and float(b).is_integer():
         raise ValueError(f"1F1 undefined for non-positive integer b = {b}")
@@ -38,6 +41,8 @@ def hyp1f1(a: float, b: float, x: float) -> float:
         term *= (a + k) * x / ((b + k) * (k + 1))
         total += term
         if abs(term) <= 1e-17 * abs(total):
+            if math.isinf(total):
+                raise CapabilityError(f"1F1({a}, {b}; {x}) overflows double precision")
             return total
     raise ArithmeticError(f"1F1 series did not converge for ({a}, {b}, {x})")
 

@@ -16,6 +16,25 @@ import numpy as np
 from cuederiv.errors import CapabilityError
 
 
+def haar_phases(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Eigenphases of `count` independent Haar unitaries, shape (count, N).
+
+    QR of a complex Ginibre matrix with the R-diagonal phases moved into Q
+    (plain QR is not Haar); the independent sampler that the Verblunsky draws
+    are tested against.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    real = rng.standard_normal((count, N, N))
+    imag = rng.standard_normal((count, N, N))
+    ginibre = (real + 1j * imag) / np.sqrt(2.0)
+    q, r = np.linalg.qr(ginibre)
+    diag = np.einsum("...ii->...i", r)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    eigenvalues = np.linalg.eigvals(q)
+    return np.mod(np.angle(eigenvalues), 2 * np.pi)
+
+
 def eigenphase_lambda_and_deriv(phases, z: complex) -> tuple[complex, complex]:
     """(Lambda(z), Lambda'(z)) from the product over eigenphases,
     Lambda(z) = prod_j (1 - z e^(-i theta_j))."""

@@ -115,6 +115,14 @@ class TestAsymptCommand:
         value = parse_report(out)["results"][0]["value"]
         assert abs(value - 0.75**-4) < 1e-12
 
+    @pytest.mark.parametrize("s, r", [("30", "0.9"), ("20", "0.99")])
+    def test_global_overflow_is_capability_exit(self, capsys, s, r):
+        # At s=30 the 1F1 series overflows; at s=20, r=0.99 the (1-r^2) power
+        # underflows to 0 while the quotient exceeds 1e308.
+        code, out, err = run_cli(capsys, "asympt", "--regime", "global", "--s", s, "--r", r)
+        assert code == 2 and out == ""
+        assert err.startswith("capability limit:") and err.count("\n") == 1
+
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "asympt", "--regime", "global", "--s", "1")
         assert code == 1
@@ -234,6 +242,9 @@ class TestZerosCommand:
         assert len(rows) == 2
         assert abs(rows[1]["limit"] - 2.0) < 1e-9
         assert rows[0]["value"] <= rows[1]["value"]
+        for row in rows:
+            assert row["generator"] == "pcg64/verblunsky"
+            assert isinstance(row["fallback"], int) and 0 <= row["fallback"] <= 500
 
 
     def test_one_sample_is_usage_error(self, capsys):

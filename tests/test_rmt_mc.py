@@ -12,10 +12,9 @@ from cuederiv.rmt_mc import (
     MomentEstimate,
     estimate_joint_moment,
     estimate_moment,
-    haar_phases,
     mean_zero_counts,
 )
-from oracles import eigenphase_lambda_and_deriv
+from oracles import eigenphase_lambda_and_deriv, haar_phases
 
 
 def rng(seed=0):
@@ -253,7 +252,11 @@ class TestPolyAndZeros:
         assert means == sorted(means)
 
     def test_boundary_warning(self, monkeypatch):
-        # A root 5e-9 outside |z| = 0.5 is counted outside, with a warning.
+        # A certifier that rejects every arc sends every draw to the eigenphase
+        # route, where a root 5e-9 outside |z| = 0.5 is counted outside, with a
+        # warning.
+        monkeypatch.setattr(rmt_mc, "_ARC_PHASE_LIMIT", -1.0)
+        monkeypatch.setattr(rmt_mc, "_BISECTION_DEPTH", 0)
         moduli = np.array([[0.2, 0.5 + 5e-9, 0.9]])
         monkeypatch.setattr(
             rmt_mc, "_critical_point_moduli",
@@ -261,10 +264,22 @@ class TestPolyAndZeros:
         )
         with pytest.warns(UserWarning, match="within 1e-8"):
             (est,) = mean_zero_counts(4, [0.5], 3, seed=0)
-        assert est.mean == 1.0
+        assert est.mean == 1.0 and est.fallback == 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mean_zero_counts(4, [0.6], 3, seed=0)
+            (est,) = mean_zero_counts(4, [0.6], 3, seed=0)
+        assert est.mean == 2.0 and est.fallback == 3
+
+    def test_forced_fallback_gives_the_same_counts(self, monkeypatch):
+        radii = [0.3, 0.7071, 0.97]
+        natural = mean_zero_counts(16, radii, 400, seed=8)
+        assert all(est.generator == "pcg64/verblunsky" for est in natural)
+        monkeypatch.setattr(rmt_mc, "_ARC_PHASE_LIMIT", -1.0)
+        monkeypatch.setattr(rmt_mc, "_BISECTION_DEPTH", 0)
+        forced = mean_zero_counts(16, radii, 400, seed=8)
+        assert [est.fallback for est in forced] == [400] * 3
+        assert [est.mean for est in forced] == [est.mean for est in natural]
+        assert [est.std_error for est in forced] == [est.std_error for est in natural]
 
     def test_mean_zero_counts_columns(self):
         radii = [0.3, math.sqrt(0.5)]
@@ -277,3 +292,30 @@ class TestPolyAndZeros:
         a = mean_zero_counts(8, [0.5], 600, seed=4)[0]
         b = mean_zero_counts(8, [0.5], 600, seed=4, threads=3)[0]
         assert a.mean == b.mean and a.std_error == b.std_error
+
+
+# Every certified winding count must equal the eigenphase count on the same
+# Verblunsky coefficients, over about 12k draws.  The class runs in about 9 s
+# on one core (budget 20 s); fewer draws at large N keep it there.
+WINDING_RADII = (0.1, 0.3, 0.5, 0.7071, 0.9, 0.97)
+WINDING_DRAWS = [(2, 2000), (3, 2000), (4, 2000), (5, 2000), (7, 1000), (10, 800),
+                 (16, 500), (25, 300), (40, 150), (60, 100), (100, 50)]
+
+
+class TestWindingCounts:
+    @pytest.mark.parametrize("N, draws", WINDING_DRAWS)
+    def test_certified_counts_match_eigenphases(self, N, draws):
+        alpha = rmt_mc._verblunsky(N, draws, rng(500 + N))
+        counts, uncertified = rmt_mc._winding_counts(alpha, WINDING_RADII)
+        moduli = rmt_mc._critical_point_moduli(rmt_mc._ggt_phases(alpha))
+        expected = np.stack([np.sum(moduli < r, axis=1) for r in WINDING_RADII], axis=1)
+        assert np.array_equal(counts[~uncertified], expected[~uncertified])
+        assert np.mean(uncertified) < 0.05
+
+    @pytest.mark.parametrize("N, draws", WINDING_DRAWS)
+    def test_ggt_eigenvalues_are_zeros_of_phi(self, N, draws):
+        alpha = rmt_mc._verblunsky(N, min(draws, 100), rng(700 + N))
+        eigenvalues = np.exp(1j * rmt_mc._ggt_phases(alpha))
+        for row, points in zip(alpha, eigenvalues):
+            log_phi, _, _ = rmt_mc._szego(row[None, :], points)
+            assert np.all(log_phi < -25)

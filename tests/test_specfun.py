@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from cuederiv.errors import CapabilityError
 from cuederiv.specfun import (
     exp_moment,
     hyp1f1,
@@ -27,6 +28,11 @@ class TestHyp1F1:
             hyp1f1(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             hyp1f1(1.0, -2.0, 1.0)
+
+    def test_overflow_is_capability_error(self):
+        # The series sum passes 1e308 long before the term limit.
+        with pytest.raises(CapabilityError, match="overflows"):
+            hyp1f1(2.5, 1, 1e6)
 
     def test_negative_argument_kummer(self):
         for a, b, x in [(0.5, 1.0, -3.0), (2.5, 4.0, -20.0)]:
