@@ -13,7 +13,9 @@ from itertools import combinations
 
 import numpy as np
 
+from cuederiv.combinatorics import enumerate_partitions, partition_factorial, syt_count
 from cuederiv.errors import CapabilityError
+from cuederiv.linalg import det_exact
 
 
 def haar_phases(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -189,3 +191,21 @@ def appendix_d00(m: int, l: int, s: int, N: int) -> Fraction:
             term *= math.prod(N + ja - ib for ja in j_comp for ib in i_comp)
             total += term
     return prefactor * total
+
+
+def partition_block_sum(h: int, s: int, exponents: tuple[int, ...]) -> Fraction:
+    """Block sum of the structure route by its definition: the sum over
+    partitions lambda of h with at most s parts of f_lambda / [lambda]! times
+    det[perm(a_j, lambda_i + s - i)], one Bareiss determinant per partition.
+
+    The reference for exact_moments._laguerre_minors.
+    """
+    total = Fraction(0)
+    for lam in enumerate_partitions(h):
+        if len(lam) > s:
+            continue
+        padded = lam + (0,) * (s - len(lam))
+        orders = [padded[i] + s - (i + 1) for i in range(s)]
+        rows = [[math.perm(a, o) for a in exponents] for o in orders]
+        total += Fraction(syt_count(lam), partition_factorial(lam, s)) * det_exact(rows)
+    return total

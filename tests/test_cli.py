@@ -62,6 +62,23 @@ class TestExactCommand:
         assert code == 2
         assert "capability" in err
 
+    def test_structure_route_reaches_the_exact_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "exact", "--N", "6", "--s", "5", "--u", "1/2")
+        assert code == 0
+        rows = parse_report(out)["results"]
+        assert [row["label"] for row in rows] == ["moment", "moment"]
+        assert rows[0]["value"] == rows[1]["value"]
+
+    @pytest.mark.parametrize("argv, limit", [
+        (("--s", "5", "--mode", "float"), "float structure expansion supports s <= 4"),
+        (("--s", "9", "--route", "structure"), "exact mode supports s <= 8"),
+    ], ids=["float-s5", "structure-s9"])
+    def test_structure_capability_limits(self, capsys, argv, limit):
+        code, out, err = run_cli(capsys, "exact", "--N", "6", "--u", "1/2", *argv)
+        assert code == 2
+        assert out == ""
+        assert limit in err
+
     def test_float_overflow_is_capability_exit(self, capsys):
         code, out, err = run_cli(
             capsys, "exact", "--N", "200", "--s", "12", "--u", "0.998001",

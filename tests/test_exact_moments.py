@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import (
+    _block_exponent,
+    _block_sums,
     _entry_from_kd,
     _k_derivatives_exact,
     cue_moment_integer,
@@ -20,7 +23,7 @@ from cuederiv.exact_moments import (
 )
 from cuederiv.linalg import det_exact, det_float
 from cuederiv.specfun import hyp1f1
-from oracles import appendix_d00
+from oracles import appendix_d00, partition_block_sum
 
 
 def closed_sum_s1(N, u):
@@ -223,6 +226,20 @@ class TestStructureB:
                 value = sum(c * r**e for e, c in poly.items())
                 assert value == structure_b(N, s, h1, h2, r), (h1, h2)
 
+    @pytest.mark.parametrize("s", (1, 2, 3, 4, 5))
+    @pytest.mark.parametrize("N", (1, 3, 10, 1000))
+    def test_block_sums_equal_partition_sums(self, N, s):
+        z_exps, w_exps = ([_block_exponent(N, s, row, j) for j in range(2 * s)] for row in (0, s))
+        subsets = list(combinations(range(2 * s), s))
+        records = _block_sums(N, s)
+        assert len(records) == len(subsets)
+        # z-rows on every subset, w-rows on every complement, every h <= s
+        for cols, (_, _, z, w) in zip(subsets, records):
+            rest = [j for j in range(2 * s) if j not in cols]
+            z_ref = [partition_block_sum(h, s, tuple(z_exps[j] for j in cols)) for h in range(s + 1)]
+            w_ref = [partition_block_sum(h, s, tuple(w_exps[j] for j in rest)) for h in range(s + 1)]
+            assert (z, w) == (z_ref, w_ref), cols
+
     def test_float_mode(self):
         N, s, r = 6, 2, 0.37
         exact = structure_b(N, s, 1, 2, Fraction(37, 100))
@@ -258,13 +275,26 @@ class TestStructureC:
 
 GRID_POINTS = [Fraction(0), Fraction(1, 16), Fraction(1, 4), Fraction(9, 16), Fraction(4)]
 
+# (s, N): the grid for s <= 2, then N in {1, 2, 3, 10} up to the exact cap
+# s = 8.  Every moment_structure call builds its own block sums, and at N = 10
+# one point takes about 1.4 s at s = 7 and 6 s at s = 8, so s >= 3 runs at
+# u = 1/2 and 1/3 and s >= 7 at u = 1/2 only.  Budget: the whole test within
+# 25 s on a 2-core machine.
+ROUTE_CASES = (
+    [(s, N) for s in (1, 2) for N in (1, 2, 3, 4, 5, 6, 10)]
+    + [(s, N) for s in range(3, 7) for N in (1, 2, 3, 10)]
+    + [(7, 10), (8, 10)]
+)
+
 
 class TestMomentStructure:
-    @pytest.mark.parametrize("N", range(1, 7))
-    @pytest.mark.parametrize("s", (1, 2))
-    def test_equals_determinant_route(self, N, s):
-        for u in GRID_POINTS:
-            assert moment_structure(N, s, u) == moment_exact(N, s, u)
+    @pytest.mark.parametrize("s, N", ROUTE_CASES)
+    def test_equals_determinant_route(self, s, N):
+        points = [Fraction(1, 2)] if s >= 7 else [Fraction(1, 2), Fraction(1, 3)]
+        if s <= 2:
+            points += GRID_POINTS
+        for u in points:
+            assert moment_structure(N, s, u) == moment_exact(N, s, u), u
 
     def test_spec_point(self):
         assert moment_structure(2, 1, Fraction(1, 4)) == 2
