@@ -5,7 +5,7 @@ closed-form asymptotics, Monte Carlo over Haar unitaries) plus the
 number-theory side series they are conjectured to match.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .combinatorics import (
     enumerate_partitions,
@@ -19,9 +19,6 @@ from .exact_moments import (
     cue_moment_radial,
     moment_exact,
     moment_structure,
-    structure_a,
-    structure_b,
-    structure_c,
 )
 from .asymptotics import (
     RegimePoint,

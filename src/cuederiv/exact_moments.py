@@ -5,14 +5,15 @@ Two independent finite-N routes are implemented:
 * ``moment_exact``: the partition/determinant formula built from repeated
   derivatives of the truncated geometric kernel K_N(u) = 1 + u + ... + u^(N+s-1).
 * ``moment_structure``: the expansion of the moment as a polynomial in
-  1/(1 - u) whose coefficients combine a confluent-hypergeometric factor
-  (``structure_a``) with derivatives of a 2s x 2s block determinant
-  (``structure_b``).  In exact mode the determinant's polynomial in r = |z|
-  (``structure_b_expansion``) is a Laplace expansion over the C(2s, s) column
-  subsets of its z-rows, each adding a product of two integer block sums, one
-  Laguerre-derivative determinant per block (``_block_sums``).  Exact mode
-  runs to s = 8 on both routes, float ``moment_structure`` to s = 4.
+  1/(1 - u) whose coefficients C_h(u) (``structure_c_upoly``) are integer
+  polynomials: a Laguerre factor (``_structure_a_upoly``) times derivatives of
+  a 2s x 2s block determinant (``structure_b_expansion``).  That determinant's
+  polynomial in r = |z| is a Laplace expansion over the C(2s, s) column subsets
+  of its z-rows, each adding a product of two integer block sums, one
+  Laguerre-derivative determinant per block (``_block_sums``).  A float u is
+  evaluated exactly at its own dyadic rational and rounded once.
 
+Both routes run to s = 8 in exact mode; float ``moment_exact`` runs to s = 12.
 Both accept Fraction input for bit-exact results and float input for large N.
 Polynomials in u are coefficient lists, lowest power first, without trailing
 zeros.
@@ -30,13 +31,12 @@ import numpy as np
 
 from .combinatorics import _partition_det_sum
 from .errors import CapabilityError
-from .specfun import hyp1f1, reciprocal_gamma
+from .linalg import det_exact, det_float
 
 ExactNumber = Union[Fraction, float]
 
 EXACT_S_CAP = 8
 FLOAT_S_CAP = 12
-STRUCTURE_S_CAP = 4
 
 
 def _validate_sizes(N: int, s: int) -> None:
@@ -53,14 +53,14 @@ def _k_derivatives_exact(N: int, s: int, u: Fraction, max_order: int) -> list[Fr
             Fraction(math.factorial(m) * math.comb(terms, m + 1))
             for m in range(max_order + 1)
         ]
-    powers = [u**e for e in range(terms)]
-    out = []
-    for m in range(max_order + 1):
-        total = Fraction(0)
-        for j in range(m, terms):
-            total += math.perm(j, m) * powers[j - m]
-        out.append(total)
-    return out
+    # K^(m)(p/q) = sum_j perm(j, m) p^(j-m) q^(terms-1-j+m) / q^(terms-1).
+    p, q = u.numerator, u.denominator
+    scaled = [p**e * q ** (terms - 1 - e) for e in range(terms)]
+    denominator = q ** (terms - 1)
+    return [
+        Fraction(sum(math.perm(j, m) * scaled[j - m] for j in range(m, terms)), denominator)
+        for m in range(max_order + 1)
+    ]
 
 
 def _k_derivatives_float(N: int, s: int, u: float, max_order: int) -> list[float]:
@@ -129,32 +129,15 @@ def moment_exact(N: int, s: int, u: ExactNumber) -> ExactNumber:
 # ---------------------------------------------------------------------------
 
 
-def structure_a(s, h1: int, h2: int, r: float) -> float:
-    """Hypergeometric coefficient of the structure expansion, 0 <= h1 <= h2.
-
-    Vanishes for h2 >= s+1 at integer s through the reciprocal Gamma factor.
-    """
-    if not 0 <= h1 <= h2:
-        raise ValueError("structure_a requires 0 <= h1 <= h2")
-    rg = reciprocal_gamma(s - h2 + 1.0)
-    if rg == 0.0:
-        return 0.0
-    x = (s * s) * float(r) * float(r)
-    value = (
-        rg
-        * math.gamma(s + 1.0) ** 2
-        / (math.factorial(h1) * math.factorial(h2) * math.gamma(h2 - h1 + 1.0))
-        * math.exp(-x)
-        * hyp1f1(s + 1.0 - h1, h2 - h1 + 1.0, x)
-    )
-    return value
-
-
 def _structure_a_upoly(s: int, h1: int, h2: int) -> list[int]:
-    """Exact polynomial in u = r^2 equal to structure_a at integer s.
+    """The coefficient a_(h1,h2) of the structure expansion, 0 <= h1 <= h2, as
+    exact integer coefficients in u = r^2.
 
-    Uses the Laguerre form: binom(s,h1) binom(s,h2) *
-    sum_k binom(s-h2,k) binom(s-h1,h2-h1+k) (s-h2-k)! (s^2 u)^k.
+    a_(h1,h2) = s!^2 / (h1! h2! (s-h2)! (h2-h1)!) e^(-x) 1F1(s+1-h1, h2-h1+1; x)
+    at x = s^2 u; Kummer's transform makes the series terminate, in the Laguerre
+    form binom(s,h1) binom(s,h2) *
+    sum_k binom(s-h2,k) binom(s-h1,h2-h1+k) (s-h2-k)! (s^2 u)^k.  It vanishes
+    for h2 > s.
     """
     if not 0 <= h1 <= h2:
         raise ValueError("requires 0 <= h1 <= h2")
@@ -241,7 +224,8 @@ def _b_expansion(s: int, h1: int, h2: int, block_sums) -> dict[int, int]:
 
 
 def structure_b_expansion(N: int, s: int, h1: int, h2: int) -> dict[int, int]:
-    """b_(h1,h2) as an exact polynomial in r = |z|: power -> coefficient.
+    """b_(h1,h2)(N, r), the derivatives of the block determinant ratio at
+    z = w = -r, as an exact polynomial in r = |z|: power -> coefficient.
 
     Generalized Laplace expansion of the differentiated block matrix along its
     s z-rows.  Every entry of a row with derivative order o in a column with
@@ -255,52 +239,13 @@ def structure_b_expansion(N: int, s: int, h1: int, h2: int) -> dict[int, int]:
     """
     _validate_sizes(N, s)
     if not (0 <= h1 <= s and 0 <= h2 <= s):
-        raise ValueError("structure_b requires 0 <= h1, h2 <= s")
+        raise ValueError("structure_b_expansion requires 0 <= h1, h2 <= s")
     return _b_expansion(s, h1, h2, _block_sums(N, s))
-
-
-def structure_b(N: int, s: int, h1: int, h2: int, r: ExactNumber) -> ExactNumber:
-    """b_(h1,h2)(N, r): derivatives of the block determinant ratio at z = w = -r.
-
-    Exact for Rational r; symmetric in (h1, h2).
-    """
-    _validate_sizes(N, s)
-    if not (0 <= h1 <= s and 0 <= h2 <= s):
-        raise ValueError("structure_b requires 0 <= h1, h2 <= s")
-    exact = isinstance(r, Rational)
-    rv = Fraction(r) if exact else float(r)
-    zero = Fraction(0) if exact else 0.0
-
-    exponents = [[_block_exponent(N, s, i, j) for j in range(2 * s)] for i in range(2 * s)]
-
-    def rows(p, q):
-        return [
-            [zero if o > a else math.perm(a, o) * (-rv) ** (a - o) for a in row]
-            for o, row in zip(p + q, exponents)
-        ]
-
-    prefactor = (-s * rv) ** abs(h2 - h1)
-    return prefactor * _partition_det_sum(s, h1, h2, rows, exact)
 
 
 def _structure_pairs(s: int, h: int):
     """(h1, h2, multiplicity) triples contributing to C_h: h1 + h2 = h, h1 <= h2 <= s."""
     return [(h1, h - h1, 1 if 2 * h1 == h else 2) for h1 in range(max(0, h - s), h // 2 + 1)]
-
-
-def structure_c(N: int, s: int, h: int, r: float) -> float:
-    """C_h(N, r) in floats: the bilinear a*b sum over h1 + h2 = h.
-
-    The exact form is the polynomial structure_c_upoly.
-    """
-    _validate_sizes(N, s)
-    if h < 0:
-        raise ValueError("h must be non-negative")
-    r = float(r)
-    total = 0.0
-    for h1, h2, mult in _structure_pairs(s, h):
-        total += mult * structure_a(s, h1, h2, r) * structure_b(N, s, h1, h2, r)
-    return total
 
 
 def _c_upoly(N: int, s: int, h: int, block_sums) -> list[int]:
@@ -331,47 +276,60 @@ def structure_c_upoly(N: int, s: int, h: int) -> list[int]:
 def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
     """E|d/dz Lambda_N(z)|^(2s) at u = |z|^2 via the structure expansion.
 
-    Independent of moment_exact: combines structure_a and structure_b through
-    sum over h of C_h(N) / (1 - u)^(s^2 + 2s - h).  Requires u != 1.
+    Independent of moment_exact: sum over h of C_h(u) / (1 - u)^(s^2 + 2s - h),
+    evaluated exactly at u = p/q.  A float u is taken at its own dyadic
+    rational and the exact value is rounded once.  Requires u != 1.
     """
     _validate_sizes(N, s)
     if u == 1:
         raise ValueError("structure expansion is undefined at |z| = 1")
     if u < 0:
         raise ValueError("u = |z|^2 must be non-negative")
+    block_sums = _block_sums(N, s)
+    # The moment is P(u) / (1-u)^k with P = sum_h C_h (1-u)^h, built by Horner in (1-u).
+    k = s * s + 2 * s
+    poly: list[int] = []
+    for h in reversed(range(2 * s + 1)):
+        c_h = _c_upoly(N, s, h, block_sums)
+        poly = [a - b for a, b in zip(poly + [0], [0] + poly)]
+        poly += [0] * (len(c_h) - len(poly))
+        for e, c in enumerate(c_h):
+            poly[e] += c
+    # value = q^d P(p/q), d = len(poly) - 1, by Horner in integers.
+    p, q = Fraction(u).as_integer_ratio()
+    value, q_power = 0, 1
+    for c in reversed(poly):
+        value = value * p + c * q_power
+        q_power *= q
+    numerator, denominator = value * q**k, q ** (len(poly) - 1) * (q - p) ** k
     if isinstance(u, Rational):
-        # The sum at u = p/q over the denominator q^top (q-p)^(s^2+2s); value = q^top C_h(u).
-        p, q = Fraction(u).as_integer_ratio()
-        block_sums = _block_sums(N, s)
-        polys = [_c_upoly(N, s, h, block_sums) for h in range(2 * s + 1)]
-        top = max(len(coeffs) for coeffs in polys) - 1
-        numerator = 0
-        for h, coeffs in enumerate(polys):
-            value, q_power = 0, q ** (top + 1 - len(coeffs))
-            for c in reversed(coeffs):
-                value = value * p + c * q_power
-                q_power *= q
-            numerator += value * q ** (s * s + 2 * s - h) * (q - p) ** h
-        return Fraction(numerator, q**top * (q - p) ** (s * s + 2 * s))
-    if s > STRUCTURE_S_CAP:
-        raise CapabilityError(f"float structure expansion supports s <= {STRUCTURE_S_CAP}, got {s}")
-    uval = float(u)
-    r = math.sqrt(uval)
-    total = 0.0
-    for h in range(2 * s + 1):
-        total += structure_c(N, s, h, r) / (1.0 - uval) ** (s * s + 2 * s - h)
-    return total
+        return Fraction(numerator, denominator)
+    # int / int is correctly rounded: float(Fraction(...)) without its gcd.
+    return numerator / denominator
 
 
 def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
-    """E|Lambda_N(z)|^(2s) at |z| = r != 1, from the block determinant ratio."""
+    """E|Lambda_N(z)|^(2s) at |z| = r != 1, from the block determinant ratio.
+
+    b_(0,0) = det[perm(a, o) (-r)^(a-o)] / prod_i (s-i)!^2 on the 2s x 2s block
+    matrix (see _block_exponent), orders o = s-1..0 in each block's rows; the
+    moment is b_(0,0) / (1 - r^2)^(s^2).
+    """
     _validate_sizes(N, s)
     if r == 1:
         raise ValueError("radial moment via determinant ratio needs |z| != 1")
-    b00 = structure_b(N, s, 0, 0, r)
-    if isinstance(r, Rational):
-        return b00 / (1 - Fraction(r) ** 2) ** (s * s)
-    return b00 / (1.0 - float(r) ** 2) ** (s * s)
+    exact = isinstance(r, Rational)
+    rv = Fraction(r) if exact else float(r)
+    orders = list(range(s - 1, -1, -1)) * 2
+    rows = [
+        [0 if o > a else math.perm(a, o) * (-rv) ** (a - o)
+         for a in (_block_exponent(N, s, i, j) for j in range(2 * s))]
+        for i, o in enumerate(orders)
+    ]
+    weight = math.prod(math.factorial(o) for o in orders)
+    if exact:
+        return Fraction(1, weight) * det_exact(rows) / (1 - rv**2) ** (s * s)
+    return 1 / weight * det_float(rows) / (1.0 - rv**2) ** (s * s)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,6 @@ from .errors import CapabilityError
 _SERIES_LIMIT = 100_000
 
 
-def reciprocal_gamma(x: float) -> float:
-    """1 / Gamma(x), returning 0 at the poles x = 0, -1, -2, ..."""
-    if x <= 0 and float(x).is_integer():
-        return 0.0
-    return 1.0 / math.gamma(x)
-
-
 def hyp1f1(a: float, b: float, x: float) -> float:
     """Kummer's confluent hypergeometric function 1F1(a, b; x).
 

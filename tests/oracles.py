@@ -13,9 +13,16 @@ from itertools import combinations
 
 import numpy as np
 
-from cuederiv.combinatorics import enumerate_partitions, partition_factorial, syt_count
+from cuederiv.combinatorics import (
+    _partition_det_sum,
+    enumerate_partitions,
+    partition_factorial,
+    syt_count,
+)
 from cuederiv.errors import CapabilityError
+from cuederiv.exact_moments import _block_exponent
 from cuederiv.linalg import det_exact
+from cuederiv.specfun import hyp1f1
 
 
 def haar_phases(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -209,3 +216,46 @@ def partition_block_sum(h: int, s: int, exponents: tuple[int, ...]) -> Fraction:
         rows = [[math.perm(a, o) for a in exponents] for o in orders]
         total += Fraction(syt_count(lam), partition_factorial(lam, s)) * det_exact(rows)
     return total
+
+
+def structure_a(s: int, h1: int, h2: int, r: float) -> float:
+    """Structure coefficient a_(h1,h2)(r) at integer s, 0 <= h1 <= h2, in its
+    hypergeometric form s!^2 / (h1! h2! (s-h2)! (h2-h1)!) e^(-x)
+    1F1(s+1-h1, h2-h1+1; x) at x = s^2 r^2; zero for h2 > s.
+
+    The reference for exact_moments._structure_a_upoly.
+    """
+    if not 0 <= h1 <= h2:
+        raise ValueError("structure_a requires 0 <= h1 <= h2")
+    if h2 > s:
+        return 0.0
+    x = (s * s) * float(r) * float(r)
+    return (
+        1.0
+        / math.gamma(s - h2 + 1.0)
+        * math.gamma(s + 1.0) ** 2
+        / (math.factorial(h1) * math.factorial(h2) * math.gamma(h2 - h1 + 1.0))
+        * math.exp(-x)
+        * hyp1f1(s + 1.0 - h1, h2 - h1 + 1.0, x)
+    )
+
+
+def structure_b(N: int, s: int, h1: int, h2: int, r) -> Fraction:
+    """b_(h1,h2)(N, r) at rational r by its definition: (-s r)^|h2-h1| times
+    the sum over partitions lambda of h1 and mu of h2 of f_lambda f_mu /
+    ([lambda]! [mu]!) times the 2s x 2s block determinant, differentiated to
+    the orders of lambda in its z-rows and of mu in its w-rows, at z = w = -r.
+    One Bareiss determinant per pair of partitions.
+
+    The reference for exact_moments.structure_b_expansion.
+    """
+    rv = Fraction(r)
+    exponents = [[_block_exponent(N, s, i, j) for j in range(2 * s)] for i in range(2 * s)]
+
+    def rows(p, q):
+        return [
+            [0 if o > a else math.perm(a, o) * (-rv) ** (a - o) for a in row]
+            for o, row in zip(p + q, exponents)
+        ]
+
+    return (-s * rv) ** abs(h2 - h1) * _partition_det_sum(s, h1, h2, rows, True)

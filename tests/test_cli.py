@@ -1,9 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from cuederiv.cli import main
+from cuederiv.exact_moments import moment_structure
 
 
 def run_cli(capsys, *argv):
@@ -70,14 +72,22 @@ class TestExactCommand:
         assert rows[0]["value"] == rows[1]["value"]
 
     @pytest.mark.parametrize("argv, limit", [
-        (("--s", "5", "--mode", "float"), "float structure expansion supports s <= 4"),
+        (("--s", "5", "--mode", "float"), None),
         (("--s", "9", "--route", "structure"), "exact mode supports s <= 8"),
-    ], ids=["float-s5", "structure-s9"])
+        (("--s", "9", "--mode", "float", "--route", "structure"), "exact mode supports s <= 8"),
+    ], ids=["float-s5", "structure-s9", "float-structure-s9"])
     def test_structure_capability_limits(self, capsys, argv, limit):
         code, out, err = run_cli(capsys, "exact", "--N", "6", "--u", "1/2", *argv)
+        if limit is None:
+            # float mode evaluates the structure route exactly and rounds once
+            assert code == 0
+            (row,) = [row for row in parse_report(out)["results"]
+                      if row["provenance"] == "structure-expansion"]
+            assert row["value"] == float(moment_structure(6, 5, Fraction(1, 2)))
+            return
         assert code == 2
         assert out == ""
-        assert limit in err
+        assert limit in err and err.count("\n") == 1
 
     def test_float_overflow_is_capability_exit(self, capsys):
         code, out, err = run_cli(

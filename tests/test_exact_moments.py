@@ -10,20 +10,18 @@ from cuederiv.exact_moments import (
     _block_sums,
     _entry_from_kd,
     _k_derivatives_exact,
+    _structure_a_upoly,
     cue_moment_integer,
     cue_moment_ks,
     cue_moment_radial,
     moment_exact,
     moment_structure,
-    structure_a,
-    structure_b,
     structure_b_expansion,
-    structure_c,
     structure_c_upoly,
 )
 from cuederiv.linalg import det_exact, det_float
 from cuederiv.specfun import hyp1f1
-from oracles import appendix_d00, partition_block_sum
+from oracles import appendix_d00, partition_block_sum, structure_a, structure_b
 
 
 def closed_sum_s1(N, u):
@@ -98,9 +96,10 @@ class TestDerivativeEntry:
         for N in range(1, 7):
             s = 2
             poly = k_polynomial(N, s)
-            u = Fraction(2, 5)
-            assert derivative_entry(0, 1, N, s, u) == evaluate(derivative(poly), u)
-            assert derivative_entry(0, 2, N, s, u) == evaluate(derivative(derivative(poly)), u)
+            # a small denominator and the 2^-52-grained dyadic of a float
+            for u in (Fraction(2, 5), Fraction(0.99)):
+                assert derivative_entry(0, 1, N, s, u) == evaluate(derivative(poly), u)
+                assert derivative_entry(0, 2, N, s, u) == evaluate(derivative(derivative(poly)), u)
 
     def test_leibniz_against_symbolic(self):
         # (u^2 K''(u))' via symbolic polynomial calculus
@@ -162,31 +161,33 @@ class TestStructureA:
     def test_vanishes_past_s(self):
         assert structure_a(2, 0, 3, 0.5) == 0.0
         assert structure_a(1, 0, 2, 0.25) == 0.0
+        assert _structure_a_upoly(2, 0, 3) == _structure_a_upoly(1, 0, 2) == []
 
     def test_s1_base(self):
+        assert _structure_a_upoly(1, 0, 0) == [1, 1]
         for r in (0.0, 0.3, 0.9):
             assert abs(structure_a(1, 0, 0, r) - (1 + r * r)) < 1e-12
 
     def test_full_gamma_form_at_origin(self):
         # h1 = h2 = 0 at r = 0: Gamma(s+1)
         for s in (1, 2, 3):
+            assert _structure_a_upoly(s, 0, 0)[0] == math.factorial(s)
             assert abs(structure_a(s, 0, 0, 0.0) - math.gamma(s + 1)) < 1e-12
 
     def test_requires_ordered_pair(self):
         with pytest.raises(ValueError):
+            _structure_a_upoly(2, 2, 1)
+        with pytest.raises(ValueError):
             structure_a(2, 2, 1, 0.5)
 
-    def test_real_s(self):
-        # analytic in s: spot-check a non-integer s against the direct formula
-        s, h1, h2, r = 1.5, 0, 1, 0.6
-        x = s * s * r * r
-        direct = (
-            math.gamma(s + 1) ** 2
-            / (math.gamma(s - h2 + 1) * math.factorial(h2) * math.gamma(h2 - h1 + 1))
-            * math.exp(-x)
-            * hyp1f1(s + 1 - h1, h2 - h1 + 1, x)
-        )
-        assert abs(structure_a(s, h1, h2, r) - direct) < 1e-12 * abs(direct)
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_laguerre_form_matches_hypergeometric_form(self, s):
+        for h1 in range(s + 1):
+            for h2 in range(h1, s + 1):
+                for r in (0.0, 0.3, 0.5, 0.9, 0.99):
+                    value = float(evaluate(_structure_a_upoly(s, h1, h2), Fraction(r) ** 2))
+                    reference = structure_a(s, h1, h2, r)
+                    assert abs(value - reference) <= 1e-12 * abs(reference), (h1, h2, r)
 
 
 class TestStructureB:
@@ -240,16 +241,11 @@ class TestStructureB:
             w_ref = [partition_block_sum(h, s, tuple(w_exps[j] for j in rest)) for h in range(s + 1)]
             assert (z, w) == (z_ref, w_ref), cols
 
-    def test_float_mode(self):
-        N, s, r = 6, 2, 0.37
-        exact = structure_b(N, s, 1, 2, Fraction(37, 100))
-        assert abs(structure_b(N, s, 1, 2, r) - float(exact)) < 1e-12 * abs(float(exact))
-
 
 class TestStructureC:
     def test_empty_above_2s(self):
-        assert structure_c(3, 1, 3, Fraction(1, 2)) == 0
-        assert structure_c(3, 2, 5, 0.5) == 0.0
+        assert structure_c_upoly(3, 1, 3) == []
+        assert structure_c_upoly(3, 2, 5) == []
 
     def test_polynomial_degree_in_u(self):
         for N, s in [(2, 1), (4, 1), (3, 2)]:
@@ -264,13 +260,13 @@ class TestStructureC:
             * math.exp(-(s * r) ** 2)
             * hyp1f1(s + 1, 1, (s * r) ** 2)
         )
-        value = structure_c(200, s, 0, r)
+        value = float(evaluate(structure_c_upoly(200, s, 0), Fraction(1, 4)))
         assert abs(value - limit) < 1e-4 * abs(limit)
 
     def test_higher_c_vanish_in_the_limit(self):
-        s, r = 2, 0.5
+        s = 2
         for h in (1, 2, 3, 4):
-            assert abs(structure_c(200, s, h, r)) < 1e-4
+            assert abs(evaluate(structure_c_upoly(200, s, h), Fraction(1, 4))) < 1e-4
 
 
 GRID_POINTS = [Fraction(0), Fraction(1, 16), Fraction(1, 4), Fraction(9, 16), Fraction(4)]
@@ -310,6 +306,13 @@ class TestMomentStructure:
         for N, s, u in [(4, 1, 0.3), (5, 2, 0.49)]:
             exact = float(moment_exact(N, s, Fraction(u).limit_denominator(10**6)))
             assert abs(moment_structure(N, s, u) - exact) < 1e-9 * exact
+
+    @pytest.mark.parametrize("N, u", [(10, 0.9), (10, 0.99), (10, 0.999999), (100, 0.99), (1000, 0.99)])
+    def test_float_is_the_rounded_exact_value(self, N, u):
+        # near u = 1 a float evaluation of the expansion loses every digit, or the sign
+        value = moment_structure(N, 4, u)
+        assert value == float(moment_structure(N, 4, Fraction(u)))
+        assert value > 0
 
     def test_rejects_unit_circle(self):
         with pytest.raises(ValueError):
