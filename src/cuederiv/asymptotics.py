@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 import numpy as np
 
@@ -154,28 +153,40 @@ def _truncated_product(x: np.ndarray, y: np.ndarray, deg: int) -> np.ndarray:
     return out
 
 
+def _truncated_inverse(x: np.ndarray, deg: int) -> np.ndarray:
+    """1 / x in the bivariate series truncated at degree deg; needs x[0, 0] != 0."""
+    y = np.zeros((deg + 1, deg + 1))
+    for p in range(deg + 1):
+        for q in range(deg + 1):
+            # y[p, q] is still 0, so the sum leaves out the x[0, 0] y[p, q] term.
+            rest = np.sum(x[: p + 1, : q + 1] * y[p::-1, q::-1])
+            y[p, q] = ((p == q == 0) - rest) / x[0, 0]
+    return y
+
+
 def micro_b_bessel(s: int, c: float) -> float:
     """Microscopic coefficient extracted from the Bessel-kernel determinant.
 
     Expands every entry of the s x s kernel-derivative matrix as a bivariate
-    Taylor series to degree s, pushes the truncated series through the Leibniz
-    determinant, and reads off the (v^s w^s) coefficient.
+    Taylor series to degree s, takes the determinant by Gaussian elimination
+    over the truncated series, and reads off the (v^s w^s) coefficient.  The
+    pivots are invertible: their constant terms come from the positive-definite
+    Hankel matrix of exponential moments.
     """
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
     table = [exp_moment(k, c) for k in range(4 * s - 1)]
-    entries = {
-        (i, j): _bessel_entry_coeffs(i, j, table, s)
-        for i in range(1, s + 1)
-        for j in range(1, s + 1)
-    }
+    rows = [[_bessel_entry_coeffs(i, j, table, s) for j in range(1, s + 1)]
+            for i in range(1, s + 1)]
     det_coeffs = np.zeros((s + 1, s + 1))
-    for perm in permutations(range(1, s + 1)):
-        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
-        prod = entries[(1, perm[0])]
-        for i in range(2, s + 1):
-            prod = _truncated_product(prod, entries[(i, perm[i - 1])], s)
-        det_coeffs += sign * prod
+    det_coeffs[0, 0] = 1.0
+    for k in range(s):
+        det_coeffs = _truncated_product(det_coeffs, rows[k][k], s)
+        inverse = _truncated_inverse(rows[k][k], s)
+        for i in range(k + 1, s):
+            factor = _truncated_product(rows[i][k], inverse, s)
+            for j in range(k + 1, s):
+                rows[i][j] -= _truncated_product(factor, rows[k][j], s)
     return float(det_coeffs[s, s]) * math.factorial(s) ** 2
 
 

@@ -13,7 +13,9 @@ Two independent finite-N routes are implemented:
   Laguerre-derivative determinant per block (``_block_sums``).  A float u is
   evaluated exactly at its own dyadic rational and rounded once.
 
-Both routes run to s = 8 in exact mode; float ``moment_exact`` runs to s = 12.
+``cue_moment_radial`` is that determinant's b_(0,0)(u) / (1 - u)^(s^2), evaluated
+the same way.  Both routes and ``cue_moment_radial`` run to s = 8 in exact
+mode; float ``moment_exact`` runs to s = 12.
 Both accept Fraction input for bit-exact results and float input for large N.
 Polynomials in u are coefficient lists, lowest power first, without trailing
 zeros.
@@ -25,13 +27,12 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from numbers import Rational
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from .combinatorics import _partition_det_sum
 from .errors import CapabilityError
-from .linalg import det_exact, det_float
 
 ExactNumber = Union[Fraction, float]
 
@@ -273,6 +274,30 @@ def structure_c_upoly(N: int, s: int, h: int) -> list[int]:
     return _c_upoly(N, s, h, _block_sums(N, s))
 
 
+def _over_one_minus_u(
+    poly: Iterable[tuple[int, int]], k: int, u: Fraction, exact: bool
+) -> ExactNumber:
+    """P(u) / (1 - u)^k for an integer polynomial P given as (power, coefficient)
+    pairs, u != 1, evaluated at u = p/q over one denominator: a Fraction if
+    `exact`, else the exact value rounded once to a float.  Only nonzero
+    coefficients are visited.
+    """
+    p, q = u.as_integer_ratio()
+    terms = sorted((e, c) for e, c in poly if c)
+    # q^d P(p/q) = value p^last, d the degree, by Horner in integers over the gaps in the powers.
+    degree = terms[-1][0] if terms else 0
+    value, q_power, last = 0, 1, degree
+    for e, c in reversed(terms):
+        q_power *= q ** (last - e)
+        value = value * p ** (last - e) + c * q_power
+        last = e
+    numerator, denominator = value * p**last * q**k, q**degree * (q - p) ** k
+    if exact:
+        return Fraction(numerator, denominator)
+    # int / int is correctly rounded: float(Fraction(...)) without its gcd.
+    return numerator / denominator
+
+
 def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
     """E|d/dz Lambda_N(z)|^(2s) at u = |z|^2 via the structure expansion.
 
@@ -295,41 +320,22 @@ def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
         poly += [0] * (len(c_h) - len(poly))
         for e, c in enumerate(c_h):
             poly[e] += c
-    # value = q^d P(p/q), d = len(poly) - 1, by Horner in integers.
-    p, q = Fraction(u).as_integer_ratio()
-    value, q_power = 0, 1
-    for c in reversed(poly):
-        value = value * p + c * q_power
-        q_power *= q
-    numerator, denominator = value * q**k, q ** (len(poly) - 1) * (q - p) ** k
-    if isinstance(u, Rational):
-        return Fraction(numerator, denominator)
-    # int / int is correctly rounded: float(Fraction(...)) without its gcd.
-    return numerator / denominator
+    return _over_one_minus_u(enumerate(poly), k, Fraction(u), isinstance(u, Rational))
 
 
 def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
-    """E|Lambda_N(z)|^(2s) at |z| = r != 1, from the block determinant ratio.
+    """E|Lambda_N(z)|^(2s) at |z| = |r| != 1: b_(0,0)(u) / (1 - u)^(s^2), u = r^2.
 
-    b_(0,0) = det[perm(a, o) (-r)^(a-o)] / prod_i (s-i)!^2 on the 2s x 2s block
-    matrix (see _block_exponent), orders o = s-1..0 in each block's rows; the
-    moment is b_(0,0) / (1 - r^2)^(s^2).
+    b_(0,0) comes from the structure route's block sums (``_b_expansion``).  A
+    float r is taken at its own dyadic rational and the exact value is rounded
+    once.
     """
     _validate_sizes(N, s)
-    if r == 1:
+    if r * r == 1:
         raise ValueError("radial moment via determinant ratio needs |z| != 1")
-    exact = isinstance(r, Rational)
-    rv = Fraction(r) if exact else float(r)
-    orders = list(range(s - 1, -1, -1)) * 2
-    rows = [
-        [0 if o > a else math.perm(a, o) * (-rv) ** (a - o)
-         for a in (_block_exponent(N, s, i, j) for j in range(2 * s))]
-        for i, o in enumerate(orders)
-    ]
-    weight = math.prod(math.factorial(o) for o in orders)
-    if exact:
-        return Fraction(1, weight) * det_exact(rows) / (1 - rv**2) ** (s * s)
-    return 1 / weight * det_float(rows) / (1.0 - rv**2) ** (s * s)
+    b00 = _b_expansion(s, 0, 0, _block_sums(N, s))
+    terms = ((e // 2, c) for e, c in b00.items())
+    return _over_one_minus_u(terms, s * s, Fraction(r) ** 2, isinstance(r, Rational))
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ class TestMicroscopic:
         for c in (-1.0, 0.0, 2.0):
             assert abs(micro_b_bessel(1, c) - exp_moment(2, c)) < 1e-14
 
-    @pytest.mark.parametrize("s", (1, 2, 3))
+    @pytest.mark.parametrize("s", (1, 2, 3, 4))
     @pytest.mark.parametrize("c", (-1.0, 0.0, 0.5, 2.0))
     def test_routes_agree(self, s, c):
         a, b = micro_b(s, c), micro_b_bessel(s, c)

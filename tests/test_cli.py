@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cuederiv.cli import main
-from cuederiv.exact_moments import moment_structure
+from cuederiv.exact_moments import cue_moment_radial, moment_structure
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +111,18 @@ class TestExactCommand:
         assert code == 0
         rows = parse_report(out)["results"]
         assert rows[0]["value"]["num"] == "3"
+
+    @pytest.mark.parametrize("r", ("0.9999999999", "0.99999999999999"))
+    def test_float_radial_near_the_circle(self, capsys, r):
+        code, out, err = run_cli(
+            capsys, "exact", "--N", "10", "--s", "5", "--r", r,
+            "--mode", "float", "--route", "cue-radial",
+        )
+        assert code == 0 and err == ""
+        assert "Infinity" not in out and "NaN" not in out
+        (row,) = parse_report(out)["results"]
+        exact = cue_moment_radial(10, 5, Fraction(float(Fraction(r))))
+        assert row["value"] == float(exact) > 0
 
 
 class TestAsymptCommand:

@@ -196,11 +196,12 @@ class TestStructureB:
         assert structure_b(N, 1, 0, 0, r) == 1 - r ** (2 * N + 2)
 
     def test_b00_equals_radial_cue_moment(self):
-        for N, s in [(3, 1), (4, 2)]:
-            r = Fraction(1, 2)
-            lhs = structure_b(N, s, 0, 0, r)
-            rhs = (1 - r * r) ** (s * s) * cue_moment_radial(N, s, r)
-            assert lhs == rhs
+        for N in (1, 3, 10, 50):
+            for s in range(1, 6):
+                for r in (Fraction(1, 2), Fraction(2), Fraction(99, 100)):
+                    lhs = structure_b(N, s, 0, 0, r)
+                    rhs = (1 - r * r) ** (s * s) * cue_moment_radial(N, s, r)
+                    assert lhs == rhs, (N, s, r)
 
     def test_symmetry_all_pairs(self):
         N, s, r = 4, 2, Fraction(1, 2)
@@ -362,6 +363,23 @@ class TestCueMoments:
             assert cue_moment_radial(N, s, r) == r ** (2 * s * N) * cue_moment_radial(
                 N, s, 1 / r
             )
+
+    def test_float_radial_is_rounded_exact_value(self):
+        points = [(10, 4, r) for r in (0.99, 0.999, 0.9999)] + [(200, 5, 0.999)]
+        for N, s, r in points:
+            value = cue_moment_radial(N, s, r)
+            assert value == float(cue_moment_radial(N, s, Fraction(r))), (N, s, r)
+            assert value > 0
+
+    @pytest.mark.parametrize("r", (1, -1, Fraction(1), Fraction(-1), 1.0, -1.0),
+                             ids=("1", "-1", "Fraction(1)", "Fraction(-1)", "1.0", "-1.0"))
+    def test_radial_rejects_unit_circle(self, r):
+        with pytest.raises(ValueError):
+            cue_moment_radial(4, 2, r)
+
+    def test_radial_shares_the_exact_cap(self):
+        with pytest.raises(CapabilityError):
+            cue_moment_radial(4, 9, 0.5)
 
     def test_real_s_path(self):
         assert cue_moment_ks(5, 0.5) > 0
