@@ -117,10 +117,8 @@ def micro_b(s: int, c: float) -> float:
     """
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
-    table = [exp_moment(k, c) for k in range(4 * s - 1)]
-    return _partition_det_sum(
-        s, s, s, lambda p, q: [[table[i + j] for j in q] for i in p], exact=False
-    )
+    moments = [exp_moment(k, c) for k in range(4 * s - 1)]
+    return _partition_det_sum(s, [[moments[p + q] for q in range(2 * s)] for p in range(2 * s)])
 
 
 def _bessel_entry_coeffs(i: int, j: int, table: list[float], deg: int) -> np.ndarray:
@@ -209,7 +207,7 @@ def cue_limit(s: float, point: RegimePoint) -> float:
     s = int(s)
     table = [exp_moment(k, point.c) for k in range(2 * s - 1)]
     rows = [[table[i + j] for j in range(s)] for i in range(s)]
-    coefficient = math.factorial(s) * det_float(rows)
+    coefficient = math.factorial(s) * float(det_float(rows))
     for j in range(1, s + 1):
         coefficient /= math.gamma(j) * math.gamma(j + 1)
     if point.N is None:

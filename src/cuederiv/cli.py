@@ -276,9 +276,13 @@ def _run_asympt(args):
     if args.c is None:
         raise SystemExit2("microscopic needs --c")
     s = _integer_s(args)
-    coeff = micro_b(s, args.c)
+    coeff, bessel = micro_b(s, args.c), micro_b_bessel(s, args.c)
+    # Both forms lose accuracy as s grows or c falls; neither is trusted where they disagree.
+    if not abs(bessel - coeff) <= 1e-6 * abs(coeff):
+        raise CapabilityError(f"the two microscopic forms differ by more than 1e-6 at s={s}, "
+                              f"c={args.c}: {coeff:.6g} and {bessel:.6g}")
     rows = [_result("coefficient", coeff, "exp-moment-determinant"),
-            _result("coefficient", micro_b_bessel(s, args.c), "bessel-kernel-determinant")]
+            _result("coefficient", bessel, "bessel-kernel-determinant")]
     if args.N is not None:
         rows.append(_result("moment_asymptotic", coeff * args.N ** (s * s + 2 * s),
                             "exp-moment-determinant"))

@@ -8,7 +8,9 @@ integers; formulas that index parts past its length pad it with zeros.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+
+import numpy as np
 
 from .linalg import det_exact, det_float
 
@@ -79,19 +81,30 @@ def _partition_data(h: int, s: int):
     return data
 
 
-def _partition_det_sum(s: int, h1: int, h2: int, rows, exact: bool):
-    """Sum over lambda of h1 and mu of h2 (lengths <= s) of
-    f_lambda f_mu / ([lambda]! [mu]!) det rows(p, q).
+def _partition_det_sum(s: int, table):
+    """Sum over partitions lambda and mu of s of f_lambda f_mu / ([lambda]! [mu]!)
+    det table[p][q], p and q the derivative orders of lambda and mu.
 
-    p and q are the derivative orders of lambda and mu (see _partition_data);
-    `rows` builds the matrix from them.  Exact (Fraction) or float arithmetic.
+    `table` is 2s x 2s.  An integer table gives a Fraction: integer Bareiss
+    determinants weighted over one denominator.  A float table gives a float:
+    one stacked det_float call, its weighted terms added in order, lambda
+    outer.  The weights sum to at most 1, so the sum is finite where its
+    determinants are.
     """
-    total = Fraction(0) if exact else 0.0
-    mu_data = _partition_data(h2, s)
-    for f_lam, fact_lam, p in _partition_data(h1, s):
-        for f_mu, fact_mu, q in mu_data:
-            if exact:
-                total += Fraction(f_lam * f_mu, fact_lam * fact_mu) * det_exact(rows(p, q))
-            else:
-                total += f_lam * f_mu / (fact_lam * fact_mu) * det_float(rows(p, q))
+    data = _partition_data(s, s)
+    pairs = [(lam, mu) for lam in data for mu in data]
+    if isinstance(table[0][0], int):
+        common = lcm(*(fact for _, fact, _ in data))
+        total = sum(
+            f_lam * (common // fact_lam) * f_mu * (common // fact_mu)
+            * det_exact([[table[i][j] for j in q] for i in p])
+            for (f_lam, fact_lam, p), (f_mu, fact_mu, q) in pairs
+        )
+        return Fraction(total, common * common)
+    orders = np.array([p for _, _, p in data])
+    stack = np.asarray(table, dtype=float)[orders[:, None, :, None], orders[None, :, None, :]]
+    dets = det_float(stack).ravel().tolist()
+    total = 0.0
+    for ((f_lam, fact_lam, _), (f_mu, fact_mu, _)), det in zip(pairs, dets):
+        total += f_lam * f_mu / (fact_lam * fact_mu) * det
     return total

@@ -3,7 +3,9 @@
 Two independent finite-N routes are implemented:
 
 * ``moment_exact``: the partition/determinant formula built from repeated
-  derivatives of the truncated geometric kernel K_N(u) = 1 + u + ... + u^(N+s-1).
+  derivatives of the truncated geometric kernel K_N(u) = 1 + u + ... + u^(N+s-1),
+  in integers over one denominator at rational u, and in floats with all of its
+  determinants in one stacked call.
 * ``moment_structure``: the expansion of the moment as a polynomial in
   1/(1 - u) whose coefficients C_h(u) (``structure_c_upoly``) are integer
   polynomials: a Laguerre factor (``_structure_a_upoly``) times derivatives of
@@ -47,19 +49,13 @@ def _validate_sizes(N: int, s: int) -> None:
         raise ValueError(f"s must be a positive integer, got {s}")
 
 
-def _k_derivatives_exact(N: int, s: int, u: Fraction, max_order: int) -> list[Fraction]:
+def _k_derivatives_exact(N: int, s: int, p: int, q: int, max_order: int) -> list[int]:
+    """q^(N+s-1) K^(m)(p/q) for m = 0..max_order, in integers:
+    K^(m)(p/q) = sum_j perm(j, m) p^(j-m) q^(N+s-1-j+m) / q^(N+s-1)."""
     terms = N + s
-    if u == 1:
-        return [
-            Fraction(math.factorial(m) * math.comb(terms, m + 1))
-            for m in range(max_order + 1)
-        ]
-    # K^(m)(p/q) = sum_j perm(j, m) p^(j-m) q^(terms-1-j+m) / q^(terms-1).
-    p, q = u.numerator, u.denominator
     scaled = [p**e * q ** (terms - 1 - e) for e in range(terms)]
-    denominator = q ** (terms - 1)
     return [
-        Fraction(sum(math.perm(j, m) * scaled[j - m] for j in range(m, terms)), denominator)
+        sum(math.perm(j, m) * scaled[j - m] for j in range(m, terms))
         for m in range(max_order + 1)
     ]
 
@@ -67,62 +63,54 @@ def _k_derivatives_exact(N: int, s: int, u: Fraction, max_order: int) -> list[Fr
 def _k_derivatives_float(N: int, s: int, u: float, max_order: int) -> list[float]:
     terms = N + s
     if u == 1.0:
-        return [
-            float(math.factorial(m)) * float(math.comb(terms, m + 1))
-            for m in range(max_order + 1)
-        ]
-    exponents = np.arange(terms, dtype=float)
-    u_pows = np.power(u, exponents)
+        return [float(math.factorial(m)) * float(math.comb(terms, m + 1))
+                for m in range(max_order + 1)]
+    u_pows = np.power(u, np.arange(terms, dtype=float))
     out = []
     for m in range(max_order + 1):
-        if m >= terms:
-            out.append(0.0)
-            continue
+        # Past the degree, j is empty and the sum is 0.
         j = np.arange(m, terms, dtype=float)
         poch = np.ones_like(j)
         for t in range(m):
             poch *= j - t
-        out.append(float(np.sum(poch * u_pows[: terms - m])))
+        out.append(float(np.sum(poch * u_pows[: len(j)])))
     return out
 
 
-def _entry_from_kd(p: int, q: int, u, kd) -> ExactNumber:
-    """Leibniz expansion of the q-th derivative of u^p K^(p)(u)."""
+def _entry_from_kd(p: int, q: int, a, b, kd):
+    """Leibniz expansion of the q-th derivative of u^p K^(p)(u) at u = a/b, times
+    b^p: sum_t C(q, t) perm(p, t) a^(p-t) b^t K^(p+q-t).  Integer for integer a,
+    b and kd; b = 1 for a float u = a."""
     total = kd[0] * 0
     for t in range(min(p, q) + 1):
-        total += math.comb(q, t) * math.perm(p, t) * u ** (p - t) * kd[p + q - t]
+        total += math.comb(q, t) * math.perm(p, t) * a ** (p - t) * b**t * kd[p + q - t]
     return total
 
 
 def moment_exact(N: int, s: int, u: ExactNumber) -> ExactNumber:
     """E|d/dz Lambda_N(z)|^(2s) at u = |z|^2, by the partition determinant sum.
 
-    Exact Fraction output for Rational u, float output otherwise.
+    Exact Fraction output for Rational u = a/b, float output otherwise (b = 1).
+    The table row of order p, times b^(N+s-1+p), is an integer, and the orders
+    of every partition of s add up to s(s+1)/2, so every determinant of the sum
+    shares the denominator b^(s(N+s-1) + s(s+1)/2), divided out at the end.
     """
     _validate_sizes(N, s)
     exact = isinstance(u, Rational)
-    if exact and s > EXACT_S_CAP:
-        raise CapabilityError(f"exact mode supports s <= {EXACT_S_CAP}, got {s}")
-    if not exact and s > FLOAT_S_CAP:
-        raise CapabilityError(f"float mode supports s <= {FLOAT_S_CAP}, got {s}")
+    mode, cap = ("exact", EXACT_S_CAP) if exact else ("float", FLOAT_S_CAP)
+    if s > cap:
+        raise CapabilityError(f"{mode} mode supports s <= {cap}, got {s}")
+    if u < 0:
+        raise ValueError("u = |z|^2 must be non-negative")
     if exact:
-        uval = Fraction(u)
-        if uval < 0:
-            raise ValueError("u = |z|^2 must be non-negative")
-        kd = _k_derivatives_exact(N, s, uval, 4 * s - 2)
+        a, b = u.numerator, u.denominator
+        kd = _k_derivatives_exact(N, s, a, b, 4 * s - 2)
     else:
-        uval = float(u)
-        if uval < 0:
-            raise ValueError("u = |z|^2 must be non-negative")
-        kd = _k_derivatives_float(N, s, uval, 4 * s - 2)
+        a, b = float(u), 1
+        kd = _k_derivatives_float(N, s, a, 4 * s - 2)
 
-    # Orders run over 0..2s-1; compute each distinct entry once.
-    table = [
-        [_entry_from_kd(p, q, uval, kd) for q in range(2 * s)] for p in range(2 * s)
-    ]
-    return _partition_det_sum(
-        s, s, s, lambda p, q: [[table[i][j] for j in q] for i in p], exact
-    )
+    table = [[_entry_from_kd(p, q, a, b, kd) for q in range(2 * s)] for p in range(2 * s)]
+    return _partition_det_sum(s, table) / b ** (s * (N + s - 1) + s * (s + 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,22 @@
-"""Small dense determinants: fraction-free exact and scaled floating point."""
+"""Small dense determinants: integer Bareiss and stacked, row-scaled floats."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
+from .errors import CapabilityError
 
-def det_exact(rows) -> Fraction:
-    """Determinant of a matrix of ints/Fractions by integer Bareiss elimination.
 
-    Rows are rescaled to clear denominators first so the elimination runs in
-    pure integer arithmetic with exact divisions.
-    """
-    n = len(rows)
+def det_exact(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
     if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    m: list[list[int]] = []
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        lcm = 1
-        for x in row:
-            if not isinstance(x, Rational):
-                raise TypeError(f"det_exact needs rational entries, got {type(x)}")
-            d = x.denominator
-            lcm = lcm * d // math.gcd(lcm, d)
-        scale /= lcm
-        m.append([int(x * lcm) for x in row])
-
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -42,32 +27,40 @@ def det_exact(rows) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = pivot
-    return sign * scale * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1]
 
 
-def det_float(rows) -> float:
-    """Determinant of a float matrix, row-scaled to dodge overflow/underflow."""
-    a = np.array(rows, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    log_scale = 0.0
-    for i in range(n):
-        mx = np.max(np.abs(a[i]))
-        if mx == 0.0 or not np.isfinite(mx):
-            if not np.isfinite(mx):
-                raise OverflowError("non-finite matrix entry")
-            return 0.0
-        a[i] /= mx
-        log_scale += math.log(mx)
-    sign, log_abs = np.linalg.slogdet(a)
-    if sign == 0.0:
-        return 0.0
-    return float(sign) * math.exp(log_abs + log_scale)
+def det_float(stack) -> np.ndarray:
+    """Determinants of a stack of float matrices, shape (..., n, n) -> (...).
+
+    Each row is divided by its largest magnitude before np.linalg.slogdet and
+    the log scales are added back, matrix by matrix, with math.log and
+    math.exp.  Raises CapabilityError on a non-finite entry or a determinant
+    that leaves double precision.
+    """
+    a = np.array(stack, dtype=float)
+    *shape, n, _ = a.shape
+    a = a.reshape(math.prod(shape), n, n)
+    row_max = np.max(np.abs(a), axis=2, initial=0.0)
+    if not np.isfinite(row_max).all():
+        raise CapabilityError("float overflow: non-finite determinant entry")
+    row_max[row_max == 0.0] = 1.0  # a zero row stays zero: slogdet gives sign 0
+    sign, log_abs = np.linalg.slogdet(a / row_max[:, :, None])
+    dets = np.zeros(len(a))
+    for k, maxima in enumerate(row_max.tolist()):
+        if sign[k]:
+            log_scale = 0.0
+            for mx in maxima:
+                log_scale += math.log(mx)
+            try:
+                dets[k] = float(sign[k]) * math.exp(log_abs[k] + log_scale)
+            except OverflowError:
+                raise CapabilityError("float overflow in a determinant") from None
+    return dets.reshape(shape)

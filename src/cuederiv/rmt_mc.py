@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenphaseCollisionError
+from .errors import CapabilityError, EigenphaseCollisionError
 
 GENERATOR_NAME = "pcg64/verblunsky"
 COLLISION_TOLERANCE = 1e-14
@@ -221,10 +221,7 @@ def _estimate_from_values(values, seed, resampled=0, fallback=0) -> MomentEstima
     carried by a few draws (a heavy or infinite-mean tail)."""
     n = len(values)
     mean = float(np.mean(values))
-    if n >= 2:
-        se = float(np.std(values, ddof=1) / math.sqrt(n))
-    else:
-        se = math.inf
+    se = float(np.std(values, ddof=1) / math.sqrt(n))
     k = max(1, n // 100)
     largest = np.partition(values, n - k)[n - k :]
     total = float(np.sum(values))
@@ -297,10 +294,16 @@ def _estimate_joint(N, s, h, z1, z2, samples, seed, threads, progress) -> Moment
         # |Lambda'(z1)|^(2s) draw for draw.
         log_phi, log_dphi, unresolved = _szego(alpha, [z1] if z1 == z2 else [z1, z2])
         bracket = 2 * s * log_phi[0] - 2 * h * log_phi[-1]
-        return np.exp(2 * h * log_dphi[-1] + bracket), unresolved[-1]
+        with np.errstate(over="ignore"):
+            return np.exp(2 * h * log_dphi[-1] + bracket), unresolved[-1]
 
     values, resampled = _collect_values(N, samples, seed, threads, evaluate, progress)
-    return _estimate_from_values(values, seed, resampled)
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = _estimate_from_values(values, seed, resampled)
+    # An infinite value makes the mean infinite.
+    if not (math.isfinite(estimate.mean) and math.isfinite(estimate.std_error)):
+        raise CapabilityError("float overflow: Monte Carlo moment exceeds double precision")
+    return estimate
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from cuederiv.combinatorics import (
-    _partition_det_sum,
+    _partition_data,
     enumerate_partitions,
     partition_factorial,
     syt_count,
@@ -240,22 +240,44 @@ def structure_a(s: int, h1: int, h2: int, r: float) -> float:
     )
 
 
+def fraction_det(rows) -> Fraction:
+    """Determinant of a matrix of Fractions by Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            for j in range(k + 1, n):
+                m[i][j] -= factor * m[k][j]
+    return det
+
+
 def structure_b(N: int, s: int, h1: int, h2: int, r) -> Fraction:
     """b_(h1,h2)(N, r) at rational r by its definition: (-s r)^|h2-h1| times
     the sum over partitions lambda of h1 and mu of h2 of f_lambda f_mu /
     ([lambda]! [mu]!) times the 2s x 2s block determinant, differentiated to
     the orders of lambda in its z-rows and of mu in its w-rows, at z = w = -r.
-    One Bareiss determinant per pair of partitions.
+    One Fraction determinant per pair of partitions.
 
     The reference for exact_moments.structure_b_expansion.
     """
     rv = Fraction(r)
     exponents = [[_block_exponent(N, s, i, j) for j in range(2 * s)] for i in range(2 * s)]
-
-    def rows(p, q):
-        return [
-            [0 if o > a else math.perm(a, o) * (-rv) ** (a - o) for a in row]
-            for o, row in zip(p + q, exponents)
-        ]
-
-    return (-s * rv) ** abs(h2 - h1) * _partition_det_sum(s, h1, h2, rows, True)
+    total = Fraction(0)
+    mu_data = _partition_data(h2, s)
+    for f_lam, fact_lam, p in _partition_data(h1, s):
+        for f_mu, fact_mu, q in mu_data:
+            rows = [
+                [0 if o > a else math.perm(a, o) * (-rv) ** (a - o) for a in row]
+                for o, row in zip(p + q, exponents)
+            ]
+            total += Fraction(f_lam * f_mu, fact_lam * fact_mu) * fraction_det(rows)
+    return (-s * rv) ** abs(h2 - h1) * total

@@ -162,6 +162,15 @@ class TestAsymptCommand:
         assert code == 2 and out == ""
         assert err.startswith("capability limit:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("s, c", [("8", "0"), ("10", "-40")])
+    def test_disagreeing_micro_forms_are_capability_exit(self, capsys, s, c):
+        # micro_b_bessel is off by a factor 2.9 at (8, 0); micro_b is off by a
+        # factor 10 or more at (8, -40) and (10, -40).
+        code, out, err = run_cli(capsys, "asympt", "--regime", "micro", "--s", s, "--c", c)
+        assert code == 2 and out == ""
+        assert err.startswith("capability limit:") and "microscopic forms differ" in err
+        assert err.count("\n") == 1
+
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "asympt", "--regime", "global", "--s", "1")
         assert code == 1
@@ -198,6 +207,17 @@ class TestMcCommand:
             "--z1", "0.3", "--z2", "0.5j", "--samples", "1000", "--seed", "3",
         )
         assert code == 0
+
+    def test_overflowing_moment_is_capability_exit(self, capsys):
+        # |Lambda'(0.99)|^80 leaves double precision on some draws; no
+        # Infinity or NaN may reach the report.
+        code, out, err = run_cli(
+            capsys, "mc", "--N", "200", "--s", "40", "--z", "0.99",
+            "--samples", "100", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("capability limit:") and "overflow" in err
+        assert err.count("\n") == 1
 
     def test_reports_are_deterministic(self, capsys):
         argv = ["mc", "--N", "6", "--s", "1", "--z", "0.5",

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from cuederiv import combinatorics
 from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import (
     _block_exponent,
@@ -46,15 +48,33 @@ def evaluate(coeffs, u):
 
 
 def derivative_entry(p, q, N, s, u):
-    """The (p, q) determinant entry (u^p K_N^(p)(u))^(q), as moment_exact builds it."""
-    return _entry_from_kd(p, q, u, _k_derivatives_exact(N, s, u, p + q))
+    """The (p, q) determinant entry (u^p K_N^(p)(u))^(q) at rational u = a/b:
+    moment_exact's integer entry over its row denominator b^(N+s-1+p)."""
+    a, b = u.numerator, u.denominator
+    kd = _k_derivatives_exact(N, s, a, b, p + q)
+    return Fraction(_entry_from_kd(p, q, a, b, kd), b ** (N + s - 1 + p))
+
+
+def one_matrix_det_float(rows):
+    """The single-matrix float determinant that det_float stacks: rows scaled
+    by their largest magnitude, np.linalg.slogdet, log scales added back."""
+    a = np.array(rows, dtype=float)
+    log_scale = 0.0
+    for i in range(len(a)):
+        mx = np.max(np.abs(a[i]))
+        if mx == 0.0:
+            return 0.0
+        a[i] /= mx
+        log_scale += math.log(mx)
+    sign, log_abs = np.linalg.slogdet(a)
+    return 0.0 if sign == 0.0 else float(sign) * math.exp(log_abs + log_scale)
 
 
 class TestDeterminants:
     def test_exact_matches_float(self):
-        rows = [[Fraction(1, 3), Fraction(2)], [Fraction(-5, 7), Fraction(1, 2)]]
-        exact = det_exact(rows)
-        approx = det_float([[float(x) for x in row] for row in rows])
+        # [[1/3, 2], [-5/7, 1/2]], its rows scaled to integers by 3 and 14
+        exact = Fraction(det_exact([[1, 6], [-10, 7]]), 3 * 14)
+        approx = det_float([[1 / 3, 2.0], [-5 / 7, 0.5]])
         assert exact == Fraction(1, 6) + Fraction(10, 7)
         assert abs(float(exact) - approx) < 1e-14
 
@@ -65,6 +85,50 @@ class TestDeterminants:
     def test_pivoting(self):
         rows = [[0, 1, 2], [1, 0, 1], [2, 3, 0]]
         assert det_exact(rows) == 0 * (0 - 3) - 1 * (0 - 2) + 2 * (3 - 0)
+
+    def test_exact_is_integer_bareiss(self):
+        assert det_exact([]) == 1
+        assert det_exact([[0, 1], [1, 0]]) == -1
+        assert det_exact([[0, 0, 1], [0, 2, 3], [4, 5, 6]]) == -8
+        assert det_exact([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+        big = 10**40
+        assert det_exact([[big, 1], [1, big]]) == big * big - 1
+        assert type(det_exact([[2, 1], [1, 2]])) is int
+        with pytest.raises(ValueError):
+            det_exact([[1, 2]])
+
+    def test_float_stack_shapes(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((2, 3, 4, 4))
+        assert det_float(stack).shape == (2, 3)
+        assert det_float(stack[0, 0]).shape == ()
+        assert det_float(np.zeros((0, 3, 3))).shape == (0,)
+        assert det_float(np.zeros((5, 0, 0))).tolist() == [1.0] * 5
+
+    def test_float_zero_row(self):
+        stack = [[[1.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[2.0, 1.0], [1.0, 2.0]]]
+        dets = det_float(stack)
+        assert dets[0] == dets[1] == 0.0
+        assert abs(dets[2] - 3.0) < 1e-14
+
+    def test_float_stack_equals_one_matrix_calls(self):
+        # Rows spread over 10^(-45)..10^45: the row scaling carries them.
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((40, 6, 6)) * 10.0 ** rng.integers(-45, 45, (40, 6, 1))
+        stack[3, 2] = 0.0
+        stack[5, 4] = stack[5, 1]
+        dets = det_float(stack).tolist()
+        assert dets == [one_matrix_det_float(rows) for rows in stack]
+        assert dets[3] == 0.0
+
+    def test_float_leaving_double_precision_is_capability_error(self):
+        with pytest.raises(CapabilityError):
+            det_float([[[1e200, 0.0], [0.0, 1e200]], [[1.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(CapabilityError):
+            det_float([[1.0, math.inf], [0.0, 1.0]])
+        with pytest.raises(CapabilityError):
+            det_float([[1.0, math.nan], [0.0, 1.0]])
+        assert det_float([[1e-200, 0.0], [0.0, 1e-200]]) == 0.0
 
 
 class TestKPolynomial:
@@ -155,6 +219,28 @@ class TestMomentExact:
     def test_rejects_negative_u(self):
         with pytest.raises(ValueError):
             moment_exact(2, 1, Fraction(-1, 2))
+
+    def test_float_mode_makes_one_determinant_call(self, monkeypatch):
+        shapes = []
+
+        def counting(stack):
+            shapes.append(np.shape(stack))
+            return det_float(stack)
+
+        monkeypatch.setattr(combinatorics, "det_float", counting)
+        moment_exact(10, 6, 0.5)
+        assert shapes == [(11, 11, 6, 6)]  # p(6)^2 submatrices of size 6
+
+    def test_float_overflow_is_capability_error(self):
+        # A determinant of the s = 12 sum leaves double precision.
+        with pytest.raises(CapabilityError, match="overflow"):
+            moment_exact(200, 12, 0.998001)
+
+    def test_large_denominator_equals_structure_route(self):
+        # u = Fraction(0.99) has denominator 2^52: every determinant entry
+        # carries a power of it.
+        u = Fraction(0.99)
+        assert moment_exact(300, 4, u) == moment_structure(300, 4, u)
 
 
 class TestStructureA:

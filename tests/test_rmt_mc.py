@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 from cuederiv import rmt_mc
-from cuederiv.errors import EigenphaseCollisionError
+from cuederiv.errors import CapabilityError, EigenphaseCollisionError
 from cuederiv.exact_moments import moment_exact
 from cuederiv.rmt_mc import (
     MomentEstimate,
@@ -96,6 +96,16 @@ class TestEstimators:
         j1 = estimate_joint_moment(60, 1.0, 1.0, 0.3, 0.5j, 4000, seed=42)
         j4 = estimate_joint_moment(60, 1.0, 1.0, 0.3, 0.5j, 4000, seed=42, threads=4)
         assert j1.mean == j4.mean and j1.std_error == j4.std_error
+
+    def test_overflowing_values_are_capability_error(self):
+        with pytest.raises(CapabilityError, match="overflow"):
+            estimate_moment(200, 40.0, 0.99, 100, seed=1)
+
+    def test_overflowing_mean_is_capability_error(self, monkeypatch):
+        # Every value is finite, but their sum is not.
+        monkeypatch.setattr(rmt_mc, "_collect_values", lambda *args: (np.full(10, 1e308), 0))
+        with pytest.raises(CapabilityError, match="overflow"):
+            estimate_moment(6, 1.0, 0.5, 10, seed=0)
 
     def test_progress_in_chunk_order(self):
         # N = 10 packs 40000 draws a chunk, so 50000 draws make two chunks.
