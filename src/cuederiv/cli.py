@@ -309,7 +309,7 @@ def _run_mc(args):
     }
     if est.top_contribution_fraction is not None:
         extra["top_contribution_fraction"] = est.top_contribution_fraction
-    return [_result("mc_mean", est.mean, "monte-carlo-haar", **extra)]
+    return [_result("mc_mean", est.mean, "monte-carlo-verblunsky", **extra)]
 
 
 def _run_zeta(args):
@@ -377,7 +377,7 @@ _ROUTES = {
     "structure": ("structure-expansion", lambda args, u: (
         moment_structure(_route_n(args, "structure"), _integer_s(args), u), {})),
     "closed-s1": ("squares-geometric-sum", _closed_s1),
-    "mc": ("monte-carlo-haar", _mc_route),
+    "mc": ("monte-carlo-verblunsky", _mc_route),
     "global": ("hypergeometric-global-limit", lambda args, u: (
         global_moment(args.s, args.r), {})),
 }
@@ -419,7 +419,7 @@ def _run_zeros(args):
                                  **_mc_options(args))
     rows = []
     for r, est in zip(args.radii, estimates):
-        rows.append(_result("zero_count", est.mean, "monte-carlo-haar",
+        rows.append(_result("zero_count", est.mean, "monte-carlo-verblunsky",
                             r=r, std_error=est.std_error, samples=est.samples,
                             seed=est.seed, generator=est.generator,
                             fallback=est.fallback,

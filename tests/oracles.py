@@ -23,6 +23,7 @@ from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import _block_exponent
 from cuederiv.linalg import det_exact
 from cuederiv.specfun import hyp1f1
+from cuederiv.zeta import divisor_table
 
 
 def haar_phases(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -281,3 +282,14 @@ def structure_b(N: int, s: int, h1: int, h2: int, r) -> Fraction:
             ]
             total += Fraction(f_lam * f_mu, fact_lam * fact_mu) * fraction_det(rows)
     return (-s * rv) ** abs(h2 - h1) * total
+
+
+def divisor_growth_constant_from_table(s: int, n_max: int, delta: float) -> float:
+    """Twice the maximum of d_s(n) / n^delta over every n in 1..n_max, read
+    from the full sieve table d_s(1..n_max).
+
+    The reference for zeta._divisor_growth_constant.
+    """
+    table = divisor_table(s, n_max)
+    n = np.arange(1, n_max + 1, dtype=float)
+    return 2.0 * float(np.max(table.values[1:] / n**delta))

@@ -187,6 +187,7 @@ class TestMcCommand:
         (row,) = parse_report(out)["results"]
         assert row["seed"] == 11 and row["samples"] == 2000
         assert row["generator"] == "pcg64/verblunsky"
+        assert row["provenance"] == "monte-carlo-verblunsky"
         assert row["std_error"] > 0
         assert 0 < row["top_contribution_fraction"] < 1
 
@@ -238,6 +239,14 @@ class TestZetaCommand:
         (row,) = parse_report(out)["results"]
         assert row["tail_bound"] > 0
         assert row["provenance"] == "log-convolution-series"
+
+    @pytest.mark.parametrize("what, n_max", [("deriv-series", "2"), ("lindelof-series", "1")])
+    def test_too_short_series_is_usage_error(self, capsys, what, n_max):
+        code, out, err = run_cli(
+            capsys, "zeta", "--what", what, "--s", "2", "--sigma", "0.8", "--n-max", n_max,
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "n_max" in err
 
     def test_table_csv_export(self, capsys, tmp_path):
         path = tmp_path / "d2.csv"
@@ -303,6 +312,7 @@ class TestZerosCommand:
         assert rows[0]["value"] <= rows[1]["value"]
         for row in rows:
             assert row["generator"] == "pcg64/verblunsky"
+            assert row["provenance"] == "monte-carlo-verblunsky"
             assert isinstance(row["fallback"], int) and 0 <= row["fallback"] <= 500
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cuederiv.specfun import zeta_real
 from cuederiv.zeta import (
     DirichletTable,
+    _divisor_growth_constant,
     arithmetic_factor,
     conjecture_rhs,
     deriv_moment_series,
@@ -18,6 +19,7 @@ from cuederiv.zeta import (
     primes_up_to,
     rmt_leading_coefficient,
 )
+from oracles import divisor_growth_constant_from_table
 
 
 class TestTables:
@@ -74,6 +76,18 @@ class TestTables:
         right = dirichlet_convolve(l2, l2)        # (L*L)*(L*L)
         np.testing.assert_allclose(left[1:], right[1:], rtol=1e-12, atol=1e-9)
 
+    @pytest.mark.parametrize("fn", [
+        lambda n: np.log(np.arange(1, n + 1, dtype=float)),
+        np.ones,
+    ], ids=["log", "ones"])
+    def test_self_convolution_matches_two_table_form(self, fn):
+        # f is g takes each off-diagonal pair in one multiply; a copy of f
+        # takes the two-product form, and the sums must agree to the bit
+        n_max = 100_000
+        f = np.zeros(n_max + 1)
+        f[1:] = fn(n_max)
+        assert np.array_equal(dirichlet_convolve(f, f), dirichlet_convolve(f, f.copy()))
+
     def test_table_validation_and_csv(self, tmp_path):
         with pytest.raises(IndexError):
             divisor_table(1, 10)[11]
@@ -83,6 +97,18 @@ class TestTables:
         assert rows[0] == "n,value"
         assert len(rows) == 13
         assert rows[6].startswith("6,4")
+
+
+class TestDivisorGrowthConstant:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 12, 1000, 10**5])
+    def test_candidates_give_the_table_maximum(self, s, n_max):
+        # the maximum over exponent-sorted integers is the maximum over all n
+        for sigma in (0.5000001, 0.6, 0.75, 1.5, 3.0):
+            delta = (2 * sigma - 1) / 4
+            assert _divisor_growth_constant(s, n_max, delta) == (
+                divisor_growth_constant_from_table(s, n_max, delta)
+            )
 
 
 class TestDerivSeries:
@@ -105,6 +131,12 @@ class TestDerivSeries:
     def test_domain(self):
         with pytest.raises(ValueError):
             deriv_moment_series(1, 0.5, 100)
+
+    @pytest.mark.parametrize("series", [deriv_moment_series, lindelof_series])
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_too_short_table_is_refused(self, series, n_max):
+        with pytest.raises(ValueError, match="n_max >= 3"):
+            series(2, 0.8, n_max)
 
 
 class TestLindelofSeries:
