@@ -5,7 +5,7 @@ closed-form asymptotics, Monte Carlo over Haar unitaries) plus the
 number-theory side series they are conjectured to match.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .combinatorics import (
     enumerate_partitions,

@@ -206,8 +206,13 @@ def cue_limit(s: float, point: RegimePoint) -> float:
         raise ValueError("microscopic CUE limit implemented for positive integer s")
     s = int(s)
     table = [exp_moment(k, point.c) for k in range(2 * s - 1)]
-    rows = [[table[i + j] for j in range(s)] for i in range(s)]
-    coefficient = math.factorial(s) * float(det_float(rows))
+    hankel = float(det_float([[table[i + j] for j in range(s)] for i in range(s)]))
+    # The Gram determinant of x^k e^(-cx) dx on [0, 1] is positive; a value <= 0
+    # is rounding.  Passing this check does not make the value accurate.
+    if not hankel > 0:
+        raise CapabilityError(f"microscopic Hankel determinant lost to rounding at s={s}, "
+                              f"c={point.c}: {hankel:.6g}")
+    coefficient = math.factorial(s) * hankel
     for j in range(1, s + 1):
         coefficient /= math.gamma(j) * math.gamma(j + 1)
     if point.N is None:

@@ -101,6 +101,13 @@ def _radii(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad radius list: {text!r}") from exc
 
 
+def _need(args, what, *flags):
+    """Usage error naming the flags among `flags` that `what` needs and args lacks."""
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise SystemExit2(f"{what} needs {', '.join(missing)}")
+
+
 def _integer_s(args) -> int:
     """--s for a formula defined at integer s only; a fraction is a usage error."""
     if not float(args.s).is_integer():
@@ -139,7 +146,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for Monte Carlo (default: CUEDERIV_THREADS or 1)")
+                        help="worker threads for Monte Carlo (default: 1)")
     common.add_argument("--progress", action="store_true",
                         help="print Monte Carlo progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -243,18 +250,15 @@ def _run_exact(args):
 def _run_asympt(args):
     regime = args.regime
     if regime == "zero-density":
-        if args.r is None:
-            raise SystemExit2("zero-density needs --r")
+        _need(args, regime, "r")
         return [
             _result("expected_zeros", expected_zero_count(args.r), "zero-density-limit"),
             _result("log_integral", expected_log_integral(args.r),
                     "integrated-zero-density"),
         ]
-    if args.s is None:
-        raise SystemExit2(f"{regime} needs --s")
+    _need(args, regime, "s")
     if regime == "joint":
-        if args.h is None or args.z1 is None or args.z2 is None:
-            raise SystemExit2("joint needs --h, --z1, --z2")
+        _need(args, regime, "h", "z1", "z2")
         return [_result("joint_moment", joint_moment(args.s, args.h, args.z1, args.z2),
                         "gaussian-joint-limit")]
     if args.of == "polynomial":
@@ -263,18 +267,15 @@ def _run_asympt(args):
         return [_result("cue_moment_limit", cue_limit(args.s, point),
                         "polynomial-moment-limit")]
     if regime == "global":
-        if args.r is None:
-            raise SystemExit2("global needs --r")
+        _need(args, regime, "r")
         return [_result("moment_limit", global_moment(args.s, args.r),
                         "hypergeometric-global-limit")]
     if regime == "mesoscopic":
-        if args.alpha is None or args.N is None:
-            raise SystemExit2("mesoscopic needs --alpha and --N")
+        _need(args, regime, "alpha", "N")
         return [_result("moment_asymptotic", meso_moment(_integer_s(args), args.alpha, args.N),
                         "laguerre-mesoscopic")]
     # microscopic
-    if args.c is None:
-        raise SystemExit2("microscopic needs --c")
+    _need(args, regime, "c")
     s = _integer_s(args)
     coeff, bessel = micro_b(s, args.c), micro_b_bessel(s, args.c)
     # Both forms lose accuracy as s grows or c falls; neither is trusted where they disagree.
@@ -291,13 +292,11 @@ def _run_asympt(args):
 
 def _run_mc(args):
     if args.what == "moment":
-        if args.z is None:
-            raise SystemExit2("mc moment needs --z")
+        _need(args, "mc moment", "z")
         est = estimate_moment(args.N, args.s, args.z, args.samples, args.seed,
                               **_mc_options(args))
     else:
-        if args.h is None or args.z1 is None or args.z2 is None:
-            raise SystemExit2("mc joint needs --h, --z1, --z2")
+        _need(args, "mc joint", "h", "z1", "z2")
         est = estimate_joint_moment(args.N, args.s, args.h, args.z1, args.z2,
                                     args.samples, args.seed, **_mc_options(args))
     extra = {
@@ -326,8 +325,7 @@ def _run_zeta(args):
             rows.append(_result("csv_path", args.csv_out, "dirichlet-sieve"))
         return rows
     if what in ("deriv-series", "lindelof-series"):
-        if args.sigma is None:
-            raise SystemExit2(f"{what} needs --sigma")
+        _need(args, what, "sigma")
         fn = deriv_moment_series if what == "deriv-series" else lindelof_series
         res = fn(_integer_s(args), args.sigma, args.n_max)
         return [_result("series", res.value,
@@ -339,8 +337,7 @@ def _run_zeta(args):
         return [_result("arithmetic_factor", res.value, "euler-product",
                         tail_bound=res.tail_bound, p_max=res.n_max)]
     # conjecture
-    if args.sigma is None:
-        raise SystemExit2("conjecture needs --sigma")
+    _need(args, what, "sigma")
     return [
         _result("conjectured_moment", conjecture_rhs(args.s, args.sigma, args.p_max),
                 "conjectured-asymptotic"),
@@ -350,8 +347,7 @@ def _run_zeta(args):
 
 
 def _route_n(args, name):
-    if args.N is None:
-        raise SystemExit2(f"route {name!r} needs --N")
+    _need(args, f"route {name!r}", "N")
     return args.N
 
 

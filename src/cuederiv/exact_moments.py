@@ -66,14 +66,13 @@ def _k_derivatives_float(N: int, s: int, u: float, max_order: int) -> list[float
         return [float(math.factorial(m)) * float(math.comb(terms, m + 1))
                 for m in range(max_order + 1)]
     u_pows = np.power(u, np.arange(terms, dtype=float))
+    # perm(j, m) over j = m..terms-1 gains the factor j - m per order; past the
+    # degree, j is empty and the sum is 0.
+    poch = np.ones(terms)
     out = []
-    for m in range(max_order + 1):
-        # Past the degree, j is empty and the sum is 0.
-        j = np.arange(m, terms, dtype=float)
-        poch = np.ones_like(j)
-        for t in range(m):
-            poch *= j - t
-        out.append(float(np.sum(poch * u_pows[: len(j)])))
+    for _ in range(max_order + 1):
+        out.append(float(np.sum(poch * u_pows[: len(poch)])))
+        poch = poch[1:] * np.arange(1, len(poch), dtype=float)
     return out
 
 
@@ -159,8 +158,9 @@ def _block_sums(N: int, s: int) -> list[tuple[int, int, list[int], list[int]]]:
     """(e, sign, Z, W) per s-subset S of the 2s columns, in combinations order.
 
     Z = [Z_0(S), .., Z_s(S)] are the z-rows' block sums on S, W the w-rows' on
-    the complement; S adds sign s^|h2-h1| Z_h1 W_h2 r^(e - 2 min(h1, h2)) to
-    b_(h1,h2).  By the hook formula and Andreief's identity a block sum is
+    the complement, both read from one minor table; S adds
+    sign s^|h2-h1| Z_h1 W_h2 r^(e - 2 min(h1, h2)) to b_(h1,h2).  By the hook
+    formula and Andreief's identity a block sum is
     X_h = h! [t^h] det[D^(s-k) L_(a_j)(-t)], k = 1..s, a_j the column exponents:
     entries are the integer sequences n -> C(a_j, n + s - k), multiplied by
     binomial convolution truncated at n = s, and the minors over every k-subset
@@ -169,34 +169,36 @@ def _block_sums(N: int, s: int) -> list[tuple[int, int, list[int], list[int]]]:
     if s > EXACT_S_CAP:
         raise CapabilityError(f"exact mode supports s <= {EXACT_S_CAP}, got {s}")
     binom = [[math.comb(n, m) for m in range(n + 1)] for n in range(s + 1)]
-    z_exps, w_exps = [[_block_exponent(N, s, row, j) for j in range(2 * s)] for row in (0, s)]
-    tables = []
-    for exponents in (z_exps, w_exps):
-        minors = {(): [1] + [0] * s}
-        for k in range(1, s + 1):
-            entries = [[math.comb(a, n + s - k) for n in range(s + 1)] for a in exponents]
-            grown = {}
-            for cols in combinations(range(2 * s), k):
-                total = [0] * (s + 1)
-                for i, j in enumerate(cols):
-                    minor = minors[cols[:i] + cols[i + 1:]]
-                    for m, entry in enumerate(entries[j]):
-                        if entry:
-                            entry *= (-1) ** (k - 1 + i)
-                            for n in range(m, s + 1):
-                                total[n] += binom[n][m] * entry * minor[n - m]
-                grown[cols] = total
-            minors = grown
-        tables.append(minors)
-    z_sums, w_sums = tables
+    exps = [_block_exponent(N, s, 0, j) for j in range(2 * s)]
+    minors = {(): [1] + [0] * s}
+    for k in range(1, s + 1):
+        entries = [[math.comb(a, n + s - k) for n in range(s + 1)] for a in exps]
+        grown = {}
+        for cols in combinations(range(2 * s), k):
+            total = [0] * (s + 1)
+            for i, j in enumerate(cols):
+                minor = minors[cols[:i] + cols[i + 1:]]
+                for m, entry in enumerate(entries[j]):
+                    if entry:
+                        entry *= (-1) ** (k - 1 + i)
+                        for n in range(m, s + 1):
+                            total[n] += binom[n][m] * entry * minor[n - m]
+            grown[cols] = total
+        minors = grown
     records = []
-    for cols, z in z_sums.items():
-        rest = tuple(j for j in range(2 * s) if j not in cols)
-        e = sum(z_exps[j] for j in cols) + sum(w_exps[j] for j in rest) - s * (s - 1)
+    for cols, z in minors.items():
+        rest = [j for j in range(2 * s) if j not in cols]
+        # The w-rows have the z-rows' exponent of column (j + s) mod 2s at j, so the
+        # w-sum on `rest` is the z-sum on its shifted columns, whose sorting moves
+        # s - low columns past low ones: sign (-1)^(low (s - low)).
+        low = sum(j < s for j in rest)
+        shifted = tuple(j - s for j in rest[low:]) + tuple(j + s for j in rest[:low])
+        w = minors[shifted] if low * (s - low) % 2 == 0 else [-x for x in minors[shifted]]
+        e = sum(exps[j] for j in cols) + sum(exps[j] for j in shifted) - s * (s - 1)
         # Laplace sign (-1)^(s(s-1)/2 + sum of 0-based columns), times (-1)^e
         # from (-r)^e; (-r)^(-h1-h2) cancels the sign of (-s r)^|h2-h1|.
         sign = (-1) ** (s * (s - 1) // 2 + sum(cols) + e)
-        records.append((e, sign, z, w_sums[rest]))
+        records.append((e, sign, z, w))
     return records
 
 

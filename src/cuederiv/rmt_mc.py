@@ -15,7 +15,6 @@ index), so results are reproducible for any thread count.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -54,28 +53,11 @@ class MomentEstimate:
     fallback: int = 0
 
 
-def default_thread_count() -> int:
-    env = os.environ.get("CUEDERIV_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            warnings.warn(f"ignoring non-integer CUEDERIV_THREADS={env!r}")
-    return 1
-
-
 def _chunk_layout(N: int, samples: int) -> list[tuple[int, int]]:
     """Deterministic (chunk_index, chunk_size) layout; independent of workers."""
     chunk = max(1, min(65536, _CHUNK_ELEMENT_BUDGET // (N * N)))
-    layout = []
-    index = 0
-    done = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        layout.append((index, size))
-        done += size
-        index += 1
-    return layout
+    return [(index, min(chunk, samples - start))
+            for index, start in enumerate(range(0, samples, chunk))]
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -88,7 +70,8 @@ def _run_chunks(N, samples, seed, threads, worker, progress=None):
     """Map `worker(size, rng)` over deterministic chunks, in chunk order.
 
     Progress is reported from the calling thread as results arrive in chunk
-    order, so the sequence of `done` counts does not depend on `threads`.
+    order, so the sequence of `done` counts does not depend on `threads`
+    (None means one thread).
     """
     layout = _chunk_layout(N, samples)
 
@@ -96,7 +79,7 @@ def _run_chunks(N, samples, seed, threads, worker, progress=None):
         index, size = entry
         return worker(size, _chunk_rng(seed, index))
 
-    threads = threads or default_thread_count()
+    threads = threads or 1
     parts = []
     done = 0
     with ThreadPoolExecutor(max_workers=threads) as pool:

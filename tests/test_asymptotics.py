@@ -15,6 +15,7 @@ from cuederiv.asymptotics import (
     micro_b,
     micro_b_bessel,
 )
+from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import cue_moment_integer, moment_exact
 from cuederiv.specfun import exp_moment, laguerre
 
@@ -194,6 +195,13 @@ class TestCueLimit:
     def test_microscopic_s1_full_value(self):
         point = RegimePoint("microscopic", c=0.0, N=50)
         assert abs(cue_limit(1, point) - 50.0) < 1e-10
+
+    @pytest.mark.parametrize("s, c", [(12, -20.0), (8, -40.0)])
+    def test_microscopic_nonpositive_hankel_is_capability_error(self, s, c):
+        # A Gram determinant, positive in exact arithmetic; it returned
+        # -2.9e-85 at (12, -20) and -1.9e39 at (8, -40).
+        with pytest.raises(CapabilityError, match="Hankel determinant"):
+            cue_limit(s, RegimePoint("microscopic", c=c))
 
     def test_microscopic_converges_to_circle_moment(self):
         s, N = 2, 2000

@@ -176,6 +176,43 @@ class TestAsymptCommand:
         assert code == 1
         assert "needs --r" in err
 
+    def test_float_overflow_is_capability_exit(self, capsys):
+        # N^(alpha (s^2 + 2s)) = 1e1200 raises OverflowError in float power.
+        code, out, err = run_cli(
+            capsys, "asympt", "--regime", "meso", "--s", "2", "--alpha", "0.5", "--N", "1e300"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("capability limit: float overflow") and err.count("\n") == 1
+
+    def test_polynomial_micro_rounding_is_capability_exit(self, capsys):
+        # The Hankel determinant is a Gram determinant, positive in exact
+        # arithmetic; here it rounds to -2.9e61.
+        code, out, err = run_cli(
+            capsys, "asympt", "--regime", "micro", "--of", "polynomial", "--s", "8", "--c", "-40"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("capability limit:") and "Hankel determinant" in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("asympt --regime zero-density", "--r"),
+    ("asympt --regime global --r 0.5", "--s"),
+    ("asympt --regime joint --s 1 --h 1 --z1 0.3", "--z2"),
+    ("asympt --regime global --s 1", "--r"),
+    ("asympt --regime meso --s 2 --N 100", "--alpha"),
+    ("asympt --regime micro --s 2", "--c"),
+    ("mc --N 6 --s 1 --samples 100", "--z"),
+    ("mc --what joint --N 6 --s 1 --z1 0.3 --z2 0.5 --samples 100", "--h"),
+    ("zeta --what deriv-series --s 2", "--sigma"),
+    ("zeta --what conjecture --s 2", "--sigma"),
+    ("compare --routes exact,structure --s 2 --r 0.5", "--N"),
+])
+def test_missing_flag_is_usage_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.endswith(f" needs {flag}\n")
+
 
 class TestMcCommand:
     def test_moment(self, capsys):
@@ -219,6 +256,20 @@ class TestMcCommand:
         assert code == 2 and out == ""
         assert err.startswith("capability limit:") and "overflow" in err
         assert err.count("\n") == 1
+
+    def test_progress_goes_to_stderr_only(self, capsys):
+        argv = ["mc", "--N", "6", "--s", "1", "--z", "0.5", "--samples", "2000", "--seed", "3"]
+        code, out, err = run_cli(capsys, *argv, "--progress")
+        assert code == 0
+        # N = 6 packs 65536 draws a chunk, so one line; chunk order across
+        # several chunks is checked in test_rmt_mc.
+        assert err == "progress: 2000/2000 draws\n"
+        _, quiet, quiet_err = run_cli(capsys, *argv)
+        assert quiet_err == ""
+        loud, quiet = parse_report(out), parse_report(quiet)
+        assert loud["config"].pop("progress") and not quiet["config"].pop("progress")
+        assert loud.pop("timestamp") and quiet.pop("timestamp")
+        assert loud == quiet
 
     def test_reports_are_deterministic(self, capsys):
         argv = ["mc", "--N", "6", "--s", "1", "--z", "0.5",
