@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapabilityError
 from .specfun import _kummer_factor, zeta_real
 
 _INNER_SUM_EPS = 1e-16
@@ -103,6 +104,10 @@ class SeriesResult:
     tail_bound is the conservative majorant (divisor-growth comparison);
     tail_estimate extrapolates the empirical term density near n_max and is
     much sharper close to sigma = 1/2, where the bound becomes uninformative.
+    tail_estimate is informative only from n_max of about 10^4: for
+    sum d(n)^2 n^-1.6 = zeta(1.6)^4 / zeta(3.2) it reads 467 for a true tail
+    of 20.4 at n_max = 3, 74.5 for 16.8 at 10, 16.1 for 9.6 at 100 and 2.30
+    for 1.95 at 10^4.
     """
 
     value: float
@@ -272,22 +277,34 @@ def prime_zeta(k: float) -> float:
     return total
 
 
-def _euler_factor_log(s: float, p: int) -> float:
-    """log of the local Euler factor (1 - 1/p)^(s^2) sum_m d_s(p^m)^2 p^(-m)."""
-    inv_p = 1.0 / p
-    term = 1.0
-    total = 1.0
+def _euler_factor_logs(s: float, primes: np.ndarray) -> np.ndarray:
+    """log of the local Euler factor (1 - 1/p)^(s^2) sum_m d_s(p^m)^2 p^(-m) at
+    each prime, bit-identical to the recurrence run one prime at a time: a prime
+    leaves the working set at the step where its own sum has converged.  The
+    logs are libm's (`math`); numpy's SIMD log can differ in the last bit.
+    """
+    inv_p = 1.0 / primes.astype(float)
+    total = np.ones_like(inv_p)
+    live = np.arange(len(inv_p))  # positions whose sum has not converged
+    term, sums = np.ones_like(inv_p), np.ones_like(inv_p)
     m = 0
-    while True:
-        m += 1
-        # d_s(p^m) = d_s(p^(m-1)) (s + m - 1) / m
-        term *= ((s + m - 1) / m) ** 2 * inv_p
-        total += term
-        if term < _INNER_SUM_EPS * total:
-            break
-        if m > 10_000:
-            raise ArithmeticError(f"Euler factor sum did not converge at p = {p}")
-    return s * s * math.log1p(-inv_p) + math.log(total)
+    with np.errstate(over="ignore"):
+        while live.size:
+            m += 1
+            # d_s(p^m) = d_s(p^(m-1)) (s + m - 1) / m
+            term = term * (((s + m - 1) / m) ** 2 * inv_p[live])
+            sums = sums + term
+            done = term < _INNER_SUM_EPS * sums
+            failed = ~np.isfinite(sums) | (~done if m > 10_000 else False)
+            if failed.any():
+                p = primes[live[failed.argmax()]]
+                raise CapabilityError(f"the Euler factor sum at p = {p} leaves double precision "
+                                      f"(s = {s})")
+            total[live[done]] = sums[done]
+            live, term, sums = live[~done], term[~done], sums[~done]
+    # memoryview yields Python floats without building a list of them
+    log1p = np.fromiter(map(math.log1p, memoryview(-inv_p)), float, len(inv_p))
+    return s * s * log1p + np.fromiter(map(math.log, memoryview(total)), float, len(inv_p))
 
 
 def arithmetic_factor(s: float, p_max: int) -> SeriesResult:
@@ -295,27 +312,32 @@ def arithmetic_factor(s: float, p_max: int) -> SeriesResult:
 
     A second-order tail correction exp(-s^2 (s-1)^2 / 4 * sum_{p > p_max} p^-2)
     is applied, with the prime sum computed exactly via the prime zeta
-    function; the reported tail bound is the p^-3-order residual.
+    function; the reported tail bound is the p^-3-order residual.  Raises
+    CapabilityError where a local factor or the product leaves double
+    precision: a_s > 0, so a product that underflows to 0 is refused.
     """
     if s <= 0:
         raise ValueError("requires s > 0")
     if p_max < 100:
         raise ValueError("requires p_max >= 100")
     primes = primes_up_to(p_max)
-    log_total = 0.0
-    for p in primes:
-        log_total += _euler_factor_log(s, int(p))
+    # In blocks of primes, so the recurrence's working arrays stay small.
+    logs = np.concatenate([_euler_factor_logs(s, primes[i : i + 2**16])
+                           for i in range(0, len(primes), 2**16)])
+    # Summed in prime order, as a running sum (np.sum would sum pairwise).
+    log_total = float(np.cumsum(logs)[-1])
 
     kappa = s * s * (s - 1) ** 2 / 4
     p2_tail = prime_zeta(2.0) - float(np.sum(1.0 / primes.astype(float) ** 2))
     corrected = math.exp(log_total - kappa * p2_tail)
+    if corrected == 0.0:
+        raise CapabilityError(f"the Euler product underflows to 0 at s = {s}, p_max = {p_max}")
 
     # Residual: |log f_p + kappa p^-2| <= c3 p^-3 with c3 estimated on the
     # largest computed primes (x2 safety), integrated over p > p_max.
-    probe = primes[-20:]
     c3 = 0.0
-    for p in probe:
-        residual = _euler_factor_log(s, int(p)) + kappa / float(p) ** 2
+    for p, log_f in zip(primes[-20:].tolist(), logs[-20:].tolist()):
+        residual = log_f + kappa / float(p) ** 2
         c3 = max(c3, abs(residual) * float(p) ** 3)
     c3 *= 2.0
     p3_tail = prime_zeta(3.0) - float(np.sum(1.0 / primes.astype(float) ** 3))

@@ -23,7 +23,7 @@ from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import _block_exponent
 from cuederiv.linalg import det_exact
 from cuederiv.specfun import hyp1f1
-from cuederiv.zeta import divisor_table
+from cuederiv.zeta import _INNER_SUM_EPS, divisor_table
 
 
 def haar_phases(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -293,3 +293,25 @@ def divisor_growth_constant_from_table(s: int, n_max: int, delta: float) -> floa
     table = divisor_table(s, n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     return 2.0 * float(np.max(table.values[1:] / n**delta))
+
+
+def euler_factor_log(s: float, p: int) -> float:
+    """log of the local Euler factor (1 - 1/p)^(s^2) sum_m d_s(p^m)^2 p^(-m),
+    one prime at a time.
+
+    The reference for zeta._euler_factor_logs.
+    """
+    inv_p = 1.0 / p
+    term = 1.0
+    total = 1.0
+    m = 0
+    while True:
+        m += 1
+        # d_s(p^m) = d_s(p^(m-1)) (s + m - 1) / m
+        term *= ((s + m - 1) / m) ** 2 * inv_p
+        total += term
+        if term < _INNER_SUM_EPS * total:
+            break
+        if m > 10_000:
+            raise ArithmeticError(f"Euler factor sum did not converge at p = {p}")
+    return s * s * math.log1p(-inv_p) + math.log(total)

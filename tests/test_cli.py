@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -318,6 +319,21 @@ class TestZetaCommand:
         ref = (6 / math.pi**2) * 34 / 0.2**8
         assert abs(rows[0]["value"] - ref) < 1e-3 * ref
         assert abs(rows[1]["value"] - 34.0) < 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        "arithmetic-factor --s 600 --p-max 100",
+        "arithmetic-factor --s 1000 --p-max 100",
+        "arithmetic-factor --s 2000 --p-max 100",
+        "arithmetic-factor --s 300 --p-max 100",
+        "arithmetic-factor --s 25 --p-max 1000",
+        "conjecture --s 22 --sigma 0.99 --p-max 1000",
+    ])
+    def test_euler_product_out_of_range_is_capability_exit(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "zeta", "--what", *argv.split())
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("capability limit: ")
 
 
 class TestCompareCommand:

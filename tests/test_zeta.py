@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuederiv.errors import CapabilityError
 from cuederiv.specfun import zeta_real
 from cuederiv.zeta import (
     DirichletTable,
     _divisor_growth_constant,
+    _euler_factor_logs,
     arithmetic_factor,
     conjecture_rhs,
     deriv_moment_series,
@@ -19,7 +21,7 @@ from cuederiv.zeta import (
     primes_up_to,
     rmt_leading_coefficient,
 )
-from oracles import divisor_growth_constant_from_table
+from oracles import divisor_growth_constant_from_table, euler_factor_log
 
 
 class TestTables:
@@ -187,6 +189,35 @@ class TestArithmeticFactor:
         with pytest.raises(ValueError):
             arithmetic_factor(2.0, 50)
 
+    # Exact equality: the vectorised recurrence runs the oracle's float
+    # operations in its order.  It also pins the logs to libm: numpy's SIMD
+    # np.log / np.log1p differ from libm in the last bit at a few primes on
+    # some CPUs (AVX-512 builds), and this test then fails.  p_max = 10^6
+    # spans two of arithmetic_factor's blocks of 2^16 primes.
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 3.0, 7.0])
+    def test_logs_equal_scalar_recurrence(self, s):
+        primes = primes_up_to(10**6)
+        expected = [euler_factor_log(s, p) for p in primes.tolist()]
+        assert _euler_factor_logs(s, primes).tolist() == expected
+
+        log_total = 0.0
+        for log_f in expected:
+            log_total += log_f
+        kappa = s * s * (s - 1) ** 2 / 4
+        p2_tail = prime_zeta(2.0) - float(np.sum(1.0 / primes.astype(float) ** 2))
+        assert arithmetic_factor(s, 10**6).value == math.exp(log_total - kappa * p2_tail)
+
+    @pytest.mark.parametrize("s", [300.0, 600.0, 1000.0, 2000.0])
+    def test_overflowing_local_factor_is_capability_error(self, s):
+        with pytest.raises(CapabilityError, match="p = 2 "):
+            arithmetic_factor(s, 100)
+
+    @pytest.mark.parametrize("s", [25.0, 40.0])
+    def test_underflowing_product_is_capability_error(self, s):
+        # a_s > 0, so a product that underflows must not be reported as 0.0
+        with pytest.raises(CapabilityError, match="underflows"):
+            arithmetic_factor(s, 1000)
+
 
 class TestPrimesHelpers:
     def test_sieve(self):
@@ -213,6 +244,10 @@ class TestConjecture:
     def test_domain(self):
         with pytest.raises(ValueError):
             conjecture_rhs(2.0, 0.5)
+
+    def test_underflowing_arithmetic_factor_is_capability_error(self):
+        with pytest.raises(CapabilityError, match="underflows"):
+            conjecture_rhs(22.0, 0.99, p_max=1000)
 
 
 class TestDirichletTableType:
