@@ -8,7 +8,6 @@ the sigma -> 1/2 regime is exactly where truncation bites.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,8 @@ from .errors import CapabilityError
 from .specfun import _kummer_factor, zeta_real
 
 _INNER_SUM_EPS = 1e-16
+# Output entries per sieve segment in dirichlet_convolve: 8 MB of float64.
+_SEGMENT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -40,45 +41,65 @@ class DirichletTable:
         return float(self.values[n])
 
     def to_csv(self, path) -> None:
+        """Rows `n,value` for n = 1..n_max with repr'd floats and CRLF line
+        ends, byte for byte what the csv module writes."""
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["n", "value"])
-            for n in range(1, self.n_max + 1):
-                writer.writerow([n, repr(float(self.values[n]))])
+            handle.write("n,value\r\n")
+            handle.writelines(f"{n},{v!r}\r\n" for n, v in enumerate(self.values.tolist()[1:], 1))
 
 
 def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(f*g)(n) = sum over d | n of f(d) g(n/d), for all n <= n_max at once.
 
     Runs the divisor-pair sieve over a <= sqrt(n_max) with the symmetric
-    split, so the Python-level loop is only O(sqrt(n_max)).  A self-convolution
-    (`f is g`) takes each off-diagonal pair in one multiply.
+    split: row a adds f(a) g(a) at n = a^2 and f(a) g(b) + g(a) f(b) at n = a b
+    for b > a.  A self-convolution (`f is g`) takes each off-diagonal pair in
+    one multiply, (2 f(a)) f(b).  The sieve walks the output in segments of
+    _SEGMENT entries, and within a segment the rows in ascending order, each
+    row's piece computed into one scratch buffer and added into its strided
+    view of the segment.  So every out(n) receives the same terms, in
+    ascending order of a, starting from +0.0, as a sieve that sweeps each row
+    over the whole output: the result is bit-identical to it.  Rows with
+    f(a) = g(a) = 0 are skipped; for finite tables they add only +-0, which
+    changes no entry (a sum started at +0.0 is never -0.0).
     """
     n_max = len(f) - 1
     if len(g) != len(f):
         raise ValueError("tables must have equal length")
     out = np.zeros(n_max + 1)
-    for a in range(1, math.isqrt(n_max) + 1):
-        out[a * a] += f[a] * g[a]
-        start = a * (a + 1)
-        if start > n_max:
-            continue
-        b_hi = n_max // a
-        if f is g:
-            # f[a] f[X] + f[a] f[X] == (2 f[a]) f[X] exactly: doubling is exact.
-            out[start :: a][: b_hi - a] += (2 * f[a]) * f[a + 1 : b_hi + 1]
-        else:
-            out[start :: a][: b_hi - a] += f[a] * g[a + 1 : b_hi + 1] + g[a] * f[a + 1 : b_hi + 1]
+    rows = [a for a in range(1, math.isqrt(n_max) + 1) if f[a] != 0 or g[a] != 0]
+    piece_buffer = np.empty(min(_SEGMENT, n_max + 1))
+    other_buffer = None if f is g else np.empty_like(piece_buffer)
+    for lo in range(0, n_max + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, n_max + 1)  # this segment is out[lo:hi]
+        for a in rows:
+            if a * a >= hi:
+                break
+            if a * a >= lo:
+                out[a * a] += f[a] * g[a]
+            b_lo, b_hi = max(a + 1, -(-lo // a)), (hi - 1) // a  # lo <= a b < hi
+            if b_lo > b_hi:
+                continue
+            piece = piece_buffer[: b_hi - b_lo + 1]
+            if f is g:
+                # f[a] f[b] + f[a] f[b] == (2 f[a]) f[b] exactly: doubling is exact.
+                np.multiply(2 * f[a], f[b_lo : b_hi + 1], out=piece)
+            else:
+                np.multiply(f[a], g[b_lo : b_hi + 1], out=piece)
+                piece += np.multiply(g[a], f[b_lo : b_hi + 1], out=other_buffer[: len(piece)])
+            out[a * b_lo : a * b_hi + 1 : a] += piece
     return out
 
 
-def _self_convolution(f, s: int, n_max: int, label: str) -> DirichletTable:
-    """The s-fold Dirichlet self-convolution of the arithmetic function whose
-    values at 1..n_max are the array f(n_max)."""
+def _self_convolution(s: int, n_max: int, log: bool, label: str) -> DirichletTable:
+    """The s-fold Dirichlet self-convolution of log(n) (`log`) or of 1."""
     if s < 1 or n_max < 1:
         raise ValueError("requires s >= 1 and n_max >= 1")
-    base = np.zeros(n_max + 1)
-    base[1:] = f(n_max)
+    base = np.arange(n_max + 1, dtype=float)  # index 0 stays 0: the sieve never reads it
+    if log:
+        np.log(base[1:], out=base[1:])
+    else:
+        base[1:] = 1.0
     values = base
     for _ in range(s - 1):
         values = dirichlet_convolve(values, base)
@@ -87,14 +108,12 @@ def _self_convolution(f, s: int, n_max: int, label: str) -> DirichletTable:
 
 def divisor_table(s: int, n_max: int) -> DirichletTable:
     """The s-fold divisor function d_s(1..n_max) by repeated sieve convolution."""
-    return _self_convolution(np.ones, s, n_max, f"d_{s}")
+    return _self_convolution(s, n_max, False, f"d_{s}")
 
 
 def log_convolution_table(s: int, n_max: int) -> DirichletTable:
     """The s-fold Dirichlet self-convolution of log(n)."""
-    return _self_convolution(
-        lambda m: np.log(np.arange(1, m + 1, dtype=float)), s, n_max, f"log*^{s}"
-    )
+    return _self_convolution(s, n_max, True, f"log*^{s}")
 
 
 @dataclass(frozen=True)
@@ -192,8 +211,10 @@ def _truncated_series(table: DirichletTable, s: int, sigma: float, log_power: in
     (exact C = 1 when s = 1)."""
     n_max = table.n_max
     squares = table.values[1:] ** 2
-    n = np.arange(1, n_max + 1, dtype=float)
-    value = float(np.sum(squares * n ** (-2 * sigma)))
+    terms = np.arange(1, n_max + 1, dtype=float)
+    terms **= -2 * sigma  # in place: n^(-2 sigma), then f(n)^2 n^(-2 sigma)
+    terms *= squares
+    value = float(np.sum(terms))
 
     if s == 1:
         constant, delta = 1.0, 0.0
@@ -354,8 +375,16 @@ def rmt_leading_coefficient(s: float) -> float:
 
 
 def conjecture_rhs(s: float, sigma: float, p_max: int = 100_000) -> float:
-    """Conjectured sigma -> 1/2 asymptotic a_s h_s / (2 sigma - 1)^(s^2 + 2s)."""
+    """Conjectured sigma -> 1/2 asymptotic a_s h_s / (2 sigma - 1)^(s^2 + 2s).
+
+    Raises CapabilityError when the Euler product's tail bound is above 1e-6
+    of a_s at this p_max (e.g. s = 10 at p_max = 100, where it is 2 a_s).
+    """
     if sigma <= 0.5:
         raise ValueError("requires sigma > 1/2")
-    a_s = arithmetic_factor(s, p_max).value
-    return a_s * rmt_leading_coefficient(s) / (2 * sigma - 1) ** (s * s + 2 * s)
+    a_s = arithmetic_factor(s, p_max)
+    if a_s.tail_bound > 1e-6 * a_s.value:
+        raise CapabilityError(f"the Euler product for a_s at s = {s}, p_max = {p_max} has a tail "
+                              f"bound {a_s.tail_bound / a_s.value:.2g} times its value, above "
+                              f"1e-6: raise --p-max")
+    return a_s.value * rmt_leading_coefficient(s) / (2 * sigma - 1) ** (s * s + 2 * s)

@@ -284,6 +284,31 @@ def structure_b(N: int, s: int, h1: int, h2: int, r) -> Fraction:
     return (-s * rv) ** abs(h2 - h1) * total
 
 
+def dirichlet_convolve_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(f*g)(n) = sum over d | n of f(d) g(n/d), one sieve row a <= sqrt(n_max)
+    at a time, each row swept over the whole output.
+
+    The reference for zeta.dirichlet_convolve, which walks the output in
+    segments and must give the same bits.
+    """
+    n_max = len(f) - 1
+    if len(g) != len(f):
+        raise ValueError("tables must have equal length")
+    out = np.zeros(n_max + 1)
+    for a in range(1, math.isqrt(n_max) + 1):
+        out[a * a] += f[a] * g[a]
+        start = a * (a + 1)
+        if start > n_max:
+            continue
+        b_hi = n_max // a
+        if f is g:
+            # f[a] f[X] + f[a] f[X] == (2 f[a]) f[X] exactly: doubling is exact.
+            out[start :: a][: b_hi - a] += (2 * f[a]) * f[a + 1 : b_hi + 1]
+        else:
+            out[start :: a][: b_hi - a] += f[a] * g[a + 1 : b_hi + 1] + g[a] * f[a + 1 : b_hi + 1]
+    return out
+
+
 def divisor_growth_constant_from_table(s: int, n_max: int, delta: float) -> float:
     """Twice the maximum of d_s(n) / n^delta over every n in 1..n_max, read
     from the full sieve table d_s(1..n_max).

@@ -327,6 +327,8 @@ class TestZetaCommand:
         "arithmetic-factor --s 300 --p-max 100",
         "arithmetic-factor --s 25 --p-max 1000",
         "conjecture --s 22 --sigma 0.99 --p-max 1000",
+        "conjecture --s 20 --sigma 0.99 --p-max 100",
+        "conjecture --s 10 --sigma 0.99 --p-max 100",
     ])
     def test_euler_product_out_of_range_is_capability_exit(self, capsys, argv):
         with warnings.catch_warnings():

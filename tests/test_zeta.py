@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuederiv import zeta
 from cuederiv.errors import CapabilityError
 from cuederiv.specfun import zeta_real
 from cuederiv.zeta import (
@@ -21,7 +23,11 @@ from cuederiv.zeta import (
     primes_up_to,
     rmt_leading_coefficient,
 )
-from oracles import divisor_growth_constant_from_table, euler_factor_log
+from oracles import (
+    dirichlet_convolve_rows,
+    divisor_growth_constant_from_table,
+    euler_factor_log,
+)
 
 
 class TestTables:
@@ -99,6 +105,59 @@ class TestTables:
         assert rows[0] == "n,value"
         assert len(rows) == 13
         assert rows[6].startswith("6,4")
+
+    @pytest.mark.parametrize("table", [divisor_table, log_convolution_table])
+    def test_csv_bytes_equal_csv_module(self, tmp_path, table):
+        t = table(3, 60)
+        t.to_csv(tmp_path / "table.csv")
+        with open(tmp_path / "expected.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["n", "value"])
+            for n in range(1, t.n_max + 1):
+                writer.writerow([n, repr(float(t.values[n]))])
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+class TestSegmentedSieve:
+    """dirichlet_convolve walks the output in segments; the row sieve sweeps
+    each row over the whole output.  Every entry must get the same bits."""
+
+    N_MAX = 2_500_000  # three segments of 2^20
+
+    def test_tables_span_three_segments(self):
+        assert 2 * zeta._SEGMENT < self.N_MAX + 1 <= 3 * zeta._SEGMENT
+
+    @staticmethod
+    def _random_table(rng, n_max, zero_rows):
+        f = rng.standard_normal(n_max + 1)
+        f[0] = 0.0
+        f[list(zero_rows)] = 0.0
+        return f
+
+    def test_self_form_equals_row_sieve(self):
+        rng = np.random.default_rng(14)
+        f = self._random_table(rng, self.N_MAX, (1, 2, 1000))
+        assert np.array_equal(dirichlet_convolve(f, f), dirichlet_convolve_rows(f, f))
+
+    def test_two_table_form_equals_row_sieve(self):
+        rng = np.random.default_rng(15)
+        # rows 1 and 1000 vanish in both tables and are skipped; row 2 and
+        # row 3 vanish in one table only and are not
+        f = self._random_table(rng, self.N_MAX, (1, 2, 1000))
+        g = self._random_table(rng, self.N_MAX, (1, 3, 1000))
+        assert np.array_equal(dirichlet_convolve(f, g), dirichlet_convolve_rows(f, g))
+
+    @pytest.mark.parametrize("series", [deriv_moment_series, lindelof_series])
+    @pytest.mark.parametrize("s, n_max", [(2, 2**21 + 1), (3, 2**20 + 1)])
+    def test_series_equal_row_sieve_series(self, monkeypatch, series, s, n_max):
+        # n_max = 2^k + 1: the last segment holds just the final 2 entries
+        result = series(s, 0.6, n_max)
+        monkeypatch.setattr(zeta, "dirichlet_convolve", dirichlet_convolve_rows)
+        assert result == series(s, 0.6, n_max)
+        # and the in-place series sum is the out-of-place one, on the row-sieve table
+        table = (log_convolution_table if series is deriv_moment_series else divisor_table)(s, n_max)
+        n = np.arange(1, n_max + 1, dtype=float)
+        assert result.value == float(np.sum(table.values[1:] ** 2 * n ** (-2 * 0.6)))
 
 
 class TestDivisorGrowthConstant:
@@ -248,6 +307,16 @@ class TestConjecture:
     def test_underflowing_arithmetic_factor_is_capability_error(self):
         with pytest.raises(CapabilityError, match="underflows"):
             conjecture_rhs(22.0, 0.99, p_max=1000)
+
+    @pytest.mark.parametrize("s", [10.0, 20.0])
+    def test_loose_arithmetic_factor_is_capability_error(self, s):
+        # at p_max = 100 the Euler product's tail bound is 2 (s = 10) and
+        # 3e18 (s = 20) times its value
+        factor = arithmetic_factor(s, 100)
+        assert factor.tail_bound > 1e-6 * factor.value
+        with pytest.raises(CapabilityError, match="raise --p-max"):
+            conjecture_rhs(s, 0.99, p_max=100)
+        assert conjecture_rhs(s, 0.99, p_max=10**6) > 0
 
 
 class TestDirichletTableType:
