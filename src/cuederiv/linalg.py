@@ -45,14 +45,15 @@ def det_float(stack) -> np.ndarray:
     math.exp.  Raises CapabilityError on a non-finite entry or a determinant
     that leaves double precision.
     """
-    a = np.array(stack, dtype=float)
+    a = np.array(stack, dtype=float)  # a private copy, scaled in place below
     *shape, n, _ = a.shape
     a = a.reshape(math.prod(shape), n, n)
-    row_max = np.max(np.abs(a), axis=2, initial=0.0)
+    row_max = np.maximum(a.max(axis=2, initial=0.0), -a.min(axis=2, initial=0.0))
     if not np.isfinite(row_max).all():
         raise CapabilityError("float overflow: non-finite determinant entry")
     row_max[row_max == 0.0] = 1.0  # a zero row stays zero: slogdet gives sign 0
-    sign, log_abs = np.linalg.slogdet(a / row_max[:, :, None])
+    a /= row_max[:, :, None]
+    sign, log_abs = np.linalg.slogdet(a)
     dets = np.zeros(len(a))
     for k, maxima in enumerate(row_max.tolist()):
         if sign[k]:

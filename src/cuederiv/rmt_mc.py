@@ -5,7 +5,11 @@ independent (Killip & Nenciu, IMRN 2004): for k < N-1, |alpha_k|^2 is
 Beta(1, N-k-1) with a uniform phase, and alpha_(N-1) is uniform on the unit
 circle.  Szego's recursion then gives Phi_N(z) = det(z - U) and its
 derivatives in O(N) per draw and point, with |Lambda_N| = |Phi_N| and
-|Lambda_N'| = |Phi_N'| since |det U| = 1.  Zero counts read the winding number
+|Lambda_N'| = |Phi_N'| since |det U| = 1.  The recursion carries its values
+as a mantissa and a power-of-two exponent, and rescales them only where a
+bound from |alpha_k| and |z| says they could leave a fixed window: rescaling
+by a power of two is exact, so the results are those of rescaling at every
+step, bit for bit (see _szego_scaled).  Zero counts read the winding number
 of Phi_N' around each circle |z| = r; a draw whose winding cannot be certified
 falls back to the eigenphases of its GGT matrix.  Estimators work in
 fixed-size chunks, each chunk owning a generator derived from (seed, chunk
@@ -32,6 +36,9 @@ _GRID_MIN = 32
 _ARC_PHASE_LIMIT = math.pi / 4
 _BISECTION_DEPTH = 12
 _POINT_BUDGET = 1 << 16
+# _szego_scaled renormalises only where max(|Phi_k|, |Phi_k^*|) could leave
+# 2**(+-_RENORM_WINDOW) of its last renormalised size (see _renormalised_steps).
+_RENORM_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,44 @@ def _verblunsky(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return modulus * np.exp(2j * np.pi * rng.random((count, N)))
 
 
+def _renormalised_steps(alpha_abs: np.ndarray, z_abs: np.ndarray) -> list[bool]:
+    """Which steps of _szego_scaled renormalise, from a bound on how far
+    M_k = max(|Phi_k|, |Phi_k^*|) can move; `alpha_abs` has shape (N, B).
+
+    One step multiplies M_k by at most (1 + |alpha_k|) max(1, |z|).  Inside the
+    closed disc |Phi_k| <= |Phi_k^*|, so it also multiplies M_k by at least
+    1 - |alpha_k| |z|; outside, |Phi_k| >= |Phi_k^*| gives at least
+    |z| - |alpha_k|.  Both are taken at the worst draw and point.  A step
+    renormalises when the next one could take M_k out of 2**(+-_RENORM_WINDOW)
+    of its last renormalised size, when its own factors alone could, when a
+    factor is not finite, and always at the last step.
+    """
+    a_max = np.max(alpha_abs, axis=1, initial=0.0)
+    z_max = np.max(z_abs)
+    inside, outside = z_abs[z_abs <= 1], z_abs[z_abs > 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grow = np.log2((1 + a_max) * np.maximum(1.0, z_max))
+        shrink = np.full(len(a_max), np.inf)
+        if inside.size:
+            shrink = np.minimum(shrink, np.log2(1 - a_max * np.max(inside)))
+        if outside.size:
+            shrink = np.minimum(shrink, np.log2(np.min(outside) - a_max))
+    steps = [False] * len(a_max)
+    high = low = 0.0
+    for k, (up, down) in enumerate(zip(grow.tolist(), shrink.tolist())):
+        # `not (... <= ...)` is also true for nan.
+        if k and not (high + up <= _RENORM_WINDOW and low + down >= -_RENORM_WINDOW):
+            steps[k - 1] = True
+            high = low = 0.0
+        high += up
+        low += down
+        if not (high <= _RENORM_WINDOW and low >= -_RENORM_WINDOW):
+            steps[k] = True
+            high = low = 0.0
+    steps[-1] = True
+    return steps
+
+
 def _szego_scaled(alpha: np.ndarray, z: np.ndarray, second: bool = False):
     """(Phi_N, Phi_N', Phi_N'' or None, exponent, unresolved) at `z`, shape (P, B).
 
@@ -114,45 +159,66 @@ def _szego_scaled(alpha: np.ndarray, z: np.ndarray, second: bool = False):
     Phi_0 = Phi_0^* = 1, for each row of `alpha` (shape (B, N)).  `z` must
     broadcast against (1, B): a column (P, 1) of points shared by every draw,
     or a row (1, B) with one point per draw.  Phi_N'' is carried only when
-    `second` is set.  Every step divides all values by the power of two that
-    brings max(|Phi_k|, |Phi_k^*|) into [1/2, 1), which is exact and keeps
-    every phase, and carries the exponent, so large N cannot overflow; the
-    true values are the returned ones times 2**exponent.  `unresolved` marks a
-    Phi_N(z) within COLLISION_TOLERANCE of zero relative to the two terms of
-    the last step, i.e. z on an eigenvalue.
+    `second` is set.
+
+    The true values are the returned ones times 2**exponent.  A renormalising
+    step divides all values by the power of two that brings
+    max(|Phi_k|, |Phi_k^*|) into [1/2, 1) and adds it to the exponent, so large
+    N cannot overflow.  The recursion is linear, and dividing by a power of two
+    is exact while every value stays a normal double, so the results do not
+    depend on which steps renormalise as long as the last one does: they are
+    those of renormalising at every step, bit for bit.  _renormalised_steps
+    picks the steps from a bound that keeps max(|Phi_k|, |Phi_k^*|) within
+    2**(+-_RENORM_WINDOW) of its last renormalised size, which leaves the other
+    values over 2**760 of room on either side.  The steps run on preallocated
+    arrays, in the same operation order.
+
+    `unresolved` marks a Phi_N(z) within COLLISION_TOLERANCE of zero relative
+    to the two terms of the last step, i.e. z on an eigenvalue.
     """
     alpha = np.ascontiguousarray(np.transpose(alpha))
     shape = np.broadcast_shapes(z.shape, (1, alpha.shape[1]))
+    renormalise = _renormalised_steps(np.abs(alpha), np.abs(z))
     phi = np.ones(shape, dtype=complex)
     phi_star = np.ones(shape, dtype=complex)
     dphi = np.zeros(shape, dtype=complex)
     dphi_star = np.zeros(shape, dtype=complex)
+    z_phi = np.empty(shape, dtype=complex)
+    dz_phi = np.empty(shape, dtype=complex)
+    term = np.empty(shape, dtype=complex)
     ddphi = ddphi_star = None
     if second:
         ddphi = np.zeros(shape, dtype=complex)
         ddphi_star = np.zeros(shape, dtype=complex)
+        ddz_phi = np.empty(shape, dtype=complex)
     exponent = np.zeros(shape, dtype=np.int64)
-    for k, a in enumerate(alpha, start=1):
+    for k, (a, renormalising) in enumerate(zip(alpha, renormalise), start=1):
         a_conj = a.conj()
-        z_phi = z * phi
-        dz_phi = phi + z * dphi
+        np.multiply(z, phi, out=z_phi)
+        np.add(phi, np.multiply(z, dphi, out=term), out=dz_phi)
         if second:
-            ddz_phi = 2 * dphi + z * ddphi
-            ddphi, ddphi_star = ddz_phi - a_conj * ddphi_star, ddphi_star - a * ddz_phi
+            # ddz_phi = 2 dphi + z ddphi; ddphi, ddphi_star from ddz_phi
+            np.multiply(2, dphi, out=ddz_phi)
+            np.add(ddz_phi, np.multiply(z, ddphi, out=term), out=ddz_phi)
+            np.subtract(ddz_phi, np.multiply(a_conj, ddphi_star, out=term), out=ddphi)
+            np.subtract(ddphi_star, np.multiply(a, ddz_phi, out=term), out=ddphi_star)
         if k == len(alpha):
             cancelled = np.abs(z_phi) + np.abs(phi_star)
-        phi, phi_star = z_phi - a_conj * phi_star, phi_star - a * z_phi
-        dphi, dphi_star = dz_phi - a_conj * dphi_star, dphi_star - a * dz_phi
-        _, e = np.frexp(np.maximum(np.abs(phi), np.abs(phi_star)))
-        scale = np.ldexp(1.0, -e)
-        phi *= scale
-        phi_star *= scale
-        dphi *= scale
-        dphi_star *= scale
-        if second:
-            ddphi *= scale
-            ddphi_star *= scale
-        exponent += e
+        np.subtract(z_phi, np.multiply(a_conj, phi_star, out=term), out=phi)
+        np.subtract(phi_star, np.multiply(a, z_phi, out=term), out=phi_star)
+        np.subtract(dz_phi, np.multiply(a_conj, dphi_star, out=term), out=dphi)
+        np.subtract(dphi_star, np.multiply(a, dz_phi, out=term), out=dphi_star)
+        if renormalising:
+            _, e = np.frexp(np.maximum(np.abs(phi), np.abs(phi_star)))
+            scale = np.ldexp(1.0, -e)
+            phi *= scale
+            phi_star *= scale
+            dphi *= scale
+            dphi_star *= scale
+            if second:
+                ddphi *= scale
+                ddphi_star *= scale
+            exponent += e
     unresolved = np.abs(phi) < COLLISION_TOLERANCE * cancelled * scale
     return phi, dphi, ddphi, exponent, unresolved
 

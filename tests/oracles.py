@@ -22,6 +22,7 @@ from cuederiv.combinatorics import (
 from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import _block_exponent
 from cuederiv.linalg import det_exact
+from cuederiv.rmt_mc import COLLISION_TOLERANCE
 from cuederiv.specfun import hyp1f1
 from cuederiv.zeta import _INNER_SUM_EPS, divisor_table
 
@@ -340,3 +341,46 @@ def euler_factor_log(s: float, p: int) -> float:
         if m > 10_000:
             raise ArithmeticError(f"Euler factor sum did not converge at p = {p}")
     return s * s * math.log1p(-inv_p) + math.log(total)
+
+
+def szego_scaled_every_step(alpha: np.ndarray, z: np.ndarray, second: bool = False):
+    """(Phi_N, Phi_N', Phi_N'' or None, exponent, unresolved) at `z`, with the
+    values renormalised after every step of Szego's recursion.
+
+    The reference for rmt_mc._szego_scaled, which renormalises only where its
+    bound requires and must give the same bits.
+    """
+    alpha = np.ascontiguousarray(np.transpose(alpha))
+    shape = np.broadcast_shapes(z.shape, (1, alpha.shape[1]))
+    phi = np.ones(shape, dtype=complex)
+    phi_star = np.ones(shape, dtype=complex)
+    dphi = np.zeros(shape, dtype=complex)
+    dphi_star = np.zeros(shape, dtype=complex)
+    ddphi = ddphi_star = None
+    if second:
+        ddphi = np.zeros(shape, dtype=complex)
+        ddphi_star = np.zeros(shape, dtype=complex)
+    exponent = np.zeros(shape, dtype=np.int64)
+    for k, a in enumerate(alpha, start=1):
+        a_conj = a.conj()
+        z_phi = z * phi
+        dz_phi = phi + z * dphi
+        if second:
+            ddz_phi = 2 * dphi + z * ddphi
+            ddphi, ddphi_star = ddz_phi - a_conj * ddphi_star, ddphi_star - a * ddz_phi
+        if k == len(alpha):
+            cancelled = np.abs(z_phi) + np.abs(phi_star)
+        phi, phi_star = z_phi - a_conj * phi_star, phi_star - a * z_phi
+        dphi, dphi_star = dz_phi - a_conj * dphi_star, dphi_star - a * dz_phi
+        _, e = np.frexp(np.maximum(np.abs(phi), np.abs(phi_star)))
+        scale = np.ldexp(1.0, -e)
+        phi *= scale
+        phi_star *= scale
+        dphi *= scale
+        dphi_star *= scale
+        if second:
+            ddphi *= scale
+            ddphi_star *= scale
+        exponent += e
+    unresolved = np.abs(phi) < COLLISION_TOLERANCE * cancelled * scale
+    return phi, dphi, ddphi, exponent, unresolved

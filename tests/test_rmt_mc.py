@@ -14,7 +14,7 @@ from cuederiv.rmt_mc import (
     estimate_moment,
     mean_zero_counts,
 )
-from oracles import eigenphase_lambda_and_deriv, haar_phases
+from oracles import eigenphase_lambda_and_deriv, haar_phases, szego_scaled_every_step
 
 
 def rng(seed=0):
@@ -233,11 +233,17 @@ class TestSzego:
 
     def test_large_n_stays_finite(self):
         alpha = rmt_mc._verblunsky(3000, 4, rng(13))
-        log_phi, log_dphi, _ = rmt_mc._szego(alpha, [0.5, 1.0, 2.0])
+        points = [0.5, 1.0, 2.0, 1e12, 1 + 1e-12, 1e24]
+        log_phi, log_dphi, _ = rmt_mc._szego(alpha, points)
         assert np.all(np.isfinite(log_phi)) and np.all(np.isfinite(log_dphi))
         # 1 = (|z| - 1)^N <= |Phi_N(z)| <= (|z| + 1)^N at z = 2, past 1e308
         assert np.all(log_phi[2] >= -1e-9) and np.all(log_phi[2] <= 3000 * math.log(3.0))
         assert np.all(log_phi[2] > math.log(1e308))
+        # The same bounds put log|Phi_N| within N/|z| of N log|z| at z = 1e12
+        # and 1e24, where Phi_k passes 1e308 within 26 and 13 steps of its last
+        # renormalisation.
+        for i in (3, 5):
+            assert np.allclose(log_phi[i], 3000 * math.log(points[i]), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("N, haar_draws", [(6, 4000), (60, 1000)])
     def test_samplers_agree_in_distribution(self, N, haar_draws):
@@ -249,6 +255,88 @@ class TestSzego:
         log_phi, log_dphi, _ = rmt_mc._szego(rmt_mc._verblunsky(N, 20_000, rng(22)), [z])
         assert scipy.stats.ks_2samp(log_lam, log_phi[0]).pvalue > 0.01
         assert scipy.stats.ks_2samp(log_dlam, log_dphi[0]).pvalue > 0.01
+
+
+def bits(values):
+    """The bit patterns of a float or complex array, for exact comparison."""
+    values = np.asarray(values)
+    return values.view(np.int64) if values.dtype.kind in "fc" else values
+
+
+SZEGO_POINTS = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.97, 1 - 1e-12, np.exp(0.9j), -1.0,
+                         1 + 1e-12, 1.7 - 0.4j, 2.0, 1e12, 1e24])
+
+
+class TestSzegoRenormalisation:
+    """_szego_scaled renormalises only where its bound requires; every output
+    must equal, bit for bit, the recursion renormalised at every step."""
+
+    @staticmethod
+    def assert_bit_identical(alpha, z, second):
+        fast = rmt_mc._szego_scaled(alpha, z, second)
+        slow = szego_scaled_every_step(alpha, z, second)
+        for name, x, y in zip(["phi", "dphi", "ddphi", "exponent", "unresolved"], fast, slow):
+            if y is None:
+                assert x is None, name
+            else:
+                assert np.array_equal(bits(x), bits(y)), name
+
+    @pytest.mark.parametrize("second", [False, True])
+    @pytest.mark.parametrize("N", [1, 2, 6, 25, 100, 300])
+    def test_matches_every_step_renormalisation(self, N, second):
+        alpha = rmt_mc._verblunsky(N, 5, rng(900 + N))
+        for points in (SZEGO_POINTS, SZEGO_POINTS[:4], SZEGO_POINTS[4:8], SZEGO_POINTS[-3:]):
+            self.assert_bit_identical(alpha, points[:, None], second)
+        # One point per draw, as in the bisection of _winding_counts.
+        self.assert_bit_identical(alpha, SZEGO_POINTS[None, 3:8], second)
+
+    @pytest.mark.parametrize("second", [False, True])
+    def test_matches_with_coefficients_next_to_the_circle(self, second):
+        # |alpha_k| = 1 - 2^-53: on the circle each step can shrink the values
+        # by a factor of 2^-53, so the bound renormalises every few steps.
+        phases = rng(31).uniform(0.0, 2 * np.pi, (3, 400))
+        alpha = (1 - 2.0**-53) * np.exp(1j * phases)
+        self.assert_bit_identical(alpha, SZEGO_POINTS[:, None], second)
+
+    def test_renormalises_only_where_the_bound_requires(self):
+        alpha_abs = np.full((100, 2), 0.5)
+        steps = rmt_mc._renormalised_steps(alpha_abs, np.array([[0.5], [0.9]]))
+        assert steps == [False] * 99 + [True]
+        # Growth by (1 + 1/2) 1e12 = 2^40.4 a step: at most six steps apart.
+        steps = rmt_mc._renormalised_steps(alpha_abs, np.array([[1e12]]))
+        assert np.flatnonzero(steps).tolist() == list(range(5, 99, 6)) + [99]
+        # On the circle, |alpha_40| = 1 allows a shrink to 0: step 40 starts
+        # from renormalised values and renormalises at once.
+        alpha_abs[40] = 1.0
+        steps = rmt_mc._renormalised_steps(alpha_abs, np.array([[1.0]]))
+        assert np.flatnonzero(steps).tolist() == [39, 40, 99]
+
+
+class TestSeededOutputs:
+    """Seeded Monte Carlo results, bit for bit (float.hex), for one and two
+    threads."""
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_zero_counts(self, threads):
+        estimates = mean_zero_counts(25, [0.5, 0.7071], 1200, seed=11, threads=threads)
+        assert [(e.mean.hex(), e.std_error.hex(), e.fallback) for e in estimates] == [
+            ("0x1.53a06d3a06d3ap-1", "0x1.2ef7bdfd9f93ap-6", 0),
+            ("0x1.fd70a3d70a3d7p+0", "0x1.b94faf0adfb4bp-6", 0),
+        ]
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_moment(self, threads):
+        est = estimate_moment(6, 2, 0.6, 20000, 3, threads=threads)
+        assert (est.mean.hex(), est.std_error.hex(), est.top_contribution_fraction.hex(),
+                est.resampled) == (
+            "0x1.f4686352e98b8p+7", "0x1.d52b3f3992238p+4", "0x1.60eb928f1c9cdp-1", 0)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_joint_moment(self, threads):
+        est = estimate_joint_moment(60, 1, 1, 0.3, 0.5j, 400, 5, threads=threads)
+        assert (est.mean.hex(), est.std_error.hex(), est.top_contribution_fraction.hex(),
+                est.resampled) == (
+            "0x1.04577602ef5f3p+1", "0x1.41c1b3bc54ec5p-3", "0x1.e793eaa6ad040p-4", 0)
 
 
 class TestPolyAndZeros:
