@@ -5,14 +5,14 @@ closed-form asymptotics, Monte Carlo over Haar unitaries) plus the
 number-theory side series they are conjectured to match.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .combinatorics import (
     enumerate_partitions,
     partition_factorial,
     syt_count,
 )
-from .errors import CapabilityError, EigenphaseCollisionError
+from .errors import CapabilityError
 from .exact_moments import (
     cue_moment_integer,
     cue_moment_ks,
@@ -40,7 +40,6 @@ from .rmt_mc import (
 from .specfun import (
     exp_moment,
     hyp1f1,
-    laguerre,
     zeta_real,
 )
 from .zeta import (

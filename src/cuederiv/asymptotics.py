@@ -16,7 +16,8 @@ import numpy as np
 from .combinatorics import _partition_det_sum
 from .errors import CapabilityError
 from .linalg import det_float
-from .specfun import _kummer_factor, exp_moment, laguerre
+from .exact_moments import _structure_a_upoly
+from .specfun import _kummer_factor, exp_moment
 
 
 @dataclass(frozen=True)
@@ -101,12 +102,13 @@ def expected_log_integral(r: float) -> float:
 
 
 def meso_moment(s: int, alpha: float, N: float) -> float:
-    """Mesoscopic asymptotic N^(alpha(s^2+2s)) s! L_s(-s^2)."""
+    """Mesoscopic asymptotic N^(alpha(s^2+2s)) s! L_s(-s^2), the coefficient
+    taken exactly as the structure route's a_(0,0) at u = 1 and rounded once."""
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
     if not 0 < alpha < 1:
         raise ValueError("requires 0 < alpha < 1")
-    coefficient = math.factorial(s) * float(laguerre(s, -s * s))
+    coefficient = float(sum(_structure_a_upoly(s, 0, 0)))
     return coefficient * float(N) ** (alpha * (s * s + 2 * s))
 
 

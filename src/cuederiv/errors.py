@@ -3,7 +3,3 @@
 
 class CapabilityError(Exception):
     """A request exceeds a documented size/precision limit of the library."""
-
-
-class EigenphaseCollisionError(Exception):
-    """An evaluation point fell within 1e-14 of an eigenvalue; resample."""

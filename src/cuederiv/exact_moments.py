@@ -7,9 +7,9 @@ Two independent finite-N routes are implemented:
   in integers over one denominator at rational u, and in floats with all of its
   determinants in one stacked call.
 * ``moment_structure``: the expansion of the moment as a polynomial in
-  1/(1 - u) whose coefficients C_h(u) (``structure_c_upoly``) are integer
+  1/(1 - u) whose coefficients C_h(u) (``_c_upoly``) are integer
   polynomials: a Laguerre factor (``_structure_a_upoly``) times derivatives of
-  a 2s x 2s block determinant (``structure_b_expansion``).  That determinant's
+  a 2s x 2s block determinant (``_b_expansion``).  That determinant's
   polynomial in r = |z| is a Laplace expansion over the C(2s, s) column subsets
   of its z-rows, each adding a product of two integer block sums, one
   Laguerre-derivative determinant per block (``_block_sums``).  A float u is
@@ -140,25 +140,13 @@ def _structure_a_upoly(s: int, h1: int, h2: int) -> list[int]:
     ]
 
 
-def _block_exponent(N: int, s: int, row: int, col: int) -> int:
-    """Monomial power at (row, col) of the 2s x 2s alternant block matrix.
-
-    Rows 0..s-1 are z-rows [1, z, .., z^(s-1) | z^(N+2s-1), .., z^(N+s)],
-    rows s..2s-1 are w-rows [w^(N+2s-1), .., w^(N+s) | 1, w, .., w^(s-1)].
-    """
-    top = row < s
-    left = col < s
-    j = col if left else col - s
-    if top == left:
-        return j
-    return N + 2 * s - 1 - j
-
-
 def _block_sums(N: int, s: int) -> list[tuple[int, int, list[int], list[int]]]:
     """(e, sign, Z, W) per s-subset S of the 2s columns, in combinations order.
 
-    Z = [Z_0(S), .., Z_s(S)] are the z-rows' block sums on S, W the w-rows' on
-    the complement, both read from one minor table; S adds
+    The 2s x 2s alternant block matrix has z-rows [1, z, .., z^(s-1) |
+    z^(N+2s-1), .., z^(N+s)] and w-rows [w^(N+2s-1), .., w^(N+s) | 1, w, ..,
+    w^(s-1)].  Z = [Z_0(S), .., Z_s(S)] are the z-rows' block sums on S, W the
+    w-rows' on the complement, both read from one minor table; S adds
     sign s^|h2-h1| Z_h1 W_h2 r^(e - 2 min(h1, h2)) to b_(h1,h2).  By the hook
     formula and Andreief's identity a block sum is
     X_h = h! [t^h] det[D^(s-k) L_(a_j)(-t)], k = 1..s, a_j the column exponents:
@@ -169,7 +157,7 @@ def _block_sums(N: int, s: int) -> list[tuple[int, int, list[int], list[int]]]:
     if s > EXACT_S_CAP:
         raise CapabilityError(f"exact mode supports s <= {EXACT_S_CAP}, got {s}")
     binom = [[math.comb(n, m) for m in range(n + 1)] for n in range(s + 1)]
-    exps = [_block_exponent(N, s, 0, j) for j in range(2 * s)]
+    exps = list(range(s)) + [N + 2 * s - 1 - j for j in range(s)]
     minors = {(): [1] + [0] * s}
     for k in range(1, s + 1):
         entries = [[math.comb(a, n + s - k) for n in range(s + 1)] for a in exps]
@@ -203,20 +191,9 @@ def _block_sums(N: int, s: int) -> list[tuple[int, int, list[int], list[int]]]:
 
 
 def _b_expansion(s: int, h1: int, h2: int, block_sums) -> dict[int, int]:
-    """structure_b_expansion from the records of `_block_sums(N, s)`."""
-    scale = s ** abs(h2 - h1)
-    result: dict[int, int] = {}
-    for e, sign, z, w in block_sums:
-        term = z[h1] * w[h2]
-        if term:
-            power = e - 2 * min(h1, h2)
-            result[power] = result.get(power, 0) + sign * scale * term
-    return {e: c for e, c in result.items() if c}
-
-
-def structure_b_expansion(N: int, s: int, h1: int, h2: int) -> dict[int, int]:
-    """b_(h1,h2)(N, r), the derivatives of the block determinant ratio at
-    z = w = -r, as an exact polynomial in r = |z|: power -> coefficient.
+    """b_(h1,h2)(N, r), 0 <= h1, h2 <= s, the derivatives of the block
+    determinant ratio at z = w = -r, as an exact polynomial in r = |z|:
+    power -> coefficient, from the records of `_block_sums(N, s)`.
 
     Generalized Laplace expansion of the differentiated block matrix along its
     s z-rows.  Every entry of a row with derivative order o in a column with
@@ -228,10 +205,14 @@ def structure_b_expansion(N: int, s: int, h1: int, h2: int) -> dict[int, int]:
     Includes the (-s r)^|h2-h1| prefactor; all surviving powers are even, so
     the result is secretly a polynomial in u = r^2.
     """
-    _validate_sizes(N, s)
-    if not (0 <= h1 <= s and 0 <= h2 <= s):
-        raise ValueError("structure_b_expansion requires 0 <= h1, h2 <= s")
-    return _b_expansion(s, h1, h2, _block_sums(N, s))
+    scale = s ** abs(h2 - h1)
+    result: dict[int, int] = {}
+    for e, sign, z, w in block_sums:
+        term = z[h1] * w[h2]
+        if term:
+            power = e - 2 * min(h1, h2)
+            result[power] = result.get(power, 0) + sign * scale * term
+    return {e: c for e, c in result.items() if c}
 
 
 def _structure_pairs(s: int, h: int):
@@ -240,7 +221,7 @@ def _structure_pairs(s: int, h: int):
 
 
 def _c_upoly(N: int, s: int, h: int, block_sums) -> list[int]:
-    """structure_c_upoly from the records of `_block_sums(N, s)`."""
+    """C_h(N, .) as an integer polynomial in u = r^2, from the records of `_block_sums(N, s)`."""
     acc: dict[int, int] = {}
     for h1, h2, mult in _structure_pairs(s, h):
         b_poly = _b_expansion(s, h1, h2, block_sums)
@@ -256,12 +237,6 @@ def _c_upoly(N: int, s: int, h: int, block_sums) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def structure_c_upoly(N: int, s: int, h: int) -> list[int]:
-    """C_h(N, .) as exact integer coefficients in u = r^2, lowest power first."""
-    _validate_sizes(N, s)
-    return _c_upoly(N, s, h, _block_sums(N, s))
 
 
 def _over_one_minus_u(

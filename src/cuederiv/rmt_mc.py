@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, EigenphaseCollisionError
+from .errors import CapabilityError
 
 GENERATOR_NAME = "pcg64/verblunsky"
 COLLISION_TOLERANCE = 1e-14
@@ -248,7 +248,7 @@ def _collect_values(N, samples, seed, threads, evaluate, progress=None):
         while np.any(bad):
             attempts += 1
             if attempts > 50:
-                raise EigenphaseCollisionError("persistent eigenphase collisions")
+                raise CapabilityError("the point stayed on an eigenvalue through 50 redraws")
             count = int(np.sum(bad))
             resampled += count
             alpha[bad] = _verblunsky(N, count, rng)
@@ -340,10 +340,10 @@ def _estimate_joint(N, s, h, z1, z2, samples, seed, threads, progress) -> Moment
 
     def evaluate(alpha):
         # At z1 == z2 and s == h the bracket is exactly 0, so the values are
-        # |Lambda'(z1)|^(2s) draw for draw.
+        # |Lambda'(z1)|^(2s) draw for draw; a draw with Phi = 0 gives nan, and is redrawn.
         log_phi, log_dphi, unresolved = _szego(alpha, [z1] if z1 == z2 else [z1, z2])
-        bracket = 2 * s * log_phi[0] - 2 * h * log_phi[-1]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            bracket = 2 * s * log_phi[0] - 2 * h * log_phi[-1]
             return np.exp(2 * h * log_dphi[-1] + bracket), unresolved[-1]
 
     values, resampled = _collect_values(N, samples, seed, threads, evaluate, progress)

@@ -1,14 +1,12 @@
 """Special functions shared by the exact, asymptotic and zeta modules.
 
-All routines are scalar and pure.  The Laguerre evaluator stays exact on
-rational inputs; the rest work in double precision.
+All routines are scalar, pure and work in double precision.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
@@ -45,26 +43,15 @@ def _kummer_factor(a: float, x: float) -> float:
     return math.exp(-x) * math.gamma(a + 1) * hyp1f1(a + 1, 1.0, x)
 
 
-def laguerre(s: int, x):
-    """Laguerre polynomial L_s(x); exact Fraction on rational x."""
-    if s < 0:
-        raise ValueError("laguerre order must be non-negative")
-    exact = isinstance(x, Rational)
-    xv = Fraction(x) if exact else float(x)
-    total = Fraction(0) if exact else 0.0
-    for k in range(s + 1):
-        coeff = Fraction(math.comb(s, k) * (-1) ** k, math.factorial(k))
-        total += (coeff if exact else float(coeff)) * xv**k
-    return total
-
-
 def exp_moment(k: int, c: float) -> float:
     """The moment integral over [0, 1] of x^k e^(-c x).
 
-    Series in c for c < 1 (for c <= 0 every term is positive).  For c >= 1
+    Series in c for c < 1 (for c <= 0 every term is positive).  Below c = k + 40
     the integration-by-parts recurrence is run downward, seeded with zero far
     enough above k that the start-up error is damped below 1e-18; the upward
-    direction amplifies errors by k/c per step and is useless for k >> c.
+    direction amplifies errors by k/c per step.  Its e^(-c) underflows from
+    c ~ 708, long before the moment does, so from c = k + 40 on the closed form
+    k!/c^(k+1) (1 - sum_(j<=k) e^(-c) c^j/j!) is used, each term taken in logs.
     """
     if k < 0:
         raise ValueError("exp_moment requires k >= 0")
@@ -81,6 +68,12 @@ def exp_moment(k: int, c: float) -> float:
             if abs(delta) <= 1e-18 * abs(total):
                 return total
         raise ArithmeticError(f"exp_moment series did not converge for ({k}, {c})")
+    if c >= k + 40:
+        p, q = c.as_integer_ratio()
+        # int / int is correctly rounded, and k!/c^(k+1) < 1 cannot overflow.
+        head = math.factorial(k) * q ** (k + 1) / p ** (k + 1)
+        tail = sum(math.exp(-c + j * math.log(c) - math.lgamma(j + 1)) for j in range(k + 1))
+        return head * (1.0 - tail)
     # pick the start index so prod_{j=k+1..K} (c/j) < 1e-20
     top = max(k, int(c)) + 8
     damping = sum(math.log(c / j) for j in range(k + 1, top + 1))

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from numbers import Rational
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from cuederiv.combinatorics import (
     syt_count,
 )
 from cuederiv.errors import CapabilityError
-from cuederiv.exact_moments import _block_exponent
 from cuederiv.linalg import det_exact
 from cuederiv.rmt_mc import COLLISION_TOLERANCE
 from cuederiv.specfun import hyp1f1
@@ -172,7 +172,7 @@ def omega_weight(q: DescendingComposition) -> int:
 def appendix_d00(m: int, l: int, s: int, N: int) -> Fraction:
     """Signed subset-sum coefficient of |z|^(2Nl - s^2 + s + 2m) in b_(0,0).
 
-    Implemented for s <= 3 only; a cross-check of structure_b_expansion.
+    Implemented for s <= 3 only; a cross-check of exact_moments._b_expansion.
     """
     if s > 3:
         raise CapabilityError(f"appendix coefficients support s <= 3, got {s}")
@@ -207,7 +207,7 @@ def partition_block_sum(h: int, s: int, exponents: tuple[int, ...]) -> Fraction:
     partitions lambda of h with at most s parts of f_lambda / [lambda]! times
     det[perm(a_j, lambda_i + s - i)], one Bareiss determinant per partition.
 
-    The reference for exact_moments._laguerre_minors.
+    The reference for exact_moments._block_sums.
     """
     total = Fraction(0)
     for lam in enumerate_partitions(h):
@@ -217,6 +217,19 @@ def partition_block_sum(h: int, s: int, exponents: tuple[int, ...]) -> Fraction:
         orders = [padded[i] + s - (i + 1) for i in range(s)]
         rows = [[math.perm(a, o) for a in exponents] for o in orders]
         total += Fraction(syt_count(lam), partition_factorial(lam, s)) * det_exact(rows)
+    return total
+
+
+def laguerre(s: int, x):
+    """Laguerre polynomial L_s(x); exact Fraction on rational x."""
+    if s < 0:
+        raise ValueError("laguerre order must be non-negative")
+    exact = isinstance(x, Rational)
+    xv = Fraction(x) if exact else float(x)
+    total = Fraction(0) if exact else 0.0
+    for k in range(s + 1):
+        coeff = Fraction(math.comb(s, k) * (-1) ** k, math.factorial(k))
+        total += (coeff if exact else float(coeff)) * xv**k
     return total
 
 
@@ -262,6 +275,20 @@ def fraction_det(rows) -> Fraction:
     return det
 
 
+def block_exponent(N: int, s: int, row: int, col: int) -> int:
+    """Monomial power at (row, col) of the 2s x 2s alternant block matrix.
+
+    Rows 0..s-1 are z-rows [1, z, .., z^(s-1) | z^(N+2s-1), .., z^(N+s)],
+    rows s..2s-1 are w-rows [w^(N+2s-1), .., w^(N+s) | 1, w, .., w^(s-1)].
+    """
+    top = row < s
+    left = col < s
+    j = col if left else col - s
+    if top == left:
+        return j
+    return N + 2 * s - 1 - j
+
+
 def structure_b(N: int, s: int, h1: int, h2: int, r) -> Fraction:
     """b_(h1,h2)(N, r) at rational r by its definition: (-s r)^|h2-h1| times
     the sum over partitions lambda of h1 and mu of h2 of f_lambda f_mu /
@@ -269,10 +296,10 @@ def structure_b(N: int, s: int, h1: int, h2: int, r) -> Fraction:
     the orders of lambda in its z-rows and of mu in its w-rows, at z = w = -r.
     One Fraction determinant per pair of partitions.
 
-    The reference for exact_moments.structure_b_expansion.
+    The reference for exact_moments._b_expansion.
     """
     rv = Fraction(r)
-    exponents = [[_block_exponent(N, s, i, j) for j in range(2 * s)] for i in range(2 * s)]
+    exponents = [[block_exponent(N, s, i, j) for j in range(2 * s)] for i in range(2 * s)]
     total = Fraction(0)
     mu_data = _partition_data(h2, s)
     for f_lam, fact_lam, p in _partition_data(h1, s):

@@ -20,17 +20,18 @@ from cuederiv.asymptotics import (
 )
 from cuederiv.combinatorics import enumerate_partitions, syt_count
 from cuederiv.exact_moments import (
+    _b_expansion,
+    _block_sums,
     cue_moment_integer,
     cue_moment_ks,
     cue_moment_radial,
     moment_exact,
     moment_structure,
-    structure_b_expansion,
 )
 from cuederiv.rmt_mc import estimate_joint_moment, estimate_moment, mean_zero_counts
-from cuederiv.specfun import hyp1f1, laguerre, zeta_real
+from cuederiv.specfun import hyp1f1, zeta_real
 from cuederiv.zeta import arithmetic_factor, deriv_moment_series
-from oracles import DescendingComposition, appendix_d00, omega_weight
+from oracles import DescendingComposition, appendix_d00, laguerre, omega_weight
 
 
 def report(number, text):
@@ -250,7 +251,7 @@ def test_criterion_10_cue_moment_identities():
 @pytest.mark.parametrize("s", (1, 2))
 @pytest.mark.parametrize("N", (5, 8))
 def test_criterion_11_appendix_expansion(s, N):
-    expansion = structure_b_expansion(N, s, 0, 0)
+    expansion = _b_expansion(s, 0, 0, _block_sums(N, s))
     rebuilt: dict[int, Fraction] = {}
     hi = (3 * s - 1) * s // 2
     for l in range(s + 1):

@@ -17,7 +17,8 @@ from cuederiv.asymptotics import (
 )
 from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import cue_moment_integer, moment_exact
-from cuederiv.specfun import exp_moment, laguerre
+from cuederiv.specfun import exp_moment
+from oracles import laguerre
 
 
 class TestRegimePoint:
@@ -128,6 +129,11 @@ class TestMesoscopic:
     def test_s2_coefficient(self):
         assert abs(meso_moment(2, 0.25, 16) - 34 * 16 ** (0.25 * 8)) < 1e-9
 
+    def test_coefficient_is_correctly_rounded(self):
+        # s! L_s(-s^2) is an integer; the float is its rounding, to the bit.
+        for s in range(1, 13):
+            assert meso_moment(s, 0.5, 1) == float(math.factorial(s) * laguerre(s, -s * s)), s
+
     def test_matches_exact_closed_sum(self):
         # s = 1, alpha = 1/2: the exact moment over the meso prediction -> 1
         N = 10**6
@@ -175,6 +181,33 @@ class TestMicroscopic:
             N = 2000
             ratio = moment_exact(N, s, 1.0) / (N ** (s * s + 2 * s) * micro_b(s, 0.0))
             assert abs(ratio - 1) < 0.01, (s, ratio)
+
+
+class TestRegimeJoins:
+    """Where the regimes meet, their formulas agree: exact identities up to
+    terms of order e^(-c) poly(c) or 1 - r, not asymptotics."""
+
+    @pytest.mark.parametrize("s", (1, 2, 3, 4))
+    @pytest.mark.parametrize("c", (200.0, 700.0, 800.0, 2000.0))
+    def test_microscopic_meets_mesoscopic(self, s, c):
+        # m_k(c) = k!/c^(k+1) + O(e^(-c)) turns the partition sum into s! L_s(-s^2).
+        meso = meso_moment(s, 0.5, 1)
+        assert abs(micro_b(s, c) * c ** (s * s + 2 * s) / meso - 1) <= 1e-11
+        polynomial = cue_limit(s, RegimePoint("microscopic", c=c))
+        assert abs(polynomial * c ** (s * s) - 1) <= 1e-11
+
+    def test_microscopic_meets_the_circle(self):
+        # The Conrey-Rubinstein-Snaith constants b_1 and b_2.
+        assert abs(micro_b(1, 0.0) - 1 / 3) <= 1e-14
+        assert abs(micro_b(2, 0.0) - 61 / 10080) <= 1e-14
+
+    @pytest.mark.parametrize("s", (1, 2, 3, 4))
+    @pytest.mark.parametrize("r", (0.999, 0.99999, 0.999999))
+    def test_global_meets_mesoscopic(self, s, r):
+        # s! L_s(-s^2 r^2) has logarithmic derivative at most 2s <= 10 in r.
+        scaled = global_moment(s, r) * (1 - r * r) ** (s * s + 2 * s)
+        meso = meso_moment(s, 0.5, 1)
+        assert abs(scaled / meso - 1) <= 10 * (1 - r)
 
 
 class TestCueLimit:

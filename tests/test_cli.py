@@ -3,8 +3,10 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from cuederiv import rmt_mc
 from cuederiv.cli import main
 from cuederiv.exact_moments import cue_moment_radial, moment_structure
 
@@ -216,6 +218,19 @@ def test_missing_flag_is_usage_error(capsys, argv, flag):
 
 
 class TestMcCommand:
+    def test_persistent_collision_is_capability_exit(self, capsys, monkeypatch):
+        # alpha_0 = 1 puts z = 1 on the eigenvalue of every redraw.
+        monkeypatch.setattr(
+            rmt_mc, "_verblunsky", lambda N, count, rng: np.ones((count, N), dtype=complex)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "mc", "--N", "1", "--s", "1", "--z", "1", "--samples", "10",
+            )
+        assert code == 2 and out == ""
+        assert err.startswith("capability limit:") and err.count("\n") == 1
+
     def test_moment(self, capsys):
         code, out, _ = run_cli(
             capsys, "mc", "--N", "6", "--s", "1", "--z", "0.5",

@@ -8,8 +8,9 @@ import pytest
 from cuederiv import combinatorics
 from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import (
-    _block_exponent,
+    _b_expansion,
     _block_sums,
+    _c_upoly,
     _entry_from_kd,
     _k_derivatives_exact,
     _structure_a_upoly,
@@ -18,12 +19,10 @@ from cuederiv.exact_moments import (
     cue_moment_radial,
     moment_exact,
     moment_structure,
-    structure_b_expansion,
-    structure_c_upoly,
 )
 from cuederiv.linalg import det_exact, det_float
 from cuederiv.specfun import hyp1f1
-from oracles import appendix_d00, partition_block_sum, structure_a, structure_b
+from oracles import appendix_d00, block_exponent, partition_block_sum, structure_a, structure_b
 
 
 def closed_sum_s1(N, u):
@@ -308,16 +307,17 @@ class TestStructureB:
     @pytest.mark.parametrize("N", (1, 5, 10))
     def test_expansion_matches_numeric_evaluation(self, N, s):
         r = Fraction(1, 3)
+        block_sums = _block_sums(N, s)
         for h1 in range(s + 1):
             for h2 in range(s + 1):
-                poly = structure_b_expansion(N, s, h1, h2)
+                poly = _b_expansion(s, h1, h2, block_sums)
                 value = sum(c * r**e for e, c in poly.items())
                 assert value == structure_b(N, s, h1, h2, r), (h1, h2)
 
     @pytest.mark.parametrize("s", (1, 2, 3, 4, 5))
     @pytest.mark.parametrize("N", (1, 3, 10, 1000))
     def test_block_sums_equal_partition_sums(self, N, s):
-        z_exps, w_exps = ([_block_exponent(N, s, row, j) for j in range(2 * s)] for row in (0, s))
+        z_exps, w_exps = ([block_exponent(N, s, row, j) for j in range(2 * s)] for row in (0, s))
         subsets = list(combinations(range(2 * s), s))
         records = _block_sums(N, s)
         assert len(records) == len(subsets)
@@ -331,13 +331,13 @@ class TestStructureB:
 
 class TestStructureC:
     def test_empty_above_2s(self):
-        assert structure_c_upoly(3, 1, 3) == []
-        assert structure_c_upoly(3, 2, 5) == []
+        assert _c_upoly(3, 1, 3, _block_sums(3, 1)) == []
+        assert _c_upoly(3, 2, 5, _block_sums(3, 2)) == []
 
     def test_polynomial_degree_in_u(self):
         for N, s in [(2, 1), (4, 1), (3, 2)]:
             for h in range(2 * s + 1):
-                poly = structure_c_upoly(N, s, h)
+                poly = _c_upoly(N, s, h, _block_sums(N, s))
                 assert len(poly) - 1 == N * s + s * s + s - h, (N, s, h)
 
     def test_c0_limit_is_hypergeometric_coefficient(self):
@@ -347,13 +347,14 @@ class TestStructureC:
             * math.exp(-(s * r) ** 2)
             * hyp1f1(s + 1, 1, (s * r) ** 2)
         )
-        value = float(evaluate(structure_c_upoly(200, s, 0), Fraction(1, 4)))
+        value = float(evaluate(_c_upoly(200, s, 0, _block_sums(200, s)), Fraction(1, 4)))
         assert abs(value - limit) < 1e-4 * abs(limit)
 
     def test_higher_c_vanish_in_the_limit(self):
         s = 2
+        block_sums = _block_sums(200, s)
         for h in (1, 2, 3, 4):
-            assert abs(evaluate(structure_c_upoly(200, s, h), Fraction(1, 4))) < 1e-4
+            assert abs(evaluate(_c_upoly(200, s, h, block_sums), Fraction(1, 4))) < 1e-4
 
 
 GRID_POINTS = [Fraction(0), Fraction(1, 16), Fraction(1, 4), Fraction(9, 16), Fraction(4)]

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 from cuederiv import rmt_mc
-from cuederiv.errors import CapabilityError, EigenphaseCollisionError
+from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import moment_exact
 from cuederiv.rmt_mc import (
     MomentEstimate,
@@ -182,7 +182,7 @@ class TestEstimators:
         monkeypatch.setattr(
             rmt_mc, "_verblunsky", lambda N, count, rng: np.ones((count, N), dtype=complex)
         )
-        with pytest.raises(EigenphaseCollisionError):
+        with pytest.raises(CapabilityError, match="eigenvalue"):
             estimate_joint_moment(1, 0.0, 1.0, 0.3, 1.0, 10, seed=0)
 
     def test_requires_two_samples(self):

@@ -10,9 +10,9 @@ from cuederiv.errors import CapabilityError
 from cuederiv.specfun import (
     exp_moment,
     hyp1f1,
-    laguerre,
     zeta_real,
 )
+from oracles import laguerre
 
 
 class TestHyp1F1:
@@ -140,6 +140,14 @@ class TestExpMoment:
     def test_table_limits(self):
         for k in range(11):
             assert abs(exp_moment(k, 1e-12) - 1.0 / (k + 1)) < 1e-11
+
+    def test_large_c_matches_incomplete_gamma(self):
+        # gamma(k+1, c) / c^(k+1) = P(k+1, c) k!/c^(k+1), on both sides of the
+        # switch at c = k + 40 and past c ~ 708, where e^(-c) underflows.
+        for k in (0, 2, 10, 29):
+            for c in (k + 39.5, k + 40.0, 200.0, 700.0, 800.0, 2000.0, 1e6):
+                ref = scipy.special.gammainc(k + 1, c) * math.factorial(k) / c ** (k + 1)
+                assert abs(exp_moment(k, c) - ref) <= 1e-13 * ref, (k, c)
 
 
 class TestZetaReal:
