@@ -5,13 +5,8 @@ closed-form asymptotics, Monte Carlo over Haar unitaries) plus the
 number-theory side series they are conjectured to match.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
-from .combinatorics import (
-    enumerate_partitions,
-    partition_factorial,
-    syt_count,
-)
 from .errors import CapabilityError
 from .exact_moments import (
     cue_moment_integer,

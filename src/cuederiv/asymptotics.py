@@ -87,6 +87,17 @@ def _finite_quotient(numerator: float, denominator: float, what: str) -> float:
     return quotient
 
 
+def _scaled(coefficient: float, base, exponent: float, what: str) -> float:
+    """coefficient * float(base)**exponent; CapabilityError where it overflows."""
+    try:
+        value = coefficient * float(base) ** exponent
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise CapabilityError(f"float overflow in the {what}")
+    return value
+
+
 def expected_zero_count(r: float) -> float:
     """Limiting mean number of zeros of the derivative inside radius r."""
     if not 0 <= r < 1:
@@ -109,7 +120,7 @@ def meso_moment(s: int, alpha: float, N: float) -> float:
     if not 0 < alpha < 1:
         raise ValueError("requires 0 < alpha < 1")
     coefficient = float(sum(_structure_a_upoly(s, 0, 0)))
-    return coefficient * float(N) ** (alpha * (s * s + 2 * s))
+    return _scaled(coefficient, N, alpha * (s * s + 2 * s), "mesoscopic moment")
 
 
 def micro_b(s: int, c: float) -> float:
@@ -198,11 +209,11 @@ def cue_limit(s: float, point: RegimePoint) -> float:
     without N the N-free coefficient is returned.
     """
     if point.regime == "global":
-        return (1 - point.r**2) ** (-(s * s))
+        return _scaled(1.0, 1 - point.r**2, -(s * s), "global CUE limit")
     if point.regime == "mesoscopic":
         if point.N is None:
             raise ValueError("mesoscopic CUE limit needs N")
-        return float(point.N) ** (s * s * point.alpha)
+        return _scaled(1.0, point.N, s * s * point.alpha, "mesoscopic CUE limit")
     # microscopic: Andreief reduction of the multi-integral needs integer s
     if int(s) != s or s < 1:
         raise ValueError("microscopic CUE limit implemented for positive integer s")
@@ -217,6 +228,5 @@ def cue_limit(s: float, point: RegimePoint) -> float:
     coefficient = math.factorial(s) * hankel
     for j in range(1, s + 1):
         coefficient /= math.gamma(j) * math.gamma(j + 1)
-    if point.N is None:
-        return coefficient
-    return coefficient * float(point.N) ** (s * s)
+    N = 1.0 if point.N is None else point.N
+    return _scaled(coefficient, N, s * s, "microscopic CUE limit")

@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import __version__
 from .asymptotics import (
     RegimePoint,
+    _scaled,
     cue_limit,
     expected_log_integral,
     expected_zero_count,
@@ -285,7 +286,8 @@ def _run_asympt(args):
     rows = [_result("coefficient", coeff, "exp-moment-determinant"),
             _result("coefficient", bessel, "bessel-kernel-determinant")]
     if args.N is not None:
-        rows.append(_result("moment_asymptotic", coeff * args.N ** (s * s + 2 * s),
+        rows.append(_result("moment_asymptotic",
+                            _scaled(coeff, args.N, s * s + 2 * s, "microscopic moment"),
                             "exp-moment-determinant"))
     return rows
 

@@ -1,83 +1,41 @@
-"""Partitions, standard Young tableau counts, and the partition-determinant sum.
+"""The partition-determinant sum behind the exact and microscopic routes.
 
-Everything here is exact integer combinatorics, apart from the float branch of
-the determinant sum.  A partition is a weakly decreasing tuple of positive
-integers; formulas that index parts past its length pad it with zeros.
+A partition lambda of s enters through its derivative orders l_i = lambda_i +
+s - i (i = 1..s, parts padded with zeros), which fix its exact integer weights.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import combinations
+from math import factorial, lcm, prod
 
 import numpy as np
 
 from .linalg import det_exact, det_float
 
 
-def enumerate_partitions(m: int) -> list[tuple[int, ...]]:
-    """All partitions of weight m, in descending lexicographic order.
+def _partition_data(s: int):
+    """(f_lambda, [lambda]!, derivative orders) for each partition lambda of s,
+    in descending lexicographic order.
 
-    m = 0 yields the single empty partition.
+    [lambda]! = prod l_i!, and Frobenius's formula gives the number of standard
+    Young tableaux, f_lambda = s! prod_(i<j) (l_i - l_j) / prod l_i!.
     """
-    if m < 0:
-        raise ValueError("weight must be non-negative")
-    result: list[tuple[int, ...]] = []
-
-    def descend(remaining, cap, prefix):
-        if remaining == 0:
-            result.append(prefix)
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            descend(remaining - first, first, prefix + (first,))
-
-    descend(m, m if m else 1, ())
-    return result
-
-
-def syt_count(lam: tuple[int, ...]) -> int:
-    """Number of standard Young tableaux of shape lam (hook length formula)."""
-    weight = sum(lam)
-    cols = conjugate_parts(lam)
-    hook_product = 1
-    for i, part in enumerate(lam):
-        for j in range(part):
-            hook_product *= part - j + cols[j] - i - 1
-    count, remainder = divmod(factorial(weight), hook_product)
-    if remainder:
-        raise ArithmeticError(
-            f"hook product {hook_product} does not divide {weight}! for {lam}"
-        )
-    return count
-
-
-def conjugate_parts(parts) -> tuple[int, ...]:
-    """Column lengths of the Young diagram with the given row lengths."""
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
-
-
-def partition_factorial(lam: tuple[int, ...], m: int):
-    """Product of (lambda_i + m - i)! over i = 1..m with zero padding."""
-    if m < len(lam):
-        raise ValueError(f"m = {m} is smaller than the length of {lam}")
-    product = 1
-    for i, part in enumerate(lam + (0,) * (m - len(lam))):
-        product *= factorial(part + m - (i + 1))
-    return product
-
-
-def _partition_data(h: int, s: int):
-    """(f, padded factorial, derivative orders) for each shape of weight h and
-    length at most s; orders are lambda_i + s - i for i = 1..s."""
     data = []
-    for lam in enumerate_partitions(h):
-        if len(lam) > s:
-            continue
-        padded = lam + (0,) * (s - len(lam))
-        orders = tuple(padded[i] + s - (i + 1) for i in range(s))
-        data.append((syt_count(lam), partition_factorial(lam, s), orders))
+
+    def descend(orders, remaining, cap):
+        slots = s - len(orders)
+        if not slots:
+            fact = prod(map(factorial, orders))
+            vandermonde = prod(a - b for a, b in combinations(orders, 2))
+            data.append((factorial(s) * vandermonde // fact, fact, orders))
+            return
+        # parts of at most `part` fill the remaining slots: remaining <= part * slots
+        for part in range(min(cap, remaining), -(-remaining // slots) - 1, -1):
+            descend(orders + (part + slots - 1,), remaining - part, part)
+
+    descend((), s, s)
     return data
 
 
@@ -91,7 +49,7 @@ def _partition_det_sum(s: int, table):
     outer.  The weights sum to at most 1, so the sum is finite where its
     determinants are.
     """
-    data = _partition_data(s, s)
+    data = _partition_data(s)
     pairs = [(lam, mu) for lam in data for mu in data]
     if isinstance(table[0][0], int):
         common = lcm(*(fact for _, fact, _ in data))

@@ -10,16 +10,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 from numbers import Rational
 
 import numpy as np
 
-from cuederiv.combinatorics import (
-    _partition_data,
-    enumerate_partitions,
-    partition_factorial,
-    syt_count,
-)
 from cuederiv.errors import CapabilityError
 from cuederiv.linalg import det_exact
 from cuederiv.rmt_mc import COLLISION_TOLERANCE
@@ -76,6 +71,76 @@ def partition_count(m: int) -> int:
             total += sign * partition_count(m - g2)
         k += 1
     return total
+
+
+def enumerate_partitions(m: int) -> list[tuple[int, ...]]:
+    """All partitions of weight m, in descending lexicographic order.
+
+    m = 0 yields the single empty partition.
+    """
+    if m < 0:
+        raise ValueError("weight must be non-negative")
+    result: list[tuple[int, ...]] = []
+
+    def descend(remaining, cap, prefix):
+        if remaining == 0:
+            result.append(prefix)
+            return
+        for first in range(min(cap, remaining), 0, -1):
+            descend(remaining - first, first, prefix + (first,))
+
+    descend(m, m if m else 1, ())
+    return result
+
+
+def syt_count(lam: tuple[int, ...]) -> int:
+    """Number of standard Young tableaux of shape lam (hook length formula)."""
+    weight = sum(lam)
+    cols = conjugate_parts(lam)
+    hook_product = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            hook_product *= part - j + cols[j] - i - 1
+    count, remainder = divmod(factorial(weight), hook_product)
+    if remainder:
+        raise ArithmeticError(
+            f"hook product {hook_product} does not divide {weight}! for {lam}"
+        )
+    return count
+
+
+def conjugate_parts(parts) -> tuple[int, ...]:
+    """Column lengths of the Young diagram with the given row lengths."""
+    if not parts:
+        return ()
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
+
+
+def partition_factorial(lam: tuple[int, ...], m: int):
+    """Product of (lambda_i + m - i)! over i = 1..m with zero padding."""
+    if m < len(lam):
+        raise ValueError(f"m = {m} is smaller than the length of {lam}")
+    product = 1
+    for i, part in enumerate(lam + (0,) * (m - len(lam))):
+        product *= factorial(part + m - (i + 1))
+    return product
+
+
+def partition_data(h: int, s: int):
+    """(f, padded factorial, derivative orders) for each shape of weight h and
+    length at most s; orders are lambda_i + s - i for i = 1..s.
+
+    The hook-length reference for combinatorics._partition_data, which reads
+    the same weights from the orders by Frobenius's formula (h = s there).
+    """
+    data = []
+    for lam in enumerate_partitions(h):
+        if len(lam) > s:
+            continue
+        padded = lam + (0,) * (s - len(lam))
+        orders = tuple(padded[i] + s - (i + 1) for i in range(s))
+        data.append((syt_count(lam), partition_factorial(lam, s), orders))
+    return data
 
 
 def enumerate_standard_tableaux(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -301,8 +366,8 @@ def structure_b(N: int, s: int, h1: int, h2: int, r) -> Fraction:
     rv = Fraction(r)
     exponents = [[block_exponent(N, s, i, j) for j in range(2 * s)] for i in range(2 * s)]
     total = Fraction(0)
-    mu_data = _partition_data(h2, s)
-    for f_lam, fact_lam, p in _partition_data(h1, s):
+    mu_data = partition_data(h2, s)
+    for f_lam, fact_lam, p in partition_data(h1, s):
         for f_mu, fact_mu, q in mu_data:
             rows = [
                 [0 if o > a else math.perm(a, o) * (-rv) ** (a - o) for a in row]

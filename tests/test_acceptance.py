@@ -14,11 +14,12 @@ import pytest
 from cuederiv.asymptotics import (
     cue_limit,
     RegimePoint,
+    global_moment,
     joint_moment,
     micro_b,
     micro_b_bessel,
 )
-from cuederiv.combinatorics import enumerate_partitions, syt_count
+from cuederiv.combinatorics import _partition_data
 from cuederiv.exact_moments import (
     _b_expansion,
     _block_sums,
@@ -31,7 +32,14 @@ from cuederiv.exact_moments import (
 from cuederiv.rmt_mc import estimate_joint_moment, estimate_moment, mean_zero_counts
 from cuederiv.specfun import hyp1f1, zeta_real
 from cuederiv.zeta import arithmetic_factor, deriv_moment_series
-from oracles import DescendingComposition, appendix_d00, laguerre, omega_weight
+from oracles import (
+    DescendingComposition,
+    appendix_d00,
+    enumerate_partitions,
+    laguerre,
+    omega_weight,
+    syt_count,
+)
 
 
 def report(number, text):
@@ -198,6 +206,9 @@ def test_criterion_08_combinatorial_identities():
                 continue
             q = DescendingComposition.from_partition(lam, n)
             assert omega_weight(q) == syt_count(lam)
+        # The orders l_i = lambda_i + n - i are the composition q itself.
+        for f, _, orders in _partition_data(n):
+            assert omega_weight(DescendingComposition(orders)) == f
     for m in range(9):
         assert sum(syt_count(p) ** 2 for p in enumerate_partitions(m)) == math.factorial(m)
     for s in range(1, 7):
@@ -263,3 +274,22 @@ def test_criterion_11_appendix_expansion(s, N):
     rebuilt = {e: c for e, c in rebuilt.items() if c}
     assert rebuilt == expansion
     report(11, f"subset-sum coefficients reproduce the expansion (s={s}, N={N})")
+
+
+def test_criterion_12_non_integer_s():
+    # Grid, seeds and the 5 SE bound (criterion 03's) were fixed before the
+    # first run.  (1.5, 0.6) is left out: its top 1% of draws carry 0.55 of
+    # the mean, so the CLT does not cover it.
+    start = time.time()
+    points = [(s, r) for s in (0.5, -0.25, -0.45) for r in (0.3, 0.6)] + [(1.5, 0.3)]
+    for k, (s, r) in enumerate(points):
+        est = estimate_moment(40, s, r, 200_000, seed=2100 + k, threads=2)
+        limit = global_moment(s, r)
+        assert abs(est.mean - limit) <= 5 * est.std_error, (s, r, est, limit)
+        assert est.top_contribution_fraction < 0.5, (s, r, est)
+    joint = estimate_joint_moment(60, 0.5, 0.5, 0.3, 0.5j, 100_000, seed=2199, threads=2)
+    limit = joint_moment(0.5, 0.5, 0.3, 0.5j)
+    assert abs(joint.mean - limit) <= 5 * joint.std_error, (joint, limit)
+    assert joint.top_contribution_fraction < 0.5, joint
+    elapsed = time.time() - start
+    report(12, f"MC within 5 SE of the limits at non-integer s ({elapsed:.1f}s)")

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cuederiv.asymptotics import (
     micro_b,
     micro_b_bessel,
 )
+from cuederiv.combinatorics import _partition_det_sum
 from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import cue_moment_integer, moment_exact
 from cuederiv.specfun import exp_moment
@@ -141,6 +143,11 @@ class TestMesoscopic:
         exact = moment_exact(N, 1, u)
         assert abs(exact / meso_moment(1, 0.5, N) - 1) < 0.01
 
+    def test_overflow_is_capability_error(self):
+        # N^(alpha (s^2 + 2s)) = 5e9^31.5 is finite; the product with 7! L_7(-49) is not.
+        with pytest.raises(CapabilityError, match="overflow"):
+            meso_moment(7, 0.5, 5e9)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             meso_moment(1, 0.0, 10)
@@ -200,6 +207,18 @@ class TestRegimeJoins:
         # The Conrey-Rubinstein-Snaith constants b_1 and b_2.
         assert abs(micro_b(1, 0.0) - 1 / 3) <= 1e-14
         assert abs(micro_b(2, 0.0) - 61 / 10080) <= 1e-14
+        # b_3..b_5 exactly: at c = 0, m_k = 1/(k+1) = (L/(k+1))/L with L = lcm(1..4s-1),
+        # so the partition sum runs on an integer table and each s x s minor carries L^-s.
+        anchors = {
+            3: Fraction(277, 139708800),
+            4: Fraction(2275447, 474528874659840000),
+            5: Fraction(3700752773, 79536089898707963609088000000),
+        }
+        for s, exact in anchors.items():
+            L = math.lcm(*range(1, 4 * s))
+            table = [[L // (p + q + 1) for q in range(2 * s)] for p in range(2 * s)]
+            assert _partition_det_sum(s, table) / L**s == exact
+            assert abs(micro_b(s, 0.0) / exact - 1) <= 1e-13
 
     @pytest.mark.parametrize("s", (1, 2, 3, 4))
     @pytest.mark.parametrize("r", (0.999, 0.99999, 0.999999))
@@ -224,6 +243,11 @@ class TestCueLimit:
             coeff = cue_limit(s, RegimePoint("microscopic", c=0.0))
             ref = math.prod(math.gamma(j) / math.gamma(s + j) for j in range(1, s + 1))
             assert abs(coeff - ref) <= 1e-10 * ref
+
+    def test_mesoscopic_overflow_is_capability_error(self):
+        # (10^200)^(s^2 alpha) = 10^400 overflows in the float power.
+        with pytest.raises(CapabilityError, match="overflow"):
+            cue_limit(2, RegimePoint("mesoscopic", alpha=0.5, N=10**200))
 
     def test_microscopic_s1_full_value(self):
         point = RegimePoint("microscopic", c=0.0, N=50)

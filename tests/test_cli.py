@@ -187,6 +187,17 @@ class TestAsymptCommand:
         assert code == 2 and out == ""
         assert err.startswith("capability limit: float overflow") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        "asympt --regime meso --s 7 --alpha 0.5 --N 5e9",
+        "asympt --regime micro --s 1 --c -600 --N 1e50",
+        "asympt --regime micro --s 1 --c -600 --N 1e300 --of polynomial",
+    ])
+    def test_infinite_result_is_capability_exit(self, capsys, argv):
+        # Every factor is finite; the product leaves double precision.
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("capability limit: float overflow") and err.count("\n") == 1
+
     def test_polynomial_micro_rounding_is_capability_exit(self, capsys):
         # The Hankel determinant is a Gram determinant, positive in exact
         # arithmetic; here it rounds to -2.9e61.

@@ -2,24 +2,18 @@
 
 Reports from `exact`, `asympt`, `zeta` and the deterministic `compare` routes
 must stay byte-identical apart from the timestamp and the library version,
-which are blanked here.  Each case in data/cli_golden.json holds the command
-line, its exit code and the stdout it printed.
+which are blanked.  Each case in data/cli_golden.json holds the command line,
+its exit code and the stdout it printed; tests/golden.py runs the cases and
+adds or regenerates them.
 """
-
-import json
-import re
-from pathlib import Path
 
 import pytest
 
-from cuederiv.cli import main
+from golden import load, run_case
 
-CASES = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
-VOLATILE = re.compile(r'^(  "(?:library_version|timestamp)": )".*"', re.M)
+CASES = load()
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
-def test_stdout_is_unchanged(case, capsys):
-    code = main(case["argv"].split())
-    assert code == case["exit"]
-    assert VOLATILE.sub(r'\1""', capsys.readouterr().out) == case["stdout"]
+def test_stdout_is_unchanged(case):
+    assert run_case(case["argv"]) == (case["exit"], case["stdout"])

@@ -3,17 +3,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cuederiv.combinatorics import (
-    _partition_data,
-    enumerate_partitions,
-    partition_factorial,
-    syt_count,
-)
+from cuederiv.combinatorics import _partition_data
 from oracles import (
     DescendingComposition,
+    enumerate_partitions,
     enumerate_standard_tableaux,
     omega_weight,
     partition_count,
+    partition_data,
+    partition_factorial,
+    syt_count,
 )
 
 
@@ -22,13 +21,18 @@ class TestPartition:
         # (3, 1) is read as (3, 1, 0, 0) at s = 4: orders lambda_i + s - i
         assert enumerate_partitions(4)[1] == (3, 1)
         f, fact = syt_count((3, 1)), math.factorial(6) * math.factorial(3)
-        assert _partition_data(4, 4)[1] == (f, fact, (6, 3, 1, 0))
+        assert _partition_data(4)[1] == (f, fact, (6, 3, 1, 0))
 
     def test_pad_too_short(self):
         # shapes longer than s are skipped, and cannot be padded to s
-        assert _partition_data(2, 1) == [(1, 2, (2,))]
+        assert partition_data(2, 1) == [(1, 2, (2,))]
         with pytest.raises(ValueError):
             partition_factorial((2, 1), 1)
+
+    def test_frobenius_weights_match_hook_lengths(self):
+        # Same shapes, order, tableau counts, factorials and orders.
+        for s in range(1, 13):
+            assert _partition_data(s) == partition_data(s, s), s
 
 
 class TestEnumeration:
