@@ -25,7 +25,8 @@ class RegimePoint:
     """A point in one of the three spectral regimes.
 
     global: 0 <= r < 1.  mesoscopic: 0 < alpha < 1.  microscopic: any real c.
-    N is optional; regime formulas return the N-free coefficient without it.
+    N is optional and must be positive; regime formulas return the N-free
+    coefficient without it.
     """
 
     regime: str
@@ -88,7 +89,12 @@ def _finite_quotient(numerator: float, denominator: float, what: str) -> float:
 
 
 def _scaled(coefficient: float, base, exponent: float, what: str) -> float:
-    """coefficient * float(base)**exponent; CapabilityError where it overflows."""
+    """coefficient * float(base)**exponent; CapabilityError where it overflows.
+
+    base is N or, in the global CUE limit, 1 - r^2; it must be positive.
+    """
+    if not base > 0:
+        raise ValueError(f"the {what} requires N > 0, got N = {base}")
     try:
         value = coefficient * float(base) ** exponent
     except OverflowError:

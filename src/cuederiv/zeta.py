@@ -17,7 +17,8 @@ from .errors import CapabilityError
 from .specfun import _kummer_factor, zeta_real
 
 _INNER_SUM_EPS = 1e-16
-# Output entries per sieve segment in dirichlet_convolve: 8 MB of float64.
+# Output entries per sieve segment in dirichlet_convolve and per chunk of the
+# series sum: 8 MB of float64, or 2 MB of uint16 (the dtype of d_2 at 10^7).
 _SEGMENT = 1 << 20
 
 
@@ -62,13 +63,16 @@ def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     over the whole output: the result is bit-identical to it.  Rows with
     f(a) = g(a) = 0 are skipped; for finite tables they add only +-0, which
     changes no entry (a sum started at +0.0 is never -0.0).
+
+    The output and scratch buffers take np.result_type(f, g); integer tables
+    give exact integer sums, which the caller must keep from overflowing.
     """
     n_max = len(f) - 1
     if len(g) != len(f):
         raise ValueError("tables must have equal length")
-    out = np.zeros(n_max + 1)
+    out = np.zeros(n_max + 1, np.result_type(f, g))
     rows = [a for a in range(1, math.isqrt(n_max) + 1) if f[a] != 0 or g[a] != 0]
-    piece_buffer = np.empty(min(_SEGMENT, n_max + 1))
+    piece_buffer = np.empty(min(_SEGMENT, n_max + 1), out.dtype)
     other_buffer = None if f is g else np.empty_like(piece_buffer)
     for lo in range(0, n_max + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, n_max + 1)  # this segment is out[lo:hi]
@@ -92,14 +96,21 @@ def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _self_convolution(s: int, n_max: int, log: bool, label: str) -> DirichletTable:
-    """The s-fold Dirichlet self-convolution of log(n) (`log`) or of 1."""
+    """The s-fold Dirichlet self-convolution of log(n) (`log`) or of 1.
+
+    The divisor tables are sieved in the smallest integer dtype that holds
+    max d_s: every partial sum is a nonnegative integer <= d_s(n), so the
+    sums are exact and equal the float64 ones bit for bit below 2^53.
+    """
     if s < 1 or n_max < 1:
         raise ValueError("requires s >= 1 and n_max >= 1")
-    base = np.arange(n_max + 1, dtype=float)  # index 0 stays 0: the sieve never reads it
     if log:
+        base = np.arange(n_max + 1, dtype=float)  # index 0 stays 0: the sieve never reads it
         np.log(base[1:], out=base[1:])
     else:
-        base[1:] = 1.0
+        max_d = max(d for _, d, _ in _exponent_sorted(s, n_max))
+        base = np.ones(n_max + 1, np.min_scalar_type(max_d) if max_d < 2**53 else float)
+        base[0] = 0
     values = base
     for _ in range(s - 1):
         values = dirichlet_convolve(values, base)
@@ -155,18 +166,16 @@ def _log_power_tail(a: int, beta: float, x: float) -> float:
     return _upper_gamma_int(a + 1, y) / (beta - 1) ** (a + 1)
 
 
-def _divisor_growth_constant(s: int, n_max: int, delta: float) -> float:
-    """C with d_s(n) <= C n^delta for delta > 0: exact on 1..n_max, x2 for beyond.
+def _exponent_sorted(s: int, n_max: int) -> list[tuple[int, int, float]]:
+    """(n, d_s(n), exponent of n's largest prime) for every n <= n_max whose
+    prime exponents do not increase along 2, 3, 5, ... (492 of them up to 10^7).
 
     d_s(n) depends only on the prime exponents of n (d_s(p^k) = C(k+s-1, s-1)).
     Moving them, in non-increasing order, onto 2, 3, 5, ... gives some n' <= n
-    with the same d_s and so a d_s(n')/n'^delta at least as large.  The maximum
-    over 1..n_max is therefore taken on the integers whose exponents do not
-    increase (492 of them up to 10^7).  Doubling it is an engineering allowance,
-    not a theorem: it covers the range just beyond n_max where the tail
-    integral matters.
+    with the same d_s.  So these integers attain the maximum of d_s and of
+    d_s(n)/n^delta (delta >= 0) over 1..n_max.
     """
-    found = frontier = [(1, 1, math.inf)]  # (n, d_s(n), exponent of n's largest prime)
+    found = frontier = [(1, 1, math.inf)]
     # A prime p is used only if 2 * 3 * 5 * ... * p <= n_max, and that product
     # is at least (p - 1)^2, so p <= isqrt(n_max) + 1.
     for p in primes_up_to(math.isqrt(n_max) + 1).tolist():
@@ -177,7 +186,17 @@ def _divisor_growth_constant(s: int, n_max: int, delta: float) -> float:
                 grown.append((m, d * math.comb(k + s - 1, s - 1), k))
                 k, m = k + 1, m * p
         found, frontier = found + grown, grown
-    n, d, _ = np.array(found, dtype=float).T
+    return found
+
+
+def _divisor_growth_constant(s: int, n_max: int, delta: float) -> float:
+    """C with d_s(n) <= C n^delta for delta > 0: exact on 1..n_max, x2 for beyond.
+
+    The maximum is taken over the exponent-sorted integers.  Doubling it is an
+    engineering allowance, not a theorem: it covers the range just beyond
+    n_max where the tail integral matters.
+    """
+    n, d, _ = np.array(_exponent_sorted(s, n_max), dtype=float).T
     return 2.0 * float(np.max(d / n**delta))
 
 
@@ -189,15 +208,15 @@ def _log_power_antiderivative(k: int, t: float) -> float:
     return value
 
 
-def _density_tail_estimate(squares: np.ndarray, log_degree: int, sigma: float) -> float:
-    """Extrapolated tail of sum f(n)^2 / n^(2 sigma) beyond the table.
+def _density_tail_estimate(window_sum: float, n_max: int, log_degree: int,
+                           sigma: float) -> float:
+    """Extrapolated tail of sum f(n)^2 / n^(2 sigma) beyond the table, from
+    window_sum = the sum of f(n)^2 over n_max//2 < n <= n_max.
 
     Fits the local density of f(n)^2 on the top half of the range against the
     (log x)^log_degree growth shape and integrates it past n_max.
     """
-    n_max = len(squares)
     window = n_max // 2
-    window_sum = float(np.sum(squares[window:]))
     denominator = _log_power_antiderivative(log_degree, n_max) - _log_power_antiderivative(
         log_degree, window + 1
     )
@@ -208,12 +227,15 @@ def _density_tail_estimate(squares: np.ndarray, log_degree: int, sigma: float) -
 def _truncated_series(table: DirichletTable, s: int, sigma: float, log_power: int) -> SeriesResult:
     """Truncated sum of f(n)^2 / n^(2 sigma) for f = `table`, with tails from
     f(n) <= d_s(n) (log n)^(log_power / 2) and a power bound on d_s
-    (exact C = 1 when s = 1)."""
+    (exact C = 1 when s = 1).  Consumes `table`: its values become the terms."""
     n_max = table.n_max
-    squares = table.values[1:] ** 2
-    terms = np.arange(1, n_max + 1, dtype=float)
-    terms **= -2 * sigma  # in place: n^(-2 sigma), then f(n)^2 n^(-2 sigma)
-    terms *= squares
+    terms = table.values[1:]
+    np.square(terms, out=terms)
+    window_sum = float(np.sum(terms[n_max // 2 :]))
+    for lo in range(0, n_max, _SEGMENT):
+        powers = np.arange(lo + 1, min(lo + _SEGMENT, n_max) + 1, dtype=float)
+        powers **= -2 * sigma
+        terms[lo : lo + len(powers)] *= powers  # f(n)^2 n^(-2 sigma)
     value = float(np.sum(terms))
 
     if s == 1:
@@ -224,7 +246,7 @@ def _truncated_series(table: DirichletTable, s: int, sigma: float, log_power: in
     beta = 2 * sigma - 2 * delta
     boundary = constant**2 * math.log(n_max) ** log_power * n_max ** (-beta)
     tail = constant**2 * _log_power_tail(log_power, beta, n_max) + boundary
-    estimate = _density_tail_estimate(squares, s * s - 1 + log_power, sigma)
+    estimate = _density_tail_estimate(window_sum, n_max, s * s - 1 + log_power, sigma)
     return SeriesResult(value, tail, n_max, tail_estimate=estimate)
 
 
@@ -257,15 +279,16 @@ def lindelof_series(s: int, sigma: float, n_max: int) -> SeriesResult:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """Primes <= limit by a numpy sieve."""
+    """Primes <= limit by a numpy sieve over the odd numbers, 2 prepended."""
     if limit < 2:
         return np.array([], dtype=np.int64)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    sieve = np.ones((limit + 1) // 2, dtype=bool)  # sieve[i] stands for 2 i + 1
+    sieve[0] = False
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(sieve) + 1)).astype(np.int64)
 
 
 def _moebius(n: int) -> int:

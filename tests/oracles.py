@@ -402,6 +402,21 @@ def dirichlet_convolve_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def primes_up_to_every_integer(limit: int) -> np.ndarray:
+    """Primes <= limit by a numpy sieve over every integer up to limit.
+
+    The reference for zeta.primes_up_to, which sieves the odd numbers only.
+    """
+    if limit < 2:
+        return np.array([], dtype=np.int64)
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).astype(np.int64)
+
+
 def divisor_growth_constant_from_table(s: int, n_max: int, delta: float) -> float:
     """Twice the maximum of d_s(n) / n^delta over every n in 1..n_max, read
     from the full sieve table d_s(1..n_max).

@@ -154,6 +154,12 @@ class TestMesoscopic:
         with pytest.raises(ValueError):
             meso_moment(0, 0.5, 10)
 
+    @pytest.mark.parametrize("N", [0, -5, -5.5])
+    def test_nonpositive_N_is_refused(self, N):
+        # (-5)^(1.5) is complex in Python and (-5.5)^3 a negative "moment"
+        with pytest.raises(ValueError, match="N > 0"):
+            meso_moment(1, 0.5, N)
+
 
 class TestMicroscopic:
     def test_s1_is_exp_moment(self):
@@ -248,6 +254,16 @@ class TestCueLimit:
         # (10^200)^(s^2 alpha) = 10^400 overflows in the float power.
         with pytest.raises(CapabilityError, match="overflow"):
             cue_limit(2, RegimePoint("mesoscopic", alpha=0.5, N=10**200))
+
+    @pytest.mark.parametrize("point", [
+        RegimePoint("mesoscopic", alpha=0.5, N=0),
+        RegimePoint("mesoscopic", alpha=0.5, N=-5),
+        RegimePoint("microscopic", c=1.0, N=0),
+        RegimePoint("microscopic", c=1.0, N=-5),
+    ], ids=["meso-0", "meso-neg", "micro-0", "micro-neg"])
+    def test_nonpositive_N_is_refused(self, point):
+        with pytest.raises(ValueError, match="N > 0"):
+            cue_limit(1, point)
 
     def test_microscopic_s1_full_value(self):
         point = RegimePoint("microscopic", c=0.0, N=50)

@@ -198,6 +198,19 @@ class TestAsymptCommand:
         assert code == 2 and out == ""
         assert err.startswith("capability limit: float overflow") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        "asympt --regime meso --s 1 --alpha 0.5 --N -5",
+        "asympt --regime micro --s 1 --c 1 --N -5",
+        "asympt --regime meso --s 1 --alpha 0.5 --N 0",
+        "asympt --regime meso --s 1 --alpha 0.5 --N -5 --of polynomial",
+    ])
+    def test_nonpositive_N_is_usage_error(self, capsys, argv):
+        # these printed a traceback, a negative moment (-20.075) and 0.0
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert err.startswith("invalid parameters:") and "requires N > 0" in err
+        assert err.count("\n") == 1
+
     def test_polynomial_micro_rounding_is_capability_exit(self, capsys):
         # The Hankel determinant is a Gram determinant, positive in exact
         # arithmetic; here it rounds to -2.9e61.

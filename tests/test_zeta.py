@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from oracles import (
     dirichlet_convolve_rows,
     divisor_growth_constant_from_table,
     euler_factor_log,
+    primes_up_to_every_integer,
 )
 
 
@@ -147,6 +149,37 @@ class TestSegmentedSieve:
         g = self._random_table(rng, self.N_MAX, (1, 3, 1000))
         assert np.array_equal(dirichlet_convolve(f, g), dirichlet_convolve_rows(f, g))
 
+    @staticmethod
+    def _sieve_dtypes(monkeypatch):
+        """Record the dtype of every table that dirichlet_convolve returns."""
+        dtypes, convolve = [], zeta.dirichlet_convolve
+
+        def spy(f, g):
+            out = convolve(f, g)
+            dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(zeta, "dirichlet_convolve", spy)
+        return dtypes
+
+    @pytest.mark.parametrize("s, n_max", [(1, N_MAX), (2, N_MAX), (3, N_MAX), (4, N_MAX),
+                                          (200, 1024)])
+    def test_divisor_tables_equal_float_row_sieve(self, monkeypatch, s, n_max):
+        # Integer sums are exact in any order, so below 2^53 the integer
+        # sieve gives the float sieve's bits; max d_200 up to 1024 is
+        # C(209, 10) > 2^53, and that table is sieved in float64.
+        dtypes = self._sieve_dtypes(monkeypatch)
+        values = divisor_table(s, n_max).values
+        top = int(values.max())
+        assert dtypes == [np.min_scalar_type(top) if top < 2**53 else np.float64] * (s - 1)
+        ones = np.ones(n_max + 1)
+        ones[0] = 0.0
+        expected = ones
+        for _ in range(s - 1):
+            expected = dirichlet_convolve_rows(expected, ones)
+        assert values.dtype == np.float64
+        assert np.array_equal(values, expected)
+
     @pytest.mark.parametrize("series", [deriv_moment_series, lindelof_series])
     @pytest.mark.parametrize("s, n_max", [(2, 2**21 + 1), (3, 2**20 + 1)])
     def test_series_equal_row_sieve_series(self, monkeypatch, series, s, n_max):
@@ -192,6 +225,23 @@ class TestDerivSeries:
     def test_domain(self):
         with pytest.raises(ValueError):
             deriv_moment_series(1, 0.5, 100)
+
+    @pytest.mark.parametrize("series", [deriv_moment_series, lindelof_series])
+    def test_peak_memory_is_two_and_a_half_tables(self, series):
+        # The log table is sieved from a float64 base into a float64 output
+        # through one 2^20-entry (8 MB) segment buffer: two tables and one
+        # segment.  The series then squares and weights the output in place;
+        # out-of-place squares and terms would put the peak at three tables.
+        # The divisor table is sieved in uint16 and copied once to float64.
+        n_max = 2**22 + 1
+        table_bytes = 8 * (n_max + 1)
+        tracemalloc.start()
+        try:
+            series(2, 0.6, n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * table_bytes
 
     @pytest.mark.parametrize("series", [deriv_moment_series, lindelof_series])
     @pytest.mark.parametrize("n_max", [1, 2])
@@ -281,6 +331,14 @@ class TestArithmeticFactor:
 class TestPrimesHelpers:
     def test_sieve(self):
         assert list(primes_up_to(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 9, 10, 25, 49, 100, 10**6, 10**7])
+    def test_odd_sieve_equals_every_integer_sieve(self, limit):
+        # 9, 25 and 49: a prime square at the very end of the sieve
+        primes = primes_up_to(limit)
+        expected = primes_up_to_every_integer(limit)
+        assert primes.dtype == expected.dtype == np.int64
+        assert np.array_equal(primes, expected)
 
     def test_prime_zeta_two(self):
         direct = float(np.sum(1.0 / primes_up_to(2_000_000).astype(float) ** 2))
