@@ -3,17 +3,20 @@
 Every estimator draws CUE(N) through its Verblunsky coefficients, which are
 independent (Killip & Nenciu, IMRN 2004): for k < N-1, |alpha_k|^2 is
 Beta(1, N-k-1) with a uniform phase, and alpha_(N-1) is uniform on the unit
-circle.  Szego's recursion then gives Phi_N(z) = det(z - U) and its
-derivatives in O(N) per draw and point, with |Lambda_N| = |Phi_N| and
+circle.  For the moments, Szego's recursion gives Phi_N(z) = det(z - U) and
+its derivative in O(N) per draw and point, with |Lambda_N| = |Phi_N| and
 |Lambda_N'| = |Phi_N'| since |det U| = 1.  The recursion carries its values
 as a mantissa and a power-of-two exponent, and rescales them only where a
 bound from |alpha_k| and |z| says they could leave a fixed window: rescaling
 by a power of two is exact, so the results are those of rescaling at every
 step, bit for bit (see _szego_scaled).  Zero counts read the winding number
-of Phi_N' around each circle |z| = r; a draw whose winding cannot be certified
-falls back to the eigenphases of its GGT matrix.  Estimators work in
-fixed-size chunks, each chunk owning a generator derived from (seed, chunk
-index), so results are reproducible for any thread count.
+of Phi_N' around each circle |z| = r from the coefficients of Phi_N, built by
+the same recursion on coefficient vectors in O(N^2) per draw: one FFT gives
+Phi_N' and Phi_N'' on each circle, and Horner's rule at bisection points.  A
+draw whose winding cannot be certified falls back to the eigenphases of its
+GGT matrix.  Estimators work in fixed-size chunks, each chunk owning a
+generator derived from (seed, chunk index), so results are reproducible for
+any thread count.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import CapabilityError
 GENERATOR_NAME = "pcg64/verblunsky"
 COLLISION_TOLERANCE = 1e-14
 _CHUNK_ELEMENT_BUDGET = 4_000_000
-# Winding certification (see _winding_counts).  The recursion runs on at most
+# Winding certification (see _winding_counts).  The FFT samples at most
 # _POINT_BUDGET (point, draw) pairs at a time, about 1 MB per complex array.
 _GRID_MIN = 32
 _ARC_PHASE_LIMIT = math.pi / 4
@@ -116,6 +119,7 @@ def _verblunsky(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
 def _renormalised_steps(alpha_abs: np.ndarray, z_abs: np.ndarray) -> list[bool]:
     """Which steps of _szego_scaled renormalise, from a bound on how far
     M_k = max(|Phi_k|, |Phi_k^*|) can move; `alpha_abs` has shape (N, B).
+    _taylor_coefficients applies it at |z| = 1 to the coefficient vectors.
 
     One step multiplies M_k by at most (1 + |alpha_k|) max(1, |z|).  Inside the
     closed disc |Phi_k| <= |Phi_k^*|, so it also multiplies M_k by at least
@@ -151,15 +155,14 @@ def _renormalised_steps(alpha_abs: np.ndarray, z_abs: np.ndarray) -> list[bool]:
     return steps
 
 
-def _szego_scaled(alpha: np.ndarray, z: np.ndarray, second: bool = False):
-    """(Phi_N, Phi_N', Phi_N'' or None, exponent, unresolved) at `z`, shape (P, B).
+def _szego_scaled(alpha: np.ndarray, z: np.ndarray):
+    """(Phi_N, Phi_N', exponent, unresolved) at `z`, shape (P, B).
 
     Runs Szego's recursion Phi_(k+1) = z Phi_k - conj(alpha_k) Phi_k^*,
-    Phi_(k+1)^* = Phi_k^* - alpha_k z Phi_k and its z-derivatives from
+    Phi_(k+1)^* = Phi_k^* - alpha_k z Phi_k and its z-derivative from
     Phi_0 = Phi_0^* = 1, for each row of `alpha` (shape (B, N)).  `z` must
     broadcast against (1, B): a column (P, 1) of points shared by every draw,
-    or a row (1, B) with one point per draw.  Phi_N'' is carried only when
-    `second` is set.
+    or a row (1, B) with one point per draw.
 
     The true values are the returned ones times 2**exponent.  A renormalising
     step divides all values by the power of two that brings
@@ -186,22 +189,11 @@ def _szego_scaled(alpha: np.ndarray, z: np.ndarray, second: bool = False):
     z_phi = np.empty(shape, dtype=complex)
     dz_phi = np.empty(shape, dtype=complex)
     term = np.empty(shape, dtype=complex)
-    ddphi = ddphi_star = None
-    if second:
-        ddphi = np.zeros(shape, dtype=complex)
-        ddphi_star = np.zeros(shape, dtype=complex)
-        ddz_phi = np.empty(shape, dtype=complex)
     exponent = np.zeros(shape, dtype=np.int64)
     for k, (a, renormalising) in enumerate(zip(alpha, renormalise), start=1):
         a_conj = a.conj()
         np.multiply(z, phi, out=z_phi)
         np.add(phi, np.multiply(z, dphi, out=term), out=dz_phi)
-        if second:
-            # ddz_phi = 2 dphi + z ddphi; ddphi, ddphi_star from ddz_phi
-            np.multiply(2, dphi, out=ddz_phi)
-            np.add(ddz_phi, np.multiply(z, ddphi, out=term), out=ddz_phi)
-            np.subtract(ddz_phi, np.multiply(a_conj, ddphi_star, out=term), out=ddphi)
-            np.subtract(ddphi_star, np.multiply(a, ddz_phi, out=term), out=ddphi_star)
         if k == len(alpha):
             cancelled = np.abs(z_phi) + np.abs(phi_star)
         np.subtract(z_phi, np.multiply(a_conj, phi_star, out=term), out=phi)
@@ -215,12 +207,9 @@ def _szego_scaled(alpha: np.ndarray, z: np.ndarray, second: bool = False):
             phi_star *= scale
             dphi *= scale
             dphi_star *= scale
-            if second:
-                ddphi *= scale
-                ddphi_star *= scale
             exponent += e
     unresolved = np.abs(phi) < COLLISION_TOLERANCE * cancelled * scale
-    return phi, dphi, ddphi, exponent, unresolved
+    return phi, dphi, exponent, unresolved
 
 
 def _szego(alpha: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,7 +219,7 @@ def _szego(alpha: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarra
     at every point.
     """
     z = np.asarray(points, dtype=complex)[:, None]
-    phi, dphi, _, exponent, unresolved = _szego_scaled(alpha, z)
+    phi, dphi, exponent, unresolved = _szego_scaled(alpha, z)
     shift = exponent * math.log(2.0)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(phi)) + shift, np.log(np.abs(dphi)) + shift, unresolved
@@ -360,11 +349,87 @@ def _estimate_joint(N, s, h, z1, z2, samples, seed, threads, progress) -> Moment
 # ---------------------------------------------------------------------------
 
 
-def _arg_rates(z, dphi, ddphi):
-    """d/dtheta arg Phi_N'(r e^(i theta)) = Re(z Phi_N''(z) / Phi_N'(z)); nan
-    where Phi_N' vanishes, which fails every test it meets."""
+def _taylor_coefficients(alpha: np.ndarray) -> np.ndarray:
+    """Taylor coefficients (j + 1) c_(j+1) of Phi_N' and j (j + 1) c_(j+1) of
+    z Phi_N'', j < N, per draw, shape (2, B, N).  A draw's coefficients carry
+    a positive power-of-two scale, which changes neither the phase of Phi_N'
+    nor Re(z Phi_N'' / Phi_N').
+
+    Szego's recursion on coefficient vectors: Phi_(k+1)[j] = Phi_k[j-1] -
+    conj(alpha_k) Phi_k^*[j], Phi_(k+1)^*[j] = Phi_k^*[j] - alpha_k Phi_k[j-1].
+    A step scales the l1 norm of the coefficients by 1 +- |alpha_k| at most,
+    as at a point of the unit circle, so _renormalised_steps(|alpha|, 1) says
+    where to bring each draw's largest coefficient into [1/2, 1).
+    """
+    B, N = alpha.shape
+    alpha = np.ascontiguousarray(np.transpose(alpha))
+    renormalise = _renormalised_steps(np.abs(alpha), np.ones(1))
+    phi = np.zeros((N + 1, B), dtype=complex)
+    phi_star = np.zeros((N + 1, B), dtype=complex)
+    phi[N] = phi_star[0] = 1
+    for k, (a, renormalising) in enumerate(zip(alpha, renormalise)):
+        # phi[N - k:] holds Phi_k, so phi[N - k - 1:] is z Phi_k, and
+        # phi_star[:k + 1] holds Phi_k^*.
+        term = a.conj() * phi_star[: k + 1]
+        phi_star[1 : k + 2] -= a * phi[N - k :]
+        phi[N - k - 1 : N] -= term
+        if renormalising:
+            _, e = np.frexp(np.max(np.abs(phi[N - k - 1 :]), axis=0))
+            scale = np.ldexp(1.0, -e)
+            phi[N - k - 1 :] *= scale
+            phi_star[: k + 2] *= scale
+    dc = np.arange(1, N + 1) * np.transpose(phi[1:])
+    return np.stack([dc, np.arange(N) * dc])
+
+
+def _horner(rows: np.ndarray, draw: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(Phi_N', z Phi_N'') of draw[p] at z[p]; rows[j] holds both j-th
+    coefficients of every draw, as (2, B)."""
+    B = rows.shape[1] // 2
+    columns = np.concatenate([draw, draw + B])
+    z = np.concatenate([z, z])
+    values = rows[-1].take(columns)
+    for row in rows[-2::-1]:
+        values *= z
+        values += row.take(columns)
+    return values.reshape(2, -1)
+
+
+def _arg_rates(dphi, z_ddphi, floor):
+    """d/dtheta arg Phi_N'(r e^(i theta)) = Re(z Phi_N''(z) / Phi_N'(z)); nan,
+    which fails every test it meets, where |Phi_N'| is not above `floor`."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.real(z * ddphi / dphi)
+        rate = np.real(z_ddphi / dphi)
+    rate[~(np.abs(dphi) > floor)] = np.nan
+    return rate
+
+
+def _circle_samples(alpha: np.ndarray, radii: np.ndarray, M: int):
+    """(Phi_N', z Phi_N'') at r w^m, w = exp(2 pi i / M), m < M, shape
+    (R, B, M), a floor on |Phi_N'| per circle and draw, and the rows for
+    _horner.  The samples are the length-M DFTs of the Taylor coefficients
+    times r^j, zero-padded from N <= M terms, so nothing aliases.
+
+    Coefficients lose the small values of Phi_N' when |alpha_k| is near 1
+    over many k.  So the twin draw alpha_k w^-(k+1), whose Phi_N'(z) is a
+    constant times Phi_N'(z / w), is sampled too: it rounds differently, and
+    the largest difference of the two estimates their error.  The floor is
+    that over sin(_ARC_PHASE_LIMIT): a sample above it has its phase within
+    _ARC_PHASE_LIMIT, so an accepted step is below pi in truth.
+    """
+    B, N = alpha.shape
+    twin = alpha * np.exp(-2j * np.pi / M * np.arange(1, N + 1))
+    taylor = _taylor_coefficients(np.concatenate([alpha, twin]))
+    terms = np.concatenate([taylor[:, :B], taylor[:1, B:]])
+    powers = radii[:, None, None] ** np.arange(N)
+    dphi, z_ddphi, d_twin = np.fft.ifft(terms[:, None] * powers, n=M, norm="forward")
+    d_twin = np.roll(d_twin, -1, axis=2)
+    best = np.argmax(np.abs(dphi), axis=2)[:, :, None]
+    ratio = np.take_along_axis(d_twin, best, axis=2) / np.take_along_axis(dphi, best, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error = np.max(np.abs(d_twin / ratio - dphi), axis=2)
+    rows = np.ascontiguousarray(np.transpose(taylor[:, :B], (2, 0, 1))).reshape(N, 2 * B)
+    return dphi, z_ddphi, error / math.sin(_ARC_PHASE_LIMIT), rows
 
 
 def _winding_counts(alpha: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +444,8 @@ def _winding_counts(alpha: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
     failing arc is halved, and its halves tested in turn, at most
     _BISECTION_DEPTH times.  The count is the sum of accepted steps over 2 pi;
     a (draw, radius) left with a failing arc is uncertified and its count is
-    meaningless.
+    meaningless.  A sample not above its floor (see _circle_samples) fails
+    every test; bisection points come from Horner's rule.
     """
     B, N = alpha.shape
     M = max(N, _GRID_MIN)
@@ -390,16 +456,15 @@ def _winding_counts(alpha: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
     radii = np.asarray(radii, dtype=float)
     length = 2 * np.pi / M
     theta = length * np.arange(M)
-    z = (radii[:, None] * np.exp(1j * theta)).reshape(-1, 1)
-    _, dphi, ddphi, _, _ = _szego_scaled(alpha, z, second=True)
-    rate = _arg_rates(z, dphi, ddphi).reshape(len(radii), M, B)
-    dphi = dphi.reshape(len(radii), M, B)
-    # Arc (i, j, b) runs from sample j to sample j + 1 (mod M) on circle i.
-    circle, start, draw = (index.ravel() for index in np.indices(dphi.shape))
+    dphi, z_ddphi, floor, rows = _circle_samples(alpha, radii, M)
+    rate = _arg_rates(dphi, z_ddphi, floor[:, :, None])
+    # Arc (i, b, j) runs from sample j to sample j + 1 (mod M) on circle i.
+    circle, draw, start = (index.ravel() for index in np.indices(dphi.shape))
     theta_a = theta[start]
-    d_a, d_b = dphi.ravel(), np.roll(dphi, -1, axis=1).ravel()
-    rate_a, rate_b = rate.ravel(), np.roll(rate, -1, axis=1).ravel()
+    d_a, d_b = dphi.ravel(), np.roll(dphi, -1, axis=2).ravel()
+    rate_a, rate_b = rate.ravel(), np.roll(rate, -1, axis=2).ravel()
     winding = np.zeros(len(radii) * B)
+    uncertified = np.zeros((len(radii), B), dtype=bool)
     for depth in range(_BISECTION_DEPTH + 1):
         step = np.angle(d_b * d_a.conj())
         limit = _ARC_PHASE_LIMIT / length
@@ -411,21 +476,23 @@ def _winding_counts(alpha: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
         winding += np.bincount(circle[passed] * B + draw[passed], weights=step[passed],
                                minlength=len(winding))
         failed = ~passed
+        # An arc with a nan end fails at every depth, as that end stays an end.
+        dead = failed & (np.isnan(rate_a) | np.isnan(rate_b))
+        uncertified[circle[dead], draw[dead]] = True
+        failed &= ~dead
         circle, draw, theta_a = circle[failed], draw[failed], theta_a[failed]
         d_a, d_b, rate_a, rate_b = d_a[failed], d_b[failed], rate_a[failed], rate_b[failed]
         if depth == _BISECTION_DEPTH or not len(circle):
             break
         length /= 2
         theta_m = theta_a + length
-        z_m = (radii[circle] * np.exp(1j * theta_m))[None, :]
-        _, d_m, dd_m, _, _ = _szego_scaled(alpha[draw], z_m, second=True)
-        rate_m = _arg_rates(z_m, d_m, dd_m)[0]
-        d_m = d_m[0]
+        z_m = radii[circle] * np.exp(1j * theta_m)
+        d_m, z_dd_m = _horner(rows, draw, z_m)
+        rate_m = _arg_rates(d_m, z_dd_m, floor[circle, draw])
         circle, draw = np.tile(circle, 2), np.tile(draw, 2)
         theta_a = np.concatenate([theta_a, theta_m])
         d_a, d_b = np.concatenate([d_a, d_m]), np.concatenate([d_m, d_b])
         rate_a, rate_b = np.concatenate([rate_a, rate_m]), np.concatenate([rate_m, rate_b])
-    uncertified = np.zeros((len(radii), B), dtype=bool)
     uncertified[circle, draw] = True
     counts = np.rint(winding.reshape(len(radii), B) / (2 * np.pi)).astype(np.int64)
     return counts.T, uncertified.T

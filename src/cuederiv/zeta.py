@@ -17,7 +17,7 @@ from .errors import CapabilityError
 from .specfun import _kummer_factor, zeta_real
 
 _INNER_SUM_EPS = 1e-16
-# Output entries per sieve segment in dirichlet_convolve and per chunk of the
+# Output entries per sieve segment in _dirichlet_sieve and per chunk of the
 # series sum: 8 MB of float64, or 2 MB of uint16 (the dtype of d_2 at 10^7).
 _SEGMENT = 1 << 20
 
@@ -50,7 +50,24 @@ class DirichletTable:
 
 
 def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(f*g)(n) = sum over d | n of f(d) g(n/d), for all n <= n_max at once.
+    """(f*g)(n) = sum over d | n of f(d) g(n/d), for all n <= n_max at once,
+    in np.result_type(f, g) (see _dirichlet_sieve).
+
+    An integer output sums at most d(n) terms of modulus <= max|f| max|g| at
+    each n, so integer tables are refused with ValueError unless that bound,
+    with the largest d(n) for n <= n_max, fits their dtype.
+    """
+    dtype = np.result_type(f, g)
+    if np.issubdtype(dtype, np.integer):
+        size = [max(abs(int(np.max(t))), abs(int(np.min(t)))) for t in (f, g)]
+        max_d = max(d for _, d, _ in _exponent_sorted(2, len(f) - 1))
+        if size[0] * size[1] * max_d > np.iinfo(dtype).max:
+            raise ValueError(f"a Dirichlet convolution of these tables can overflow {dtype}")
+    return _dirichlet_sieve(f, g)
+
+
+def _dirichlet_sieve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dirichlet_convolve without its overflow check.
 
     Runs the divisor-pair sieve over a <= sqrt(n_max) with the symmetric
     split: row a adds f(a) g(a) at n = a^2 and f(a) g(b) + g(a) f(b) at n = a b
@@ -113,7 +130,7 @@ def _self_convolution(s: int, n_max: int, log: bool, label: str) -> DirichletTab
         base[0] = 0
     values = base
     for _ in range(s - 1):
-        values = dirichlet_convolve(values, base)
+        values = _dirichlet_sieve(values, base)
     return DirichletTable(n_max, values, label=label)
 
 

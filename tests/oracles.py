@@ -455,7 +455,8 @@ def szego_scaled_every_step(alpha: np.ndarray, z: np.ndarray, second: bool = Fal
     values renormalised after every step of Szego's recursion.
 
     The reference for rmt_mc._szego_scaled, which renormalises only where its
-    bound requires and must give the same bits.
+    bound requires and must give the same bits; with `second`, for the phase
+    and rate of Phi_N' that the zero counter reads from coefficients.
     """
     alpha = np.ascontiguousarray(np.transpose(alpha))
     shape = np.broadcast_shapes(z.shape, (1, alpha.shape[1]))

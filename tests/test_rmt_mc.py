@@ -269,26 +269,65 @@ SZEGO_POINTS = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.97, 1 - 1e-12, np.exp(0.9j), 
 
 class TestSzegoRenormalisation:
     """_szego_scaled renormalises only where its bound requires; every output
-    must equal, bit for bit, the recursion renormalised at every step."""
+    must equal, bit for bit, the recursion renormalised at every step.  The
+    `second` cases hold the zero counter's coefficient route to the same
+    recursion carrying Phi_N'': the phase of Phi_N' within 1e-11 and the rate
+    Re(z Phi_N'' / Phi_N') within 1e-10 of |z Phi_N'' / Phi_N'|."""
 
     @staticmethod
-    def assert_bit_identical(alpha, z, second):
-        fast = rmt_mc._szego_scaled(alpha, z, second)
-        slow = szego_scaled_every_step(alpha, z, second)
-        for name, x, y in zip(["phi", "dphi", "ddphi", "exponent", "unresolved"], fast, slow):
-            if y is None:
-                assert x is None, name
-            else:
-                assert np.array_equal(bits(x), bits(y)), name
+    def assert_bit_identical(alpha, z):
+        fast = rmt_mc._szego_scaled(alpha, z)
+        phi, dphi, _, exponent, unresolved = szego_scaled_every_step(alpha, z)
+        for name, x, y in zip(["phi", "dphi", "exponent", "unresolved"], fast,
+                              [phi, dphi, exponent, unresolved]):
+            assert np.array_equal(bits(x), bits(y)), name
+
+    @staticmethod
+    def route_errors(alpha, z, dphi, z_ddphi):
+        """Phase error of Phi_N' and rate error over |z Phi_N'' / Phi_N'|
+        against the every-step recursion at the points z (shape (P, 1) or
+        (P, B)), for route values of shape (P, B)."""
+        _, exact, exact_second, _, _ = szego_scaled_every_step(alpha, z, second=True)
+        quotient = z * exact_second / exact
+        phase = np.abs(np.angle(dphi * exact.conj()))
+        rate = np.abs(np.real(z_ddphi / dphi) - quotient.real)
+        return phase, rate, np.abs(quotient)
+
+    def circle_errors(self, alpha, radii):
+        """route_errors on the FFT samples of each circle, with the floor."""
+        M = max(alpha.shape[1], 32)
+        dphi, z_ddphi, floor, _ = rmt_mc._circle_samples(alpha, radii, M)
+        points = np.exp(2j * np.pi * np.arange(M) / M)[:, None]
+        for i, r in enumerate(radii):
+            yield self.route_errors(alpha, r * points, dphi[i].T, z_ddphi[i].T) + (
+                np.abs(dphi[i].T) > floor[i],)
+
+    def assert_coefficient_route_matches(self, alpha):
+        radii = np.array([0.1, 0.5, 0.9, 0.97])
+        for phase, rate, size, resolved in self.circle_errors(alpha, radii):
+            assert np.all(resolved)
+            assert np.all(phase <= 1e-11) and np.all(rate <= 1e-10 * size)
+        # Horner's rule at the points in the closed disc, each for every draw.
+        points = SZEGO_POINTS[np.abs(SZEGO_POINTS) <= 1]
+        B, N = alpha.shape
+        _, _, _, rows = rmt_mc._circle_samples(alpha, np.array([0.5]), max(N, 32))
+        draw = np.tile(np.arange(B), len(points))
+        dphi, z_ddphi = rmt_mc._horner(rows, draw, np.repeat(points, B))
+        phase, rate, size = self.route_errors(alpha, points[:, None], dphi.reshape(-1, B),
+                                              z_ddphi.reshape(-1, B))
+        assert np.all(phase <= 1e-11) and np.all(rate <= 1e-10 * size)
 
     @pytest.mark.parametrize("second", [False, True])
     @pytest.mark.parametrize("N", [1, 2, 6, 25, 100, 300])
     def test_matches_every_step_renormalisation(self, N, second):
         alpha = rmt_mc._verblunsky(N, 5, rng(900 + N))
+        if second:
+            self.assert_coefficient_route_matches(alpha)
+            return
         for points in (SZEGO_POINTS, SZEGO_POINTS[:4], SZEGO_POINTS[4:8], SZEGO_POINTS[-3:]):
-            self.assert_bit_identical(alpha, points[:, None], second)
-        # One point per draw, as in the bisection of _winding_counts.
-        self.assert_bit_identical(alpha, SZEGO_POINTS[None, 3:8], second)
+            self.assert_bit_identical(alpha, points[:, None])
+        # One point per draw.
+        self.assert_bit_identical(alpha, SZEGO_POINTS[None, 3:8])
 
     @pytest.mark.parametrize("second", [False, True])
     def test_matches_with_coefficients_next_to_the_circle(self, second):
@@ -296,7 +335,18 @@ class TestSzegoRenormalisation:
         # by a factor of 2^-53, so the bound renormalises every few steps.
         phases = rng(31).uniform(0.0, 2 * np.pi, (3, 400))
         alpha = (1 - 2.0**-53) * np.exp(1j * phases)
-        self.assert_bit_identical(alpha, SZEGO_POINTS[:, None], second)
+        if not second:
+            self.assert_bit_identical(alpha, SZEGO_POINTS[:, None])
+            return
+        # The coefficients lose the small values of Phi_N' from r = 0.5 on, so
+        # the counter must leave circles uncertified rather than miscount;
+        # at r = 0.1 nothing is lost.
+        radii = np.array([0.1, 0.5, 0.9, 0.97])
+        phase, _, _, resolved = next(self.circle_errors(alpha, radii[:1]))
+        assert np.all(resolved) and np.all(phase <= 1e-11)
+        counts, uncertified = rmt_mc._winding_counts(alpha, radii)
+        expected = eigenphase_counts(alpha, radii)
+        assert np.array_equal(counts[~uncertified], expected[~uncertified])
 
     def test_renormalises_only_where_the_bound_requires(self):
         alpha_abs = np.full((100, 2), 0.5)
@@ -394,21 +444,54 @@ class TestPolyAndZeros:
 
 # Every certified winding count must equal the eigenphase count on the same
 # Verblunsky coefficients, over about 12k draws.  The class runs in about 9 s
-# on one core (budget 20 s); fewer draws at large N keep it there.
+# on one core (budget 20 s), half of it the eigenvalues at N = 300 and 1100;
+# fewer draws at large N keep it there.
 WINDING_RADII = (0.1, 0.3, 0.5, 0.7071, 0.9, 0.97)
 WINDING_DRAWS = [(2, 2000), (3, 2000), (4, 2000), (5, 2000), (7, 1000), (10, 800),
                  (16, 500), (25, 300), (40, 150), (60, 100), (100, 50)]
 
 
+def eigenphase_counts(alpha, radii):
+    """Zeros of Phi_N' inside each radius from the eigenphases, shape (B, R)."""
+    moduli = rmt_mc._critical_point_moduli(rmt_mc._ggt_phases(alpha))
+    return np.stack([np.sum(moduli < r, axis=1) for r in radii], axis=1)
+
+
 class TestWindingCounts:
-    @pytest.mark.parametrize("N, draws", WINDING_DRAWS)
+    @pytest.mark.parametrize("N, draws", WINDING_DRAWS + [(300, 10)])
     def test_certified_counts_match_eigenphases(self, N, draws):
         alpha = rmt_mc._verblunsky(N, draws, rng(500 + N))
         counts, uncertified = rmt_mc._winding_counts(alpha, WINDING_RADII)
-        moduli = rmt_mc._critical_point_moduli(rmt_mc._ggt_phases(alpha))
-        expected = np.stack([np.sum(moduli < r, axis=1) for r in WINDING_RADII], axis=1)
+        expected = eigenphase_counts(alpha, WINDING_RADII)
         assert np.array_equal(counts[~uncertified], expected[~uncertified])
         assert np.mean(uncertified) < 0.05
+
+    def test_large_n_coefficients_are_renormalised(self):
+        # alpha_k = conj(zeta_k) lambda_k, lambda_k = prod_(i<k) -conj(zeta_i),
+        # gives Phi_N = prod (z - zeta_k) when |alpha_k| = 1; at |alpha_k| =
+        # 1 - 2^-53 the zeros move by far less than the radii need.  Growth by
+        # up to 2 a step makes the bound renormalise every few steps.  With
+        # zeta_k uniform on the circle (so the alpha_k phases are too) the
+        # coefficients stay near 2^76 at N = 1100; with zeta_k on half the
+        # circle they pass 2^1024 at N = 1300 and overflow unless rescaled.
+        def draws(low, high, shape, seed):
+            zeta = np.exp(1j * rng(seed).uniform(low, high, shape))
+            lam = np.cumprod(np.concatenate([np.ones(shape[:-1] + (1,)), -zeta[..., :-1].conj()],
+                                            axis=-1), axis=-1)
+            return zeta, (1 - 2.0**-53) * zeta.conj() * lam
+
+        zeta, alpha = draws(0.0, 2 * np.pi, (2, 1100), 41)
+        assert sum(rmt_mc._renormalised_steps(np.abs(alpha.T), np.ones(1))) > 1100 // 10
+        counts, uncertified = rmt_mc._winding_counts(alpha, WINDING_RADII)
+        moduli = rmt_mc._critical_point_moduli(np.angle(zeta))
+        expected = np.stack([np.sum(moduli < r, axis=1) for r in WINDING_RADII], axis=1)
+        assert np.array_equal(counts[~uncertified], expected[~uncertified])
+        assert not np.any(uncertified[:, 0])
+        _, alpha = draws(-np.pi / 2, np.pi / 2, (1300,), 43)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(szego_coefficients(alpha)))
+        taylor = rmt_mc._taylor_coefficients(alpha[None, :])
+        assert np.all(np.isfinite(taylor)) and np.max(np.abs(taylor)) > 0
 
     @pytest.mark.parametrize("N, draws", WINDING_DRAWS)
     def test_ggt_eigenvalues_are_zeros_of_phi(self, N, draws):

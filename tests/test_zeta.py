@@ -98,6 +98,20 @@ class TestTables:
         f[1:] = fn(n_max)
         assert np.array_equal(dirichlet_convolve(f, f), dirichlet_convolve(f, f.copy()))
 
+    def test_integer_tables_that_can_overflow_are_refused(self):
+        # Up to n = 12 the largest d(n) is d(12) = 6, so uint8 tables hold
+        # every sum when max|f| max|g| <= 255 / 6, and int8 ones when it is
+        # at most 127 / 6.
+        f = np.full(13, 6, np.uint8)
+        assert dirichlet_convolve(f, f).tolist() == (36 * divisor_table(2, 12).values).tolist()
+        for f, g in [(np.full(13, 200, np.uint8), None), (np.full(13, 7, np.uint8), None),
+                     (np.full(13, 3, np.int8), np.full(13, -8, np.int8))]:
+            with pytest.raises(ValueError, match="overflow"):
+                dirichlet_convolve(f, f if g is None else g)
+        # int32 holds 200 * 200 * 6
+        f = np.full(13, 200, np.int32)
+        assert dirichlet_convolve(f, f)[[1, 4, 12]].tolist() == [40000, 120000, 240000]
+
     def test_table_validation_and_csv(self, tmp_path):
         with pytest.raises(IndexError):
             divisor_table(1, 10)[11]
@@ -151,15 +165,15 @@ class TestSegmentedSieve:
 
     @staticmethod
     def _sieve_dtypes(monkeypatch):
-        """Record the dtype of every table that dirichlet_convolve returns."""
-        dtypes, convolve = [], zeta.dirichlet_convolve
+        """Record the dtype of every table that the sieve returns."""
+        dtypes, convolve = [], zeta._dirichlet_sieve
 
         def spy(f, g):
             out = convolve(f, g)
             dtypes.append(out.dtype)
             return out
 
-        monkeypatch.setattr(zeta, "dirichlet_convolve", spy)
+        monkeypatch.setattr(zeta, "_dirichlet_sieve", spy)
         return dtypes
 
     @pytest.mark.parametrize("s, n_max", [(1, N_MAX), (2, N_MAX), (3, N_MAX), (4, N_MAX),
@@ -185,7 +199,7 @@ class TestSegmentedSieve:
     def test_series_equal_row_sieve_series(self, monkeypatch, series, s, n_max):
         # n_max = 2^k + 1: the last segment holds just the final 2 entries
         result = series(s, 0.6, n_max)
-        monkeypatch.setattr(zeta, "dirichlet_convolve", dirichlet_convolve_rows)
+        monkeypatch.setattr(zeta, "_dirichlet_sieve", dirichlet_convolve_rows)
         assert result == series(s, 0.6, n_max)
         # and the in-place series sum is the out-of-place one, on the row-sieve table
         table = (log_convolution_table if series is deriv_moment_series else divisor_table)(s, n_max)
