@@ -78,21 +78,7 @@ def _complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
 
 
-def _regime_name(text: str) -> str:
-    aliases = {
-        "global": "global",
-        "mesoscopic": "mesoscopic",
-        "meso": "mesoscopic",
-        "microscopic": "microscopic",
-        "micro": "microscopic",
-        "joint": "joint",
-        "zero-density": "zero-density",
-        "zeros": "zero-density",
-    }
-    key = text.strip().lower()
-    if key not in aliases:
-        raise argparse.ArgumentTypeError(f"unknown regime {text!r}")
-    return aliases[key]
+_REGIME_ALIASES = {"meso": "mesoscopic", "micro": "microscopic", "zeros": "zero-density"}
 
 
 def _radii(text: str) -> list[float]:
@@ -166,8 +152,10 @@ def build_parser() -> _Parser:
     )
 
     p = sub.add_parser("asympt", help="large-N regime formulas", parents=[common])
-    p.add_argument("--regime", required=True, type=_regime_name,
-                   help="global | mesoscopic (meso) | microscopic (micro) | joint | zero-density")
+    p.add_argument("--regime", required=True,
+                   type=lambda text: _REGIME_ALIASES.get(text.strip().lower(), text.strip().lower()),
+                   choices=("global", "mesoscopic", "microscopic", "joint", "zero-density"),
+                   help="global | mesoscopic (meso) | microscopic (micro) | joint | zero-density (zeros)")
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--r", type=float, default=None)
@@ -224,12 +212,11 @@ def build_parser() -> _Parser:
 
 
 def _run_exact(args):
-    if args.mode == "exact":
-        u = _fraction(args.u) if args.u is not None else _fraction(args.r) ** 2
-        r = _fraction(args.r) if args.r is not None else None
-    else:
-        u = float(Fraction(args.u)) if args.u is not None else float(Fraction(args.r)) ** 2
-        r = float(Fraction(args.r)) if args.r is not None else math.sqrt(u)
+    number = _fraction if args.mode == "exact" else (lambda text: float(_fraction(text)))
+    r = number(args.r) if args.r is not None else None
+    u = number(args.u) if args.u is not None else r ** 2
+    if r is None and args.mode == "float":
+        r = math.sqrt(u)
     if args.route == "cue-circle":
         return [_result("cue_moment", cue_moment_integer(args.N, args.s),
                         "selberg-product-circle"),
@@ -429,15 +416,12 @@ def _emit(report, fmt):
     if fmt == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
         return
-    writer_rows = []
+    print("label,value,provenance")
     for row in report["results"]:
         value = row["value"]
         if isinstance(value, dict):
             value = value["approx"]
-        writer_rows.append((row["label"], value, row["provenance"]))
-    print("label,value,provenance")
-    for label, value, provenance in writer_rows:
-        print(f"{label},{value!r},{provenance}")
+        print(f"{row['label']},{value!r},{row['provenance']}")
 
 
 _COMMANDS = {
@@ -483,8 +467,6 @@ def main(argv=None) -> int:
 def _jsonable(value):
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value

@@ -241,11 +241,7 @@ def _collect_values(N, samples, seed, threads, evaluate, progress=None):
             count = int(np.sum(bad))
             resampled += count
             alpha[bad] = _verblunsky(N, count, rng)
-            redone, rebad = evaluate(alpha[bad])
-            values[bad] = redone
-            still_bad = np.zeros(len(alpha), dtype=bool)
-            still_bad[np.flatnonzero(bad)[rebad]] = True
-            bad = still_bad
+            values[bad], bad[bad] = evaluate(alpha[bad])
         return values, resampled
 
     parts = _run_chunks(N, samples, seed, threads, worker, progress)

@@ -56,8 +56,6 @@ def exp_moment(k: int, c: float) -> float:
     if k < 0:
         raise ValueError("exp_moment requires k >= 0")
     c = float(c)
-    if c == 0.0:
-        return 1.0 / (k + 1)
     if c < 1.0:
         term = 1.0
         total = 1.0 / (k + 1)

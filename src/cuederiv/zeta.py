@@ -49,25 +49,8 @@ class DirichletTable:
             handle.writelines(f"{n},{v!r}\r\n" for n, v in enumerate(self.values.tolist()[1:], 1))
 
 
-def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(f*g)(n) = sum over d | n of f(d) g(n/d), for all n <= n_max at once,
-    in np.result_type(f, g) (see _dirichlet_sieve).
-
-    An integer output sums at most d(n) terms of modulus <= max|f| max|g| at
-    each n, so integer tables are refused with ValueError unless that bound,
-    with the largest d(n) for n <= n_max, fits their dtype.
-    """
-    dtype = np.result_type(f, g)
-    if np.issubdtype(dtype, np.integer):
-        size = [max(abs(int(np.max(t))), abs(int(np.min(t)))) for t in (f, g)]
-        max_d = max(d for _, d, _ in _exponent_sorted(2, len(f) - 1))
-        if size[0] * size[1] * max_d > np.iinfo(dtype).max:
-            raise ValueError(f"a Dirichlet convolution of these tables can overflow {dtype}")
-    return _dirichlet_sieve(f, g)
-
-
 def _dirichlet_sieve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """dirichlet_convolve without its overflow check.
+    """(f*g)(n) = sum over d | n of f(d) g(n/d), for all n <= n_max at once.
 
     Runs the divisor-pair sieve over a <= sqrt(n_max) with the symmetric
     split: row a adds f(a) g(a) at n = a^2 and f(a) g(b) + g(a) f(b) at n = a b

@@ -381,7 +381,7 @@ def dirichlet_convolve_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(f*g)(n) = sum over d | n of f(d) g(n/d), one sieve row a <= sqrt(n_max)
     at a time, each row swept over the whole output.
 
-    The reference for zeta.dirichlet_convolve, which walks the output in
+    The reference for zeta._dirichlet_sieve, which walks the output in
     segments and must give the same bits.
     """
     n_max = len(f) - 1

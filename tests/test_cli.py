@@ -452,6 +452,37 @@ def test_fractional_s_is_usage_error(argv, capsys):
     assert "needs an integer --s" in err
 
 
+_REGIMES = "'global', 'mesoscopic', 'microscopic', 'joint', 'zero-density'"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("exact --N 5 --s 2 --u x", "invalid parameters: not a rational number: 'x'"),
+    ("exact --N 5 --s 2 --u x --mode float", "invalid parameters: not a rational number: 'x'"),
+    ("exact --N 5 --s 2 --u 1/0", "invalid parameters: not a rational number: '1/0'"),
+    ("exact --N 5 --s 2 --u 1/0 --mode float", "invalid parameters: not a rational number: '1/0'"),
+    ("mc --N 6 --s 1 --z abc --samples 10", "argument --z: not a complex number: 'abc'"),
+    ("zeros --N 10 --radii 0.5,x --samples 10", "argument --radii: bad radius list: '0.5,x'"),
+    ("compare --routes exact --N 4 --s 1 --r 0.5", "compare needs exactly two routes"),
+    ("compare --routes exact,nope --N 4 --s 1 --r 0.5", "unknown route 'nope'"),
+    ("exact --N 5 --s 2 --route cue-radial --u 1/2", "cue-radial needs --r (rational in exact mode)"),
+    ("compare --routes closed-s1,exact --N 4 --s 2 --r 0.5", "route 'closed-s1' is the s=1 squares sum"),
+    ("asympt --regime foo --s 1 --r 0.5",
+     f"argument --regime: invalid choice: 'foo' (choose from {_REGIMES})"),
+])
+def test_bad_input_is_one_line_usage_error(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == "" and "Traceback" not in err
+    # argparse's own errors come after its usage lines; the message is one line
+    lines = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+    assert len(lines) == 1 and lines[0].endswith(message) and err.endswith(lines[0] + "\n")
+
+
+def test_regime_aliases_are_case_blind(capsys):
+    code, out, _ = run_cli(capsys, "asympt", "--regime", "MICRO", "--s", "1", "--c", "1")
+    assert code == 0
+    assert parse_report(out)["config"]["regime"] == "microscopic"
+
+
 class TestCsvFormat:
     def test_csv_projection(self, capsys):
         code, out, _ = run_cli(

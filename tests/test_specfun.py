@@ -88,7 +88,7 @@ class TestGeneralizedLaguerre:
 class TestExpMoment:
     def test_c_zero(self):
         for k in range(20):
-            assert exp_moment(k, 0.0) == 1.0 / (k + 1)
+            assert exp_moment(k, 0.0) == exp_moment(k, -0.0) == 1.0 / (k + 1)
 
     def test_k_zero(self):
         for c in (0.25, 1.0, 3.0, -2.0):
