@@ -5,7 +5,7 @@ closed-form asymptotics, Monte Carlo over Haar unitaries) plus the
 number-theory side series they are conjectured to match.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import CapabilityError
 from .exact_moments import (
@@ -16,7 +16,6 @@ from .exact_moments import (
     moment_structure,
 )
 from .asymptotics import (
-    RegimePoint,
     cue_limit,
     expected_log_integral,
     expected_zero_count,
@@ -38,7 +37,6 @@ from .specfun import (
     zeta_real,
 )
 from .zeta import (
-    DirichletTable,
     SeriesResult,
     arithmetic_factor,
     conjecture_rhs,

@@ -9,7 +9,6 @@ expansion of a finite-temperature Bessel-kernel determinant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,35 +17,6 @@ from .errors import CapabilityError
 from .linalg import det_float
 from .exact_moments import _structure_a_upoly
 from .specfun import _kummer_factor, exp_moment
-
-
-@dataclass(frozen=True)
-class RegimePoint:
-    """A point in one of the three spectral regimes.
-
-    global: 0 <= r < 1.  mesoscopic: 0 < alpha < 1.  microscopic: any real c.
-    N is optional and must be positive; regime formulas return the N-free
-    coefficient without it.
-    """
-
-    regime: str
-    r: float | None = None
-    alpha: float | None = None
-    c: float | None = None
-    N: int | None = None
-
-    def __post_init__(self):
-        if self.regime == "global":
-            if self.r is None or not 0 <= self.r < 1:
-                raise ValueError("global regime requires 0 <= r < 1")
-        elif self.regime == "mesoscopic":
-            if self.alpha is None or not 0 < self.alpha < 1:
-                raise ValueError("mesoscopic regime requires 0 < alpha < 1")
-        elif self.regime == "microscopic":
-            if self.c is None:
-                raise ValueError("microscopic regime requires c")
-        else:
-            raise ValueError(f"unknown regime {self.regime!r}")
 
 
 def global_moment(s: float, r: float) -> float:
@@ -207,32 +177,41 @@ def micro_b_bessel(s: int, c: float) -> float:
     return float(det_coeffs[s, s]) * math.factorial(s) ** 2
 
 
-def cue_limit(s: float, point: RegimePoint) -> float:
+def cue_limit(s: float, regime: str, *, r: float | None = None, alpha: float | None = None,
+              c: float | None = None, N: int | None = None) -> float:
     """Limits of E|Lambda_N|^(2s) itself in the three regimes.
 
-    global: (1-r^2)^(-s^2).  mesoscopic: N^(s^2 alpha).  microscopic:
-    N^(s^2) s! det{m_(i+j-2)(c)} / prod_j Gamma(j)Gamma(j+1) (integer s);
-    without N the N-free coefficient is returned.
+    global (0 <= r < 1): (1-r^2)^(-s^2).  mesoscopic (0 < alpha < 1, N > 0):
+    N^(s^2 alpha).  microscopic (any real c): N^(s^2) s! det{m_(i+j-2)(c)} /
+    prod_j Gamma(j)Gamma(j+1) (integer s); without N the N-free coefficient is
+    returned.
     """
-    if point.regime == "global":
-        return _scaled(1.0, 1 - point.r**2, -(s * s), "global CUE limit")
-    if point.regime == "mesoscopic":
-        if point.N is None:
+    if regime == "global":
+        if r is None or not 0 <= r < 1:
+            raise ValueError("global regime requires 0 <= r < 1")
+        return _scaled(1.0, 1 - r**2, -(s * s), "global CUE limit")
+    if regime == "mesoscopic":
+        if alpha is None or not 0 < alpha < 1:
+            raise ValueError("mesoscopic regime requires 0 < alpha < 1")
+        if N is None:
             raise ValueError("mesoscopic CUE limit needs N")
-        return _scaled(1.0, point.N, s * s * point.alpha, "mesoscopic CUE limit")
-    # microscopic: Andreief reduction of the multi-integral needs integer s
+        return _scaled(1.0, N, s * s * alpha, "mesoscopic CUE limit")
+    if regime != "microscopic":
+        raise ValueError(f"unknown regime {regime!r}")
+    if c is None:
+        raise ValueError("microscopic regime requires c")
+    # Andreief reduction of the multi-integral needs integer s
     if int(s) != s or s < 1:
         raise ValueError("microscopic CUE limit implemented for positive integer s")
     s = int(s)
-    table = [exp_moment(k, point.c) for k in range(2 * s - 1)]
+    table = [exp_moment(k, c) for k in range(2 * s - 1)]
     hankel = float(det_float([[table[i + j] for j in range(s)] for i in range(s)]))
     # The Gram determinant of x^k e^(-cx) dx on [0, 1] is positive; a value <= 0
     # is rounding.  Passing this check does not make the value accurate.
     if not hankel > 0:
         raise CapabilityError(f"microscopic Hankel determinant lost to rounding at s={s}, "
-                              f"c={point.c}: {hankel:.6g}")
+                              f"c={c}: {hankel:.6g}")
     coefficient = math.factorial(s) * hankel
     for j in range(1, s + 1):
         coefficient /= math.gamma(j) * math.gamma(j + 1)
-    N = 1.0 if point.N is None else point.N
-    return _scaled(coefficient, N, s * s, "microscopic CUE limit")
+    return _scaled(coefficient, 1.0 if N is None else N, s * s, "microscopic CUE limit")

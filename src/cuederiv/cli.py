@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import __version__
 from .asymptotics import (
-    RegimePoint,
     _scaled,
     cue_limit,
     expected_log_integral,
@@ -56,7 +55,6 @@ COMPARISON_EXIT = 3
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise SystemExit2(f"{self.prog}: error: {message}")
 
 
@@ -250,10 +248,9 @@ def _run_asympt(args):
         return [_result("joint_moment", joint_moment(args.s, args.h, args.z1, args.z2),
                         "gaussian-joint-limit")]
     if args.of == "polynomial":
-        point = RegimePoint(regime, r=args.r, alpha=args.alpha, c=args.c,
-                            N=None if args.N is None else int(args.N))
-        return [_result("cue_moment_limit", cue_limit(args.s, point),
-                        "polynomial-moment-limit")]
+        limit = cue_limit(args.s, regime, r=args.r, alpha=args.alpha, c=args.c,
+                          N=None if args.N is None else int(args.N))
+        return [_result("cue_moment_limit", limit, "polynomial-moment-limit")]
     if regime == "global":
         _need(args, regime, "r")
         return [_result("moment_limit", global_moment(args.s, args.r),
@@ -303,14 +300,19 @@ def _run_mc(args):
 def _run_zeta(args):
     what = args.what
     if what in ("divisor-table", "log-table"):
-        table = (divisor_table if what == "divisor-table" else log_convolution_table)(
-            _integer_s(args), args.n_max
-        )
-        rows = [_result("table_head",
-                        [float(table.values[n]) for n in range(1, min(args.n_max, 10) + 1)],
-                        "dirichlet-sieve", n_max=args.n_max, table_label=table.label)]
+        s = _integer_s(args)
+        if what == "divisor-table":
+            table, label = divisor_table(s, args.n_max), f"d_{s}"
+        else:
+            table, label = log_convolution_table(s, args.n_max), f"log*^{s}"
+        rows = [_result("table_head", table[1:11].tolist(), "dirichlet-sieve",
+                        n_max=args.n_max, table_label=label)]
         if args.csv_out:
-            table.to_csv(args.csv_out)
+            # Rows `n,value` with repr'd floats and CRLF line ends, byte for
+            # byte what the csv module writes.
+            with open(args.csv_out, "w", newline="") as handle:
+                handle.write("n,value\r\n")
+                handle.writelines(f"{n},{v!r}\r\n" for n, v in enumerate(table[1:].tolist(), 1))
             rows.append(_result("csv_path", args.csv_out, "dirichlet-sieve"))
         return rows
     if what in ("deriv-series", "lindelof-series"):

@@ -22,33 +22,6 @@ _INNER_SUM_EPS = 1e-16
 _SEGMENT = 1 << 20
 
 
-@dataclass(frozen=True)
-class DirichletTable:
-    """Values f(1..n_max) of an arithmetic function (index 0 unused)."""
-
-    n_max: int
-    values: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.n_max + 1,):
-            raise ValueError("values must have length n_max + 1 (index 0 unused)")
-        object.__setattr__(self, "values", values)
-
-    def __getitem__(self, n: int) -> float:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"n = {n} outside 1..{self.n_max}")
-        return float(self.values[n])
-
-    def to_csv(self, path) -> None:
-        """Rows `n,value` for n = 1..n_max with repr'd floats and CRLF line
-        ends, byte for byte what the csv module writes."""
-        with open(path, "w", newline="") as handle:
-            handle.write("n,value\r\n")
-            handle.writelines(f"{n},{v!r}\r\n" for n, v in enumerate(self.values.tolist()[1:], 1))
-
-
 def _dirichlet_sieve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(f*g)(n) = sum over d | n of f(d) g(n/d), for all n <= n_max at once.
 
@@ -95,8 +68,9 @@ def _dirichlet_sieve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _self_convolution(s: int, n_max: int, log: bool, label: str) -> DirichletTable:
-    """The s-fold Dirichlet self-convolution of log(n) (`log`) or of 1.
+def _self_convolution(s: int, n_max: int, log: bool) -> np.ndarray:
+    """The s-fold Dirichlet self-convolution of log(n) (`log`) or of 1: a
+    float64 array of f(1..n_max) at those indices, index 0 unused and 0.
 
     The divisor tables are sieved in the smallest integer dtype that holds
     max d_s: every partial sum is a nonnegative integer <= d_s(n), so the
@@ -114,17 +88,17 @@ def _self_convolution(s: int, n_max: int, log: bool, label: str) -> DirichletTab
     values = base
     for _ in range(s - 1):
         values = _dirichlet_sieve(values, base)
-    return DirichletTable(n_max, values, label=label)
+    return values.astype(float, copy=False)
 
 
-def divisor_table(s: int, n_max: int) -> DirichletTable:
+def divisor_table(s: int, n_max: int) -> np.ndarray:
     """The s-fold divisor function d_s(1..n_max) by repeated sieve convolution."""
-    return _self_convolution(s, n_max, False, f"d_{s}")
+    return _self_convolution(s, n_max, False)
 
 
-def log_convolution_table(s: int, n_max: int) -> DirichletTable:
+def log_convolution_table(s: int, n_max: int) -> np.ndarray:
     """The s-fold Dirichlet self-convolution of log(n)."""
-    return _self_convolution(s, n_max, True, f"log*^{s}")
+    return _self_convolution(s, n_max, True)
 
 
 @dataclass(frozen=True)
@@ -144,9 +118,6 @@ class SeriesResult:
     tail_bound: float
     n_max: int
     tail_estimate: float | None = None
-
-    def within(self, other: float, extra: float = 0.0) -> bool:
-        return abs(self.value - other) <= self.tail_bound + extra
 
 
 def _upper_gamma_int(m: int, y: float) -> float:
@@ -224,12 +195,12 @@ def _density_tail_estimate(window_sum: float, n_max: int, log_degree: int,
     return density * _log_power_tail(log_degree, 2 * sigma, n_max)
 
 
-def _truncated_series(table: DirichletTable, s: int, sigma: float, log_power: int) -> SeriesResult:
+def _truncated_series(table: np.ndarray, s: int, sigma: float, log_power: int) -> SeriesResult:
     """Truncated sum of f(n)^2 / n^(2 sigma) for f = `table`, with tails from
     f(n) <= d_s(n) (log n)^(log_power / 2) and a power bound on d_s
     (exact C = 1 when s = 1).  Consumes `table`: its values become the terms."""
-    n_max = table.n_max
-    terms = table.values[1:]
+    n_max = len(table) - 1
+    terms = table[1:]
     np.square(terms, out=terms)
     window_sum = float(np.sum(terms[n_max // 2 :]))
     for lo in range(0, n_max, _SEGMENT):

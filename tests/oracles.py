@@ -425,7 +425,7 @@ def divisor_growth_constant_from_table(s: int, n_max: int, delta: float) -> floa
     """
     table = divisor_table(s, n_max)
     n = np.arange(1, n_max + 1, dtype=float)
-    return 2.0 * float(np.max(table.values[1:] / n**delta))
+    return 2.0 * float(np.max(table[1:] / n**delta))
 
 
 def euler_factor_log(s: float, p: int) -> float:

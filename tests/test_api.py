@@ -6,9 +6,7 @@ import cuederiv
 
 PUBLIC_NAMES = {
     "CapabilityError",
-    "DirichletTable",
     "MomentEstimate",
-    "RegimePoint",
     "SeriesResult",
     "arithmetic_factor",
     "conjecture_rhs",
@@ -44,5 +42,5 @@ def test_public_names_are_pinned():
         for name, value in vars(cuederiv).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 30
+    assert len(PUBLIC_NAMES) == 28
     assert exported == PUBLIC_NAMES

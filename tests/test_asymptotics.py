@@ -1,12 +1,12 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cuederiv.asymptotics import (
-    RegimePoint,
     cue_limit,
     expected_log_integral,
     expected_zero_count,
@@ -21,21 +21,6 @@ from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import cue_moment_integer, moment_exact
 from cuederiv.specfun import exp_moment
 from oracles import laguerre
-
-
-class TestRegimePoint:
-    def test_validation(self):
-        RegimePoint("global", r=0.5)
-        RegimePoint("mesoscopic", alpha=0.5)
-        RegimePoint("microscopic", c=-3.0)
-        with pytest.raises(ValueError):
-            RegimePoint("global", r=1.0)
-        with pytest.raises(ValueError):
-            RegimePoint("mesoscopic", alpha=1.5)
-        with pytest.raises(ValueError):
-            RegimePoint("microscopic")
-        with pytest.raises(ValueError):
-            RegimePoint("nearside", r=0.1)
 
 
 class TestGlobalMoment:
@@ -206,7 +191,7 @@ class TestRegimeJoins:
         # m_k(c) = k!/c^(k+1) + O(e^(-c)) turns the partition sum into s! L_s(-s^2).
         meso = meso_moment(s, 0.5, 1)
         assert abs(micro_b(s, c) * c ** (s * s + 2 * s) / meso - 1) <= 1e-11
-        polynomial = cue_limit(s, RegimePoint("microscopic", c=c))
+        polynomial = cue_limit(s, "microscopic", c=c)
         assert abs(polynomial * c ** (s * s) - 1) <= 1e-11
 
     def test_microscopic_meets_the_circle(self):
@@ -237,48 +222,63 @@ class TestRegimeJoins:
 
 class TestCueLimit:
     def test_global(self):
-        value = cue_limit(2, RegimePoint("global", r=math.sqrt(0.5)))
+        value = cue_limit(2, "global", r=math.sqrt(0.5))
         assert abs(value - 16.0) < 1e-12
 
     def test_mesoscopic(self):
-        point = RegimePoint("mesoscopic", alpha=0.5, N=10**4)
-        assert abs(cue_limit(2, point) - 10**8) < 1e-4
+        assert abs(cue_limit(2, "mesoscopic", alpha=0.5, N=10**4) - 10**8) < 1e-4
 
     def test_microscopic_coefficient_c0(self):
         for s in (1, 2, 3):
-            coeff = cue_limit(s, RegimePoint("microscopic", c=0.0))
+            coeff = cue_limit(s, "microscopic", c=0.0)
             ref = math.prod(math.gamma(j) / math.gamma(s + j) for j in range(1, s + 1))
             assert abs(coeff - ref) <= 1e-10 * ref
 
     def test_mesoscopic_overflow_is_capability_error(self):
         # (10^200)^(s^2 alpha) = 10^400 overflows in the float power.
         with pytest.raises(CapabilityError, match="overflow"):
-            cue_limit(2, RegimePoint("mesoscopic", alpha=0.5, N=10**200))
+            cue_limit(2, "mesoscopic", alpha=0.5, N=10**200)
 
     @pytest.mark.parametrize("point", [
-        RegimePoint("mesoscopic", alpha=0.5, N=0),
-        RegimePoint("mesoscopic", alpha=0.5, N=-5),
-        RegimePoint("microscopic", c=1.0, N=0),
-        RegimePoint("microscopic", c=1.0, N=-5),
+        dict(regime="mesoscopic", alpha=0.5, N=0),
+        dict(regime="mesoscopic", alpha=0.5, N=-5),
+        dict(regime="microscopic", c=1.0, N=0),
+        dict(regime="microscopic", c=1.0, N=-5),
     ], ids=["meso-0", "meso-neg", "micro-0", "micro-neg"])
     def test_nonpositive_N_is_refused(self, point):
         with pytest.raises(ValueError, match="N > 0"):
-            cue_limit(1, point)
+            cue_limit(1, **point)
+
+    @pytest.mark.parametrize("s, regime, params, message", [
+        (2, "global", dict(r=1.0), "global regime requires 0 <= r < 1"),
+        (2, "global", dict(), "global regime requires 0 <= r < 1"),
+        (2, "mesoscopic", dict(alpha=1.5, N=100), "mesoscopic regime requires 0 < alpha < 1"),
+        # alpha is checked before N, c before the integer s
+        (2, "mesoscopic", dict(alpha=1.5), "mesoscopic regime requires 0 < alpha < 1"),
+        (2, "mesoscopic", dict(alpha=0.5), "mesoscopic CUE limit needs N"),
+        (1.5, "microscopic", dict(), "microscopic regime requires c"),
+        (1.5, "microscopic", dict(c=1.0),
+         "microscopic CUE limit implemented for positive integer s"),
+        (2, "nearside", dict(r=0.1), "unknown regime 'nearside'"),
+    ], ids=["global-r1", "global-no-r", "meso-alpha", "meso-alpha-no-N", "meso-no-N",
+            "micro-no-c", "micro-fractional-s", "unknown"])
+    def test_bad_parameters_are_refused(self, s, regime, params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cue_limit(s, regime, **params)
 
     def test_microscopic_s1_full_value(self):
-        point = RegimePoint("microscopic", c=0.0, N=50)
-        assert abs(cue_limit(1, point) - 50.0) < 1e-10
+        assert abs(cue_limit(1, "microscopic", c=0.0, N=50) - 50.0) < 1e-10
 
     @pytest.mark.parametrize("s, c", [(12, -20.0), (8, -40.0)])
     def test_microscopic_nonpositive_hankel_is_capability_error(self, s, c):
         # A Gram determinant, positive in exact arithmetic; it returned
         # -2.9e-85 at (12, -20) and -1.9e39 at (8, -40).
         with pytest.raises(CapabilityError, match="Hankel determinant"):
-            cue_limit(s, RegimePoint("microscopic", c=c))
+            cue_limit(s, "microscopic", c=c)
 
     def test_microscopic_converges_to_circle_moment(self):
         s, N = 2, 2000
-        approx = cue_limit(s, RegimePoint("microscopic", c=0.0, N=N))
+        approx = cue_limit(s, "microscopic", c=0.0, N=N)
         exact = float(cue_moment_integer(N, s))
         assert abs(approx / exact - 1) < 0.01
 
@@ -287,5 +287,5 @@ class TestCueLimit:
         from cuederiv.exact_moments import cue_moment_radial
 
         value = cue_moment_radial(2000, 2, 0.5)
-        limit = cue_limit(2, RegimePoint("global", r=0.5))
+        limit = cue_limit(2, "global", r=0.5)
         assert abs(value / limit - 1) < 0.01
