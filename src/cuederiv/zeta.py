@@ -22,8 +22,9 @@ _INNER_SUM_EPS = 1e-16
 _SEGMENT = 1 << 20
 
 
-def _dirichlet_sieve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(f*g)(n) = sum over d | n of f(d) g(n/d), for all n <= n_max at once.
+def _dirichlet_sieve(f: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(f*g)(n) = sum over d | n of f(d) g(n/d), for all n <= n_max at once,
+    written into `out` (a new array by default; it may be f or g itself).
 
     Runs the divisor-pair sieve over a <= sqrt(n_max) with the symmetric
     split: row a adds f(a) g(a) at n = a^2 and f(a) g(b) + g(a) f(b) at n = a b
@@ -37,34 +38,62 @@ def _dirichlet_sieve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     f(a) = g(a) = 0 are skipped; for finite tables they add only +-0, which
     changes no entry (a sum started at +0.0 is never -0.0).
 
+    The segments are walked from the top down, so `out` may overwrite an
+    input.  Segment [lo, hi) reads f and g only below hi: at b <= (hi-1)/a
+    and at a <= sqrt(hi).  Lower segments, written later, read only below
+    their own hi <= lo.  Every segment but the first has 2 lo >= hi, so its
+    rows a >= 2 read only below lo, where nothing is written yet.  Row 1
+    reads the segment itself (b = n): its piece is taken before the segment
+    is cleared.  The first segment's rows read inside it, so it is summed in
+    a zeroed scratch segment and copied into `out` last.
+
     The output and scratch buffers take np.result_type(f, g); integer tables
     give exact integer sums, which the caller must keep from overflowing.
     """
     n_max = len(f) - 1
     if len(g) != len(f):
         raise ValueError("tables must have equal length")
-    out = np.zeros(n_max + 1, np.result_type(f, g))
+    dtype = np.result_type(f, g)
+    if out is None:
+        out = np.empty(n_max + 1, dtype)
+    elif len(out) != len(f) or out.dtype != dtype:
+        raise ValueError(f"out must be a {dtype} table of length {len(f)}")
     rows = [a for a in range(1, math.isqrt(n_max) + 1) if f[a] != 0 or g[a] != 0]
-    piece_buffer = np.empty(min(_SEGMENT, n_max + 1), out.dtype)
+    piece_buffer = np.empty(min(_SEGMENT, n_max + 1), dtype)
     other_buffer = None if f is g else np.empty_like(piece_buffer)
-    for lo in range(0, n_max + 1, _SEGMENT):
+    first = np.zeros_like(piece_buffer)
+
+    def row_piece(a: int, b_lo: int, b_hi: int) -> np.ndarray:
+        """f(a) g(b) + g(a) f(b) for b_lo <= b <= b_hi, in piece_buffer."""
+        piece = piece_buffer[: b_hi - b_lo + 1]
+        if f is g:
+            # f[a] f[b] + f[a] f[b] == (2 f[a]) f[b] exactly: doubling is exact.
+            np.multiply(2 * f[a], f[b_lo : b_hi + 1], out=piece)
+        else:
+            np.multiply(f[a], g[b_lo : b_hi + 1], out=piece)
+            piece += np.multiply(g[a], f[b_lo : b_hi + 1], out=other_buffer[: len(piece)])
+        return piece
+
+    for lo in reversed(range(0, n_max + 1, _SEGMENT)):
         hi = min(lo + _SEGMENT, n_max + 1)  # this segment is out[lo:hi]
-        for a in rows:
+        segment, segment_rows = first, rows
+        if lo:
+            segment = out[lo:hi]
+            if rows[:1] == [1]:  # row 1 reads this segment: take its piece first
+                # 0 + piece, as a sum started at +0.0 (a -0.0 becomes +0.0)
+                np.add(row_piece(1, lo, hi - 1), 0, out=segment)
+                segment_rows = rows[1:]
+            else:
+                segment.fill(0)
+        for a in segment_rows:
             if a * a >= hi:
                 break
             if a * a >= lo:
-                out[a * a] += f[a] * g[a]
+                segment[a * a - lo] += f[a] * g[a]
             b_lo, b_hi = max(a + 1, -(-lo // a)), (hi - 1) // a  # lo <= a b < hi
-            if b_lo > b_hi:
-                continue
-            piece = piece_buffer[: b_hi - b_lo + 1]
-            if f is g:
-                # f[a] f[b] + f[a] f[b] == (2 f[a]) f[b] exactly: doubling is exact.
-                np.multiply(2 * f[a], f[b_lo : b_hi + 1], out=piece)
-            else:
-                np.multiply(f[a], g[b_lo : b_hi + 1], out=piece)
-                piece += np.multiply(g[a], f[b_lo : b_hi + 1], out=other_buffer[: len(piece)])
-            out[a * b_lo : a * b_hi + 1 : a] += piece
+            if b_lo <= b_hi:
+                segment[a * b_lo - lo : a * b_hi - lo + 1 : a] += row_piece(a, b_lo, b_hi)
+    out[: len(first)] = first
     return out
 
 
@@ -74,7 +103,9 @@ def _self_convolution(s: int, n_max: int, log: bool) -> np.ndarray:
 
     The divisor tables are sieved in the smallest integer dtype that holds
     max d_s: every partial sum is a nonnegative integer <= d_s(n), so the
-    sums are exact and equal the float64 ones bit for bit below 2^53.
+    sums are exact and equal the float64 ones bit for bit below 2^53.  Each
+    product is sieved in place, but at s >= 3 the first takes a new array:
+    base, which it would overwrite, is every product's g.
     """
     if s < 1 or n_max < 1:
         raise ValueError("requires s >= 1 and n_max >= 1")
@@ -86,8 +117,9 @@ def _self_convolution(s: int, n_max: int, log: bool) -> np.ndarray:
         base = np.ones(n_max + 1, np.min_scalar_type(max_d) if max_d < 2**53 else float)
         base[0] = 0
     values = base
-    for _ in range(s - 1):
-        values = _dirichlet_sieve(values, base)
+    for k in range(2, s + 1):
+        in_place = values is not base or k == s
+        values = _dirichlet_sieve(values, base, out=values if in_place else None)
     return values.astype(float, copy=False)
 
 

@@ -377,9 +377,11 @@ def structure_b(N: int, s: int, h1: int, h2: int, r) -> Fraction:
     return (-s * rv) ** abs(h2 - h1) * total
 
 
-def dirichlet_convolve_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+def dirichlet_convolve_rows(f: np.ndarray, g: np.ndarray,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """(f*g)(n) = sum over d | n of f(d) g(n/d), one sieve row a <= sqrt(n_max)
-    at a time, each row swept over the whole output.
+    at a time, each row swept over the whole output, which is copied into
+    `out` when one is given (it may be f or g).
 
     The reference for zeta._dirichlet_sieve, which walks the output in
     segments and must give the same bits.
@@ -387,18 +389,21 @@ def dirichlet_convolve_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     n_max = len(f) - 1
     if len(g) != len(f):
         raise ValueError("tables must have equal length")
-    out = np.zeros(n_max + 1)
+    result = np.zeros(n_max + 1)
     for a in range(1, math.isqrt(n_max) + 1):
-        out[a * a] += f[a] * g[a]
+        result[a * a] += f[a] * g[a]
         start = a * (a + 1)
         if start > n_max:
             continue
         b_hi = n_max // a
         if f is g:
             # f[a] f[X] + f[a] f[X] == (2 f[a]) f[X] exactly: doubling is exact.
-            out[start :: a][: b_hi - a] += (2 * f[a]) * f[a + 1 : b_hi + 1]
+            result[start :: a][: b_hi - a] += (2 * f[a]) * f[a + 1 : b_hi + 1]
         else:
-            out[start :: a][: b_hi - a] += f[a] * g[a + 1 : b_hi + 1] + g[a] * f[a + 1 : b_hi + 1]
+            result[start :: a][: b_hi - a] += f[a] * g[a + 1 : b_hi + 1] + g[a] * f[a + 1 : b_hi + 1]
+    if out is None:
+        return result
+    out[:] = result
     return out
 
 

@@ -156,13 +156,78 @@ class TestSegmentedSieve:
         g = self._random_table(rng, self.N_MAX, (1, 3, 1000))
         assert np.array_equal(zeta._dirichlet_sieve(f, g), dirichlet_convolve_rows(f, g))
 
+    @classmethod
+    def _in_place_tables(cls, rng, n_max, row_one):
+        """f and g with f(1), g(1) = 1 where `row_one` names them, else 0, and
+        both -0.0 on a stride above n_max/2: there, at a prime n, only row 1
+        contributes, and its -0.0 term must leave +0.0 as the row sieve does."""
+        f, g = (cls._random_table(rng, n_max, ()) for _ in "fg")
+        for table, name in ((f, "f"), (g, "g")):
+            table[n_max // 2 + 1 :: 97] = -0.0
+            table[1] = 1.0 if row_one in (name, "both") else 0.0
+        return f, g
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("into", ["f", "g"])
+    @pytest.mark.parametrize("row_one", ["f", "g", "both"])
+    def test_two_table_form_in_place_equals_row_sieve(self, row_one, into):
+        f, g = self._in_place_tables(np.random.default_rng(17), self.N_MAX, row_one)
+        expected = dirichlet_convolve_rows(f, g)
+        out = f if into == "f" else g
+        assert zeta._dirichlet_sieve(f, g, out=out) is out
+        assert self._same_bits(out, expected)
+
+    @pytest.mark.parametrize("n_max", [1, 12, 1000, zeta._SEGMENT - 1, zeta._SEGMENT + 1,
+                                       2 * zeta._SEGMENT + 1, N_MAX])
+    def test_in_place_equals_row_sieve(self, n_max):
+        # n_max + 1 <= _SEGMENT: every entry is summed aside in the first
+        # segment; n_max = k 2^20 + 1: the top segment holds the final 2
+        # entries; N_MAX: the first segment meets two written in place
+        f, g = self._in_place_tables(np.random.default_rng(n_max), n_max, "both")
+        expected_fg, expected_ff = dirichlet_convolve_rows(f, g), dirichlet_convolve_rows(f, f)
+        assert self._same_bits(zeta._dirichlet_sieve(f, g, out=g), expected_fg)
+        assert self._same_bits(zeta._dirichlet_sieve(f, f, out=f), expected_ff)
+
+    def test_out_of_wrong_length_or_dtype_is_refused(self):
+        f = np.ones(13, np.uint8)
+        with pytest.raises(ValueError, match="out must be a uint8 table of length 13"):
+            zeta._dirichlet_sieve(f, f, out=np.ones(12, np.uint8))
+        with pytest.raises(ValueError, match="out must be a uint8 table of length 13"):
+            zeta._dirichlet_sieve(f, f, out=np.ones(13))
+        with pytest.raises(ValueError, match="out must be a float64 table of length 13"):
+            zeta._dirichlet_sieve(f, np.ones(13), out=f)
+
+    @pytest.mark.parametrize("table, dtype", [(log_convolution_table, np.float64),
+                                              (divisor_table, np.uint16)])
+    def test_peak_memory_is_one_table_and_the_segment_buffers(self, table, dtype):
+        # At s = 2 the sieve writes over its base, so it holds that table, the
+        # piece buffer and the summed-aside first segment, both in the sieve's
+        # dtype.  The uint16 divisor table is then copied to float64; here it
+        # is as large as the two segments.  A sieve into a new array would
+        # hold a second table (the log table's peak was 2.5 tables).
+        n_max = 2**21 + 1
+        allowance = 2**17  # the row list and the array headers
+        bound = 8 * (n_max + 1) + 2 * zeta._SEGMENT * np.dtype(dtype).itemsize + allowance
+        tracemalloc.start()
+        try:
+            values = table(2, n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if table is divisor_table:
+            assert np.min_scalar_type(int(values.max())) == dtype
+        assert peak <= bound
+
     @staticmethod
     def _sieve_dtypes(monkeypatch):
         """Record the dtype of every table that the sieve returns."""
         dtypes, convolve = [], zeta._dirichlet_sieve
 
-        def spy(f, g):
-            out = convolve(f, g)
+        def spy(f, g, out=None):
+            out = convolve(f, g, out)
             dtypes.append(out.dtype)
             return out
 
@@ -235,11 +300,11 @@ class TestDerivSeries:
 
     @pytest.mark.parametrize("series", [deriv_moment_series, lindelof_series])
     def test_peak_memory_is_two_and_a_half_tables(self, series):
-        # The log table is sieved from a float64 base into a float64 output
-        # through one 2^20-entry (8 MB) segment buffer: two tables and one
-        # segment.  The series then squares and weights the output in place;
-        # out-of-place squares and terms would put the peak at three tables.
-        # The divisor table is sieved in uint16 and copied once to float64.
+        # The log table is sieved in place through two 2^20-entry (8 MB)
+        # segment buffers: one table and two segments.  The series then
+        # squares and weights the table in place; out-of-place squares and
+        # terms would add two tables.  The divisor table is sieved in uint16
+        # and copied once to float64.
         n_max = 2**22 + 1
         table_bytes = 8 * (n_max + 1)
         tracemalloc.start()
