@@ -27,7 +27,7 @@ def global_moment(s: float, r: float) -> float:
     """
     if not 0 <= r < 1:
         raise ValueError("global regime requires 0 <= r < 1")
-    if s <= -1:
+    if not s > -1:
         raise ValueError("requires s > -1")
     return _finite_quotient(_kummer_factor(s, s * s * r * r), (1 - r * r) ** (s * s + 2 * s),
                             "global moment")
@@ -37,9 +37,9 @@ def joint_moment(s: float, h: float, z1: complex, z2: complex) -> float:
     """Limiting joint moment of |dLambda/Lambda(z2)|^(2h) |Lambda(z1)|^(2s)."""
     z1 = complex(z1)
     z2 = complex(z2)
-    if abs(z1) >= 1 or abs(z2) >= 1:
+    if not (abs(z1) < 1 and abs(z2) < 1):
         raise ValueError("requires |z1| < 1 and |z2| < 1")
-    if h <= -1:
+    if not h > -1:
         raise ValueError("requires h > -1")
     rho = abs(z1) ** 2 * (1 - abs(z2) ** 2) ** 2 / abs(1 - z1 * z2.conjugate()) ** 2
     return _finite_quotient(

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 usage error, 2 capability limit, 3 comparison failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -74,6 +75,19 @@ def _complex(text: str) -> complex:
         return complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+
+
+def _finite(convert):
+    """Flag type `convert` that also refuses nan and inf."""
+
+    def parse(text):
+        value = convert(text)
+        if not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
 
 
 _REGIME_ALIASES = {"meso": "mesoscopic", "micro": "microscopic", "zeros": "zero-density"}
@@ -154,25 +168,25 @@ def build_parser() -> _Parser:
                    type=lambda text: _REGIME_ALIASES.get(text.strip().lower(), text.strip().lower()),
                    choices=("global", "mesoscopic", "microscopic", "joint", "zero-density"),
                    help="global | mesoscopic (meso) | microscopic (micro) | joint | zero-density (zeros)")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--N", type=float, default=None)
-    p.add_argument("--z1", type=_complex, default=None)
-    p.add_argument("--z2", type=_complex, default=None)
+    p.add_argument("--s", type=_finite(float), default=None)
+    p.add_argument("--h", type=_finite(float), default=None)
+    p.add_argument("--r", type=_finite(float), default=None)
+    p.add_argument("--alpha", type=_finite(float), default=None)
+    p.add_argument("--c", type=_finite(float), default=None)
+    p.add_argument("--N", type=_finite(float), default=None)
+    p.add_argument("--z1", type=_finite(_complex), default=None)
+    p.add_argument("--z2", type=_finite(_complex), default=None)
     p.add_argument("--of", choices=("derivative", "polynomial"), default="derivative",
                    help="moments of the derivative or of the polynomial itself")
 
     p = sub.add_parser("mc", help="Monte Carlo estimators", parents=[common])
     p.add_argument("--what", choices=("moment", "joint"), default="moment")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--z", type=_complex, default=None)
-    p.add_argument("--z1", type=_complex, default=None)
-    p.add_argument("--z2", type=_complex, default=None)
+    p.add_argument("--s", type=_finite(float), required=True)
+    p.add_argument("--h", type=_finite(float), default=None)
+    p.add_argument("--z", type=_finite(_complex), default=None)
+    p.add_argument("--z1", type=_finite(_complex), default=None)
+    p.add_argument("--z2", type=_finite(_complex), default=None)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
@@ -180,8 +194,8 @@ def build_parser() -> _Parser:
     p.add_argument("--what", required=True,
                    choices=("divisor-table", "log-table", "deriv-series",
                             "lindelof-series", "arithmetic-factor", "conjecture"))
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--s", type=_finite(float), required=True)
+    p.add_argument("--sigma", type=_finite(float), default=None)
     p.add_argument("--n-max", type=int, default=100000)
     p.add_argument("--p-max", type=int, default=100000)
     p.add_argument("--csv-out", type=str, default=None,
@@ -191,13 +205,13 @@ def build_parser() -> _Parser:
     p.add_argument("--routes", required=True,
                    help="comma pair from exact,structure,closed-s1,mc,global")
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--s", type=_finite(float), required=True)
+    p.add_argument("--r", type=_finite(float), required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9,
+    p.add_argument("--tolerance", type=_finite(float), default=1e-9,
                    help="relative tolerance for deterministic route pairs")
-    p.add_argument("--se-multiplier", type=float, default=5.0,
+    p.add_argument("--se-multiplier", type=_finite(float), default=5.0,
                    help="allowed discrepancy in standard errors when MC is involved")
 
     p = sub.add_parser("zeros", help="Monte Carlo zero-count sweep with the limit overlay", parents=[common])
@@ -436,10 +450,16 @@ _COMMANDS = {
 }
 
 
+# Built once per process and shared by every main() call.  Reuse is safe:
+# parse_args builds a fresh Namespace on each call and never changes the
+# parser; the `type` callables (_finite's, _complex, _radii, the --regime
+# lambda) return new objects each time; _Parser.error raises and stores nothing.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         results = _COMMANDS[args.command](args)
     except SystemExit2 as exc:
         print(str(exc), file=sys.stderr)
@@ -449,6 +469,9 @@ def main(argv=None) -> int:
         return CAPABILITY_EXIT
     except OverflowError as exc:
         print(f"capability limit: float overflow ({exc})", file=sys.stderr)
+        return CAPABILITY_EXIT
+    except MemoryError as exc:
+        print(f"capability limit: not enough memory ({exc})", file=sys.stderr)
         return CAPABILITY_EXIT
     except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)

@@ -63,6 +63,13 @@ class MomentEstimate:
     fallback: int = 0
 
 
+def _check_counts(N: int, samples: int) -> None:
+    if N < 1:
+        raise ValueError(f"requires N >= 1, got N = {N}")
+    if samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+
+
 def _chunk_layout(N: int, samples: int) -> list[tuple[int, int]]:
     """Deterministic (chunk_index, chunk_size) layout; independent of workers."""
     chunk = max(1, min(65536, _CHUNK_ELEMENT_BUDGET // (N * N)))
@@ -108,8 +115,6 @@ def _verblunsky(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
     |alpha_k|^2 = 1 - v^(1/(N-k-1)) with v uniform on (0, 1] is Beta(1, N-k-1);
     the last coefficient has modulus 1.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     v = 1.0 - rng.random((count, N - 1))
     modulus = np.ones((count, N))
     modulus[:, :-1] = np.sqrt(-np.expm1(np.log(v) / np.arange(N - 1, 0, -1)))
@@ -287,9 +292,8 @@ def estimate_moment(
     of the total contributed by the top 1% of draws.  As in
     estimate_joint_moment, a draw with z on an eigenvalue is redrawn.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    if s <= -1:
+    _check_counts(N, samples)
+    if not s > -1:
         raise ValueError("requires s > -1")
     # |Lambda'/Lambda|^(2s) |Lambda|^(2s) = |Lambda'|^(2s) at one point.
     return _estimate_joint(N, s, s, complex(z), complex(z), samples, seed, threads, progress)
@@ -311,9 +315,8 @@ def estimate_joint_moment(
     A draw with z2 on an eigenvalue (possible only for |z2| = 1) is redrawn
     and counted in `resampled`.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    if h <= -1:
+    _check_counts(N, samples)
+    if not h > -1:
         raise ValueError("requires h > -1")
     return _estimate_joint(N, s, h, complex(z1), complex(z2), samples, seed, threads, progress)
 
@@ -553,9 +556,10 @@ def mean_zero_counts(
     1e-8 of the circle are counted by the sign of |root| - r and flagged with
     a warning.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
+    _check_counts(N, samples)
     radii = [float(r) for r in radii]
+    if not radii:
+        raise ValueError("radii must name at least one radius")
     for r in radii:
         if not 0 < r < 1:
             raise ValueError("radii must lie in (0, 1)")

@@ -254,8 +254,8 @@ def _truncated_series(table: np.ndarray, s: int, sigma: float, log_power: int) -
 
 
 def _check_series_args(sigma: float, n_max: int) -> None:
-    if sigma <= 0.5:
-        raise ValueError("requires sigma > 1/2")
+    if not 0.5 < sigma < math.inf:
+        raise ValueError(f"requires finite sigma > 1/2, got sigma = {sigma}")
     if n_max < 3:
         # the tail estimate fits its density on n_max//2..n_max, empty below 3
         raise ValueError(f"requires n_max >= 3, got n_max = {n_max}")
@@ -406,7 +406,7 @@ def conjecture_rhs(s: float, sigma: float, p_max: int = 100_000) -> float:
     Raises CapabilityError when the Euler product's tail bound is above 1e-6
     of a_s at this p_max (e.g. s = 10 at p_max = 100, where it is 2 a_s).
     """
-    if sigma <= 0.5:
+    if not sigma > 0.5:
         raise ValueError("requires sigma > 1/2")
     a_s = arithmetic_factor(s, p_max)
     if a_s.tail_bound > 1e-6 * a_s.value:

@@ -60,6 +60,14 @@ class TestGlobalMoment:
         with pytest.raises(ValueError):
             global_moment(-1.5, 0.3)
 
+    def test_nan_is_refused(self):
+        # nan fails every comparison, so each check is written to fail on it;
+        # s = nan reached the 1F1 series, which then did not converge
+        with pytest.raises(ValueError, match="requires s > -1"):
+            global_moment(math.nan, 0.5)
+        with pytest.raises(ValueError, match="requires 0 <= r < 1"):
+            global_moment(1, math.nan)
+
 
 class TestJointMoment:
     def test_reduces_to_global(self):
@@ -91,6 +99,15 @@ class TestJointMoment:
             joint_moment(1, 1, 1.0, 0.3)
         with pytest.raises(ValueError):
             joint_moment(1, -1.2, 0.3, 0.3)
+
+    @pytest.mark.parametrize("h, z1, z2, message", [
+        (math.nan, 0.3, 0.5j, "requires h > -1"),
+        (1, complex(math.nan, 0), 0.5j, r"requires \|z1\| < 1"),
+        (1, 0.3, complex(0, math.nan), r"requires \|z1\| < 1 and \|z2\| < 1"),
+    ])
+    def test_nan_is_refused(self, h, z1, z2, message):
+        with pytest.raises(ValueError, match=message):
+            joint_moment(1, h, z1, z2)
 
 
 class TestZeroDensity:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -197,6 +198,22 @@ class TestAsymptCommand:
         code, out, err = run_cli(capsys, "asympt", "--regime", "global", "--s", "1", "--r", "0.5")
         assert code == 2 and out == ""
         assert err == "capability limit: float overflow (math range error)\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        ("zeta --what deriv-series --s 2 --sigma 0.6 --n-max 1000000000000", "deriv_moment_series"),
+        ("zeta --what arithmetic-factor --s 2 --p-max 100000000000000", "arithmetic_factor"),
+    ])
+    def test_memory_error_is_capability_exit(self, capsys, monkeypatch, argv, name):
+        # numpy raises MemoryError for a table it cannot allocate.  Patched
+        # here: under memory overcommit a real oversized allocation can
+        # succeed, and touching it can get the process killed.
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, name, out_of_memory)
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err == "capability limit: not enough memory (Unable to allocate 7.28 TiB for an array)\n"
 
     @pytest.mark.parametrize("argv", [
         "asympt --regime meso --s 7 --alpha 0.5 --N 5e9",
@@ -480,6 +497,17 @@ _REGIMES = "'global', 'mesoscopic', 'microscopic', 'joint', 'zero-density'"
     ("asympt --regime foo --s 1 --r 0.5",
      f"argument --regime: invalid choice: 'foo' (choose from {_REGIMES})"),
     ("exact --N 2", "the following arguments are required: --s"),
+    ("zeta --what deriv-series --s 2 --sigma nan --n-max 100",
+     "argument --sigma: not a finite number: 'nan'"),
+    ("zeta --what lindelof-series --s 2 --sigma inf --n-max 100",
+     "argument --sigma: not a finite number: 'inf'"),
+    ("asympt --regime global --s nan --r 0.5", "argument --s: not a finite number: 'nan'"),
+    ("asympt --regime joint --s 1 --h 1 --z1 nan --z2 0.5j",
+     "argument --z1: not a finite number: 'nan'"),
+    ("asympt --regime global --s abc --r 0.5", "argument --s: invalid float value: 'abc'"),
+    ("mc --N 0 --s 1 --z 0.3 --samples 10", "invalid parameters: requires N >= 1, got N = 0"),
+    ("zeros --N 0 --radii 0.5 --samples 10", "invalid parameters: requires N >= 1, got N = 0"),
+    ("zeros --N 6 --radii= --samples 10", "invalid parameters: radii must name at least one radius"),
 ])
 def test_bad_input_is_one_line_usage_error(argv, message, capsys):
     code, out, err = run_cli(capsys, *argv.split())
@@ -487,6 +515,42 @@ def test_bad_input_is_one_line_usage_error(argv, message, capsys):
     # argparse's own errors name the subcommand first, with no usage lines
     argparse_line = f"cuederiv {argv.split()[0]}: error: {message}"
     assert err in (message + "\n", argparse_line + "\n")
+
+
+# A sequence that would show state left in the shared parser: an error found
+# by argparse, --u then --r in one exclusive group (a stale u would show in
+# config), a list type, an aliased choice and the csv format.
+_STATELESS_SEQUENCE = [
+    ["asympt", "--regime", "foo", "--s", "1", "--r", "0.5"],
+    ["exact", "--N", "3", "--s", "1", "--u", "1/2"],
+    ["exact", "--N", "3", "--s", "1", "--r", "1/2"],
+    ["zeros", "--N", "6", "--radii", "0.5,0.7", "--samples", "20", "--seed", "3"],
+    ["asympt", "--regime", "MICRO", "--s", "1", "--c", "1"],
+    ["exact", "--N", "2", "--s", "1", "--u", "1", "--route", "determinant", "--format", "csv"],
+]
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    def one_pass():
+        runs = []
+        for argv in _STATELESS_SEQUENCE:
+            code, out, err = run_cli(capsys, *argv)
+            runs.append((code, re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out), err))
+        return runs
+
+    first = one_pass()
+    assert [code for code, _, _ in first] == [1, 0, 0, 0, 0, 0]
+    assert '"u": "1/2"' in first[1][1] and '"u": null' in first[2][1]
+    assert one_pass() == first
+
+
+def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out, _ = run_cli(capsys, "asympt", "--regime", "global", "--s", "1", "--r", "0.5")
+    assert code == 0 and parse_report(out)["results"][0]["label"] == "moment_limit"
 
 
 def test_regime_aliases_are_case_blind(capsys):

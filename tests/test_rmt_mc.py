@@ -192,6 +192,28 @@ class TestEstimators:
             with pytest.raises(ValueError, match="at least 2 samples"):
                 mean_zero_counts(N, [0.5], 1, seed=0)
 
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_nonpositive_N_is_refused(self, N):
+        # N = 0 divided by zero in the chunk layout
+        message = f"requires N >= 1, got N = {N}"
+        with pytest.raises(ValueError, match=message):
+            estimate_moment(N, 1.0, 0.3, 10, seed=0)
+        with pytest.raises(ValueError, match=message):
+            estimate_joint_moment(N, 1.0, 1.0, 0.3, 0.5j, 10, seed=0)
+        with pytest.raises(ValueError, match=message):
+            mean_zero_counts(N, [0.5], 10, seed=0)
+
+    def test_nan_exponent_is_refused(self):
+        # a nan exponent was reported as a float overflow
+        with pytest.raises(ValueError, match="requires s > -1"):
+            estimate_moment(6, math.nan, 0.3, 10, seed=0)
+        with pytest.raises(ValueError, match="requires h > -1"):
+            estimate_joint_moment(6, 1.0, math.nan, 0.3, 0.5j, 10, seed=0)
+
+    def test_empty_radius_list_is_refused(self):
+        with pytest.raises(ValueError, match="radii must name at least one radius"):
+            mean_zero_counts(6, [], 10, seed=0)
+
 
 def szego_coefficients(alpha):
     """Coefficients of Phi_N, constant term first, by Szego's recursion."""

@@ -299,6 +299,13 @@ class TestDerivSeries:
             deriv_moment_series(1, 0.5, 100)
 
     @pytest.mark.parametrize("series", [deriv_moment_series, lindelof_series])
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_is_refused(self, series, sigma):
+        # nan gave a nan value, inf a nan tail bound and tail estimate
+        with pytest.raises(ValueError, match="requires finite sigma > 1/2"):
+            series(2, sigma, 100)
+
+    @pytest.mark.parametrize("series", [deriv_moment_series, lindelof_series])
     def test_peak_memory_is_two_and_a_half_tables(self, series):
         # The log table is sieved in place through two 2^20-entry (8 MB)
         # segment buffers: one table and two segments.  The series then
