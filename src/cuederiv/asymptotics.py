@@ -37,6 +37,8 @@ def joint_moment(s: float, h: float, z1: complex, z2: complex) -> float:
     """Limiting joint moment of |dLambda/Lambda(z2)|^(2h) |Lambda(z1)|^(2s)."""
     z1 = complex(z1)
     z2 = complex(z2)
+    if not math.isfinite(s):
+        raise ValueError(f"requires finite s, got s = {s}")
     if not (abs(z1) < 1 and abs(z2) < 1):
         raise ValueError("requires |z1| < 1 and |z2| < 1")
     if not h > -1:
@@ -186,6 +188,8 @@ def cue_limit(s: float, regime: str, *, r: float | None = None, alpha: float | N
     prod_j Gamma(j)Gamma(j+1) (integer s); without N the N-free coefficient is
     returned.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"requires finite s, got s = {s}")
     if regime == "global":
         if r is None or not 0 <= r < 1:
             raise ValueError("global regime requires 0 <= r < 1")

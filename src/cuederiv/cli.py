@@ -114,19 +114,20 @@ def _integer_s(args) -> int:
     return int(args.s)
 
 
-def _number_payload(value):
-    """JSON form of a result: floats as-is, Fractions as num/den strings."""
+def _jsonable(value):
+    """JSON form of a value: Fraction as num/den/approx, complex as re/im, lists by item."""
     if isinstance(value, Fraction):
-        return {
-            "num": str(value.numerator),
-            "den": str(value.denominator),
-            "approx": float(value),
-        }
+        return {"num": str(value.numerator), "den": str(value.denominator),
+                "approx": float(value)}
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     return value
 
 
 def _result(label: str, value, provenance: str, **extra):
-    row = {"label": label, "value": _number_payload(value), "provenance": provenance}
+    row = {"label": label, "value": _jsonable(value), "provenance": provenance}
     row.update(extra)
     return row
 
@@ -403,15 +404,12 @@ def _compare_routes(args):
     if ses:
         combined_se = math.sqrt(sum(se * se for se in ses.values()))
         normalized = absolute / combined_se if combined_se else math.inf
-        rows.append(_result("discrepancy", absolute, "cross-route",
-                            relative=relative, se_normalized=normalized,
-                            criterion=f"<= {args.se_multiplier} SE",
-                            passed=normalized <= args.se_multiplier))
+        check = {"se_normalized": normalized, "criterion": f"<= {args.se_multiplier} SE",
+                 "passed": normalized <= args.se_multiplier}
     else:
-        rows.append(_result("discrepancy", absolute, "cross-route",
-                            relative=relative,
-                            criterion=f"relative <= {args.tolerance}",
-                            passed=relative <= args.tolerance))
+        check = {"criterion": f"relative <= {args.tolerance}",
+                 "passed": relative <= args.tolerance}
+    rows.append(_result("discrepancy", absolute, "cross-route", relative=relative, **check))
     return rows
 
 
@@ -487,14 +485,6 @@ def main(argv=None) -> int:
     }
     _emit(report, args.format)
     return 0 if all(row.get("passed", True) for row in results) else COMPARISON_EXIT
-
-
-def _jsonable(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 if __name__ == "__main__":

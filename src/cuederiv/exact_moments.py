@@ -99,8 +99,8 @@ def moment_exact(N: int, s: int, u: ExactNumber) -> ExactNumber:
     mode, cap = ("exact", EXACT_S_CAP) if exact else ("float", FLOAT_S_CAP)
     if s > cap:
         raise CapabilityError(f"{mode} mode supports s <= {cap}, got {s}")
-    if u < 0:
-        raise ValueError("u = |z|^2 must be non-negative")
+    if not 0 <= u < math.inf:
+        raise ValueError(f"u = |z|^2 must be finite and non-negative, got u = {u}")
     if exact:
         a, b = u.numerator, u.denominator
         kd = _k_derivatives_exact(N, s, a, b, 4 * s - 2)
@@ -312,8 +312,8 @@ def cue_moment_ks(N: int, s: float) -> float:
     """E|Lambda_N|^(2s) on the unit circle for real s > -1/2 (Gamma product)."""
     if N < 1 or int(N) != N:
         raise ValueError("N must be a positive integer")
-    if s <= -0.5:
-        raise ValueError("requires s > -1/2")
+    if not -0.5 < s < math.inf:
+        raise ValueError(f"requires finite s > -1/2, got s = {s}")
     log_total = 0.0
     for j in range(1, N + 1):
         log_total += (

@@ -105,8 +105,8 @@ def zeta_real(w: float, order: int = 0) -> float:
     The asymptotic correction is differentiated termwise; finite differences
     would be hopeless for w barely above 1.
     """
-    if w <= 1:
-        raise ValueError(f"zeta_real requires w > 1, got {w}")
+    if not 1 < w < math.inf:
+        raise ValueError(f"zeta_real requires finite w > 1, got w = {w}")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     cutoff = 40

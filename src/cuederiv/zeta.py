@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError
-from .specfun import _kummer_factor, zeta_real
+from .specfun import _kummer_factor
 
 _INNER_SUM_EPS = 1e-16
 # Output entries per sieve segment in _dirichlet_sieve and per chunk of the
@@ -294,34 +294,9 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.concatenate(([2], 2 * np.flatnonzero(sieve) + 1)).astype(np.int64)
 
 
-def _moebius(n: int) -> int:
-    """The Moebius function mu(n), by trial division."""
-    mu = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if n > 1 else mu
-
-
-def prime_zeta(k: float) -> float:
-    """P(k) = sum over primes of p^(-k), for k > 1, via Moebius inversion."""
-    if k <= 1:
-        raise ValueError("prime zeta needs k > 1")
-    total = 0.0
-    for j in range(1, 64):
-        mu = _moebius(j)
-        if mu == 0:
-            continue
-        term = mu / j * math.log(zeta_real(k * j))
-        total += term
-        if abs(term) < 1e-18 and j > 3:
-            break
-    return total
+# Prime zeta P(k) = sum of p^(-k) over primes, to 50 digits (mpmath.primezeta).
+_PRIME_ZETA_2 = 0.45224742004106549850654336483224793417323134323989
+_PRIME_ZETA_3 = 0.17476263929944353642311331466570670097541212192615
 
 
 def _euler_factor_logs(s: float, primes: np.ndarray) -> np.ndarray:
@@ -358,13 +333,13 @@ def arithmetic_factor(s: float, p_max: int) -> SeriesResult:
     """The arithmetic factor a_s: Euler product over primes p <= p_max.
 
     A second-order tail correction exp(-s^2 (s-1)^2 / 4 * sum_{p > p_max} p^-2)
-    is applied, with the prime sum computed exactly via the prime zeta
-    function; the reported tail bound is the p^-3-order residual.  Raises
+    is applied, the prime sum taken as the constant P(2) less the sum up to
+    p_max; the tail bound is the p^-3-order residual, from P(3) alike.  Raises
     CapabilityError where a local factor or the product leaves double
     precision: a_s > 0, so a product that underflows to 0 is refused.
     """
-    if s <= 0:
-        raise ValueError("requires s > 0")
+    if not 0 < s < math.inf:
+        raise ValueError(f"requires finite s > 0, got s = {s}")
     if p_max < 100:
         raise ValueError("requires p_max >= 100")
     primes = primes_up_to(p_max)
@@ -375,7 +350,7 @@ def arithmetic_factor(s: float, p_max: int) -> SeriesResult:
     log_total = float(np.cumsum(logs)[-1])
 
     kappa = s * s * (s - 1) ** 2 / 4
-    p2_tail = prime_zeta(2.0) - float(np.sum(1.0 / primes.astype(float) ** 2))
+    p2_tail = _PRIME_ZETA_2 - float(np.sum(1.0 / primes.astype(float) ** 2))
     corrected = math.exp(log_total - kappa * p2_tail)
     if corrected == 0.0:
         raise CapabilityError(f"the Euler product underflows to 0 at s = {s}, p_max = {p_max}")
@@ -387,7 +362,7 @@ def arithmetic_factor(s: float, p_max: int) -> SeriesResult:
         residual = log_f + kappa / float(p) ** 2
         c3 = max(c3, abs(residual) * float(p) ** 3)
     c3 *= 2.0
-    p3_tail = prime_zeta(3.0) - float(np.sum(1.0 / primes.astype(float) ** 3))
+    p3_tail = _PRIME_ZETA_3 - float(np.sum(1.0 / primes.astype(float) ** 3))
     tail = corrected * (math.expm1(c3 * p3_tail) + kappa * p2_tail * 1e-12)
     return SeriesResult(corrected, tail, p_max)
 
@@ -395,8 +370,8 @@ def arithmetic_factor(s: float, p_max: int) -> SeriesResult:
 def rmt_leading_coefficient(s: float) -> float:
     """h_s = e^(-s^2) Gamma(s+1) 1F1(s+1, 1; s^2): the unit-circle limit of
     (1-r^2)^(s^2+2s) times the global derivative moment."""
-    if s <= 0:
-        raise ValueError("requires s > 0")
+    if not 0 < s < math.inf:
+        raise ValueError(f"requires finite s > 0, got s = {s}")
     return _kummer_factor(s, s * s)
 
 
@@ -406,8 +381,8 @@ def conjecture_rhs(s: float, sigma: float, p_max: int = 100_000) -> float:
     Raises CapabilityError when the Euler product's tail bound is above 1e-6
     of a_s at this p_max (e.g. s = 10 at p_max = 100, where it is 2 a_s).
     """
-    if not sigma > 0.5:
-        raise ValueError("requires sigma > 1/2")
+    if not 0.5 < sigma < math.inf:
+        raise ValueError(f"requires finite sigma > 1/2, got sigma = {sigma}")
     a_s = arithmetic_factor(s, p_max)
     if a_s.tail_bound > 1e-6 * a_s.value:
         raise CapabilityError(f"the Euler product for a_s at s = {s}, p_max = {p_max} has a tail "

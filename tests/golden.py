@@ -5,17 +5,19 @@ the timestamp and the library version blanked.  Run from the repository root:
 
     PYTHONPATH=src python tests/golden.py                      # re-check every case
     PYTHONPATH=src python tests/golden.py --add NAME 'ARGV'   # append a case
-    PYTHONPATH=src python tests/golden.py --replace NAME      # rerun one case
+    PYTHONPATH=src python tests/golden.py --replace NAME ...  # rerun named cases
 
-The file is written only when every other stored case still gives the same
-exit code and byte-identical stdout.  Exit 0 on success, 1 when a stored case
-changed, 2 on a usage error.
+The file is written only when every stored case that is not named still gives
+the same exit code and byte-identical stdout; otherwise each changed case's
+differing lines, stored and new, are printed to stderr.  Exit 0 on success,
+1 when a stored case changed, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import io
 import json
 import re
@@ -44,23 +46,36 @@ def _dump(cases: list[dict]) -> str:
     return "[\n" + ",\n".join(json.dumps(case) for case in cases) + "\n]\n"
 
 
+def _diff(case: dict, code: int, stdout: str) -> str:
+    """The lines of a stored case that differ from a new run: exit code and stdout."""
+    lines = [f"--- {case['name']}: exit {case['exit']} -> {code}"] if code != case["exit"] else []
+    lines += [line for line in difflib.unified_diff(
+        case["stdout"].splitlines(), stdout.splitlines(),
+        f"{case['name']} (stored)", f"{case['name']} (new)", n=0, lineterm="")]
+    return "\n".join(lines)
+
+
 def _main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Check or extend the golden CLI cases.")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--add", nargs=2, metavar=("NAME", "ARGV"), help="append a case")
-    group.add_argument("--replace", metavar="NAME", help="rerun one case and store it")
+    group.add_argument("--replace", nargs="+", default=[], metavar="NAME",
+                       help="rerun the named cases and store them")
     args = parser.parse_args(argv)
     cases = load()
     names = [case["name"] for case in cases]
     if args.add and args.add[0] in names:
         parser.error(f"case {args.add[0]!r} exists; use --replace")
-    if args.replace and args.replace not in names:
-        parser.error(f"no case named {args.replace!r}")
-    changed = [
-        case["name"] for case in cases
-        if case["name"] != args.replace
-        and run_case(case["argv"]) != (case["exit"], case["stdout"])
-    ]
+    unknown = [name for name in args.replace if name not in names]
+    if unknown:
+        parser.error(f"no case named {', '.join(map(repr, unknown))}")
+    changed = []
+    for case in cases:
+        if case["name"] not in args.replace:
+            result = run_case(case["argv"])
+            if result != (case["exit"], case["stdout"]):
+                changed.append(case["name"])
+                print(_diff(case, *result), file=sys.stderr)
     if changed:
         print(f"{len(changed)} case(s) changed, nothing written: {', '.join(changed)}",
               file=sys.stderr)
@@ -70,8 +85,9 @@ def _main(argv=None) -> int:
         code, stdout = run_case(command)
         cases.append({"name": name, "argv": command, "exit": code, "stdout": stdout})
     elif args.replace:
-        case = cases[names.index(args.replace)]
-        case["exit"], case["stdout"] = run_case(case["argv"])
+        for case in cases:
+            if case["name"] in args.replace:
+                case["exit"], case["stdout"] = run_case(case["argv"])
     else:
         print(f"all {len(cases)} cases unchanged")
         return 0

@@ -109,6 +109,12 @@ class TestJointMoment:
         with pytest.raises(ValueError, match=message):
             joint_moment(1, h, z1, z2)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_s_is_refused(self, s):
+        # nan reached the 1F1 series, which then did not converge
+        with pytest.raises(ValueError, match=f"requires finite s, got s = {s}"):
+            joint_moment(s, 1, 0.3, 0.5j)
+
 
 class TestZeroDensity:
     def test_origin(self):
@@ -277,8 +283,11 @@ class TestCueLimit:
         (1.5, "microscopic", dict(c=1.0),
          "microscopic CUE limit implemented for positive integer s"),
         (2, "nearside", dict(r=0.1), "unknown regime 'nearside'"),
+        # nan and inf were reported as a float overflow
+        (math.nan, "global", dict(r=0.5), "requires finite s, got s = nan"),
+        (math.inf, "mesoscopic", dict(alpha=0.5, N=10), "requires finite s, got s = inf"),
     ], ids=["global-r1", "global-no-r", "meso-alpha", "meso-alpha-no-N", "meso-no-N",
-            "micro-no-c", "micro-fractional-s", "unknown"])
+            "micro-no-c", "micro-fractional-s", "unknown", "global-nan-s", "meso-inf-s"])
     def test_bad_parameters_are_refused(self, s, regime, params, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cue_limit(s, regime, **params)

@@ -219,6 +219,12 @@ class TestMomentExact:
         with pytest.raises(ValueError):
             moment_exact(2, 1, Fraction(-1, 2))
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_non_finite_u_is_refused(self, u):
+        # it was reported as a non-finite determinant entry
+        with pytest.raises(ValueError, match=r"u = \|z\|\^2 must be finite and non-negative"):
+            moment_exact(5, 2, u)
+
     def test_float_mode_makes_one_determinant_call(self, monkeypatch):
         shapes = []
 
@@ -472,3 +478,7 @@ class TestCueMoments:
         assert cue_moment_ks(5, 0.5) > 0
         with pytest.raises(ValueError):
             cue_moment_ks(5, -0.6)
+        # nan and inf returned nan
+        for s in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="requires finite s > -1/2"):
+                cue_moment_ks(5, s)

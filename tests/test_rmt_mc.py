@@ -209,6 +209,18 @@ class TestEstimators:
             estimate_moment(6, math.nan, 0.3, 10, seed=0)
         with pytest.raises(ValueError, match="requires h > -1"):
             estimate_joint_moment(6, 1.0, math.nan, 0.3, 0.5j, 10, seed=0)
+        with pytest.raises(ValueError, match="requires finite s, z1 and z2"):
+            estimate_joint_moment(6, math.nan, 1.0, 0.3, 0.5j, 10, seed=0)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0, math.inf)])
+    def test_non_finite_point_is_refused(self, z):
+        # each was reported as a float overflow
+        with pytest.raises(ValueError, match="requires finite z, got z = "):
+            estimate_moment(6, 1.0, z, 10, seed=0)
+        with pytest.raises(ValueError, match="requires finite s, z1 and z2"):
+            estimate_joint_moment(6, 1.0, 1.0, z, 0.5j, 10, seed=0)
+        with pytest.raises(ValueError, match="requires finite s, z1 and z2"):
+            estimate_joint_moment(6, 1.0, 1.0, 0.3, z, 10, seed=0)
 
     def test_empty_radius_list_is_refused(self):
         with pytest.raises(ValueError, match="radii must name at least one radius"):

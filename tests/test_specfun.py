@@ -177,6 +177,10 @@ class TestZetaReal:
             zeta_real(0.3, 1)
         with pytest.raises(ValueError):
             zeta_real(2.0, 3)
+        # nan and inf returned nan
+        for w in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="zeta_real requires finite w > 1"):
+                zeta_real(w)
 
     def test_derivatives_against_finite_differences(self):
         for w in (1.3, 2.0, 6.0):

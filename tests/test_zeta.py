@@ -20,7 +20,6 @@ from cuederiv.zeta import (
     divisor_table,
     lindelof_series,
     log_convolution_table,
-    prime_zeta,
     primes_up_to,
     rmt_leading_coefficient,
 )
@@ -376,6 +375,10 @@ class TestArithmeticFactor:
             arithmetic_factor(0.0, 1000)
         with pytest.raises(ValueError):
             arithmetic_factor(2.0, 50)
+        # nan and inf were reported as a local factor leaving double precision
+        for s in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="requires finite s > 0"):
+                arithmetic_factor(s, 1000)
 
     # Exact equality: the vectorised recurrence runs the oracle's float
     # operations in its order.  It also pins the logs to libm: numpy's SIMD
@@ -392,7 +395,7 @@ class TestArithmeticFactor:
         for log_f in expected:
             log_total += log_f
         kappa = s * s * (s - 1) ** 2 / 4
-        p2_tail = prime_zeta(2.0) - float(np.sum(1.0 / primes.astype(float) ** 2))
+        p2_tail = zeta._PRIME_ZETA_2 - float(np.sum(1.0 / primes.astype(float) ** 2))
         assert arithmetic_factor(s, 10**6).value == math.exp(log_total - kappa * p2_tail)
 
     @pytest.mark.parametrize("s", [300.0, 600.0, 1000.0, 2000.0])
@@ -420,9 +423,15 @@ class TestPrimesHelpers:
         assert np.array_equal(primes, expected)
 
     def test_prime_zeta_two(self):
-        direct = float(np.sum(1.0 / primes_up_to(2_000_000).astype(float) ** 2))
-        assert abs(prime_zeta(2.0) - direct) < 1e-6
-        assert abs(prime_zeta(2.0) - 0.45224742004106549) < 1e-12
+        # The constants P(2) and P(3) exceed the sum over p <= x by the tail
+        # over p > x, which is below the integral of t^-k from x on.
+        x = 2_000_000
+        inverse_primes = 1.0 / primes_up_to(x).astype(float)
+        for k, constant in ((2, zeta._PRIME_ZETA_2), (3, zeta._PRIME_ZETA_3)):
+            direct = float(np.sum(inverse_primes**k))
+            assert 0 < constant - direct < x ** (1 - k) / (k - 1)
+        assert repr(zeta._PRIME_ZETA_2) == "0.4522474200410655"
+        assert repr(zeta._PRIME_ZETA_3) == "0.17476263929944352"
 
 
 class TestConjecture:
@@ -440,6 +449,14 @@ class TestConjecture:
     def test_domain(self):
         with pytest.raises(ValueError):
             conjecture_rhs(2.0, 0.5)
+        # s = nan was reported as a local factor leaving double precision,
+        # sigma = inf gave 0.0
+        with pytest.raises(ValueError, match="requires finite s > 0"):
+            conjecture_rhs(math.nan, 0.6)
+        with pytest.raises(ValueError, match="requires finite sigma > 1/2"):
+            conjecture_rhs(2.0, math.inf)
+        with pytest.raises(ValueError, match="requires finite s > 0"):
+            rmt_leading_coefficient(math.nan)
 
     def test_underflowing_arithmetic_factor_is_capability_error(self):
         with pytest.raises(CapabilityError, match="underflows"):
