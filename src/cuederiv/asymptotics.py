@@ -29,6 +29,8 @@ def global_moment(s: float, r: float) -> float:
         raise ValueError("global regime requires 0 <= r < 1")
     if not s > -1:
         raise ValueError("requires s > -1")
+    if not math.isfinite(s):
+        raise ValueError(f"requires finite s, got s = {s}")
     return _finite_quotient(_kummer_factor(s, s * s * r * r), (1 - r * r) ** (s * s + 2 * s),
                             "global moment")
 
@@ -43,6 +45,8 @@ def joint_moment(s: float, h: float, z1: complex, z2: complex) -> float:
         raise ValueError("requires |z1| < 1 and |z2| < 1")
     if not h > -1:
         raise ValueError("requires h > -1")
+    if not math.isfinite(h):
+        raise ValueError(f"requires finite h, got h = {h}")
     rho = abs(z1) ** 2 * (1 - abs(z2) ** 2) ** 2 / abs(1 - z1 * z2.conjugate()) ** 2
     return _finite_quotient(
         _kummer_factor(h, s * s * rho),
@@ -108,6 +112,8 @@ def micro_b(s: int, c: float) -> float:
     """
     if s < 1 or int(s) != s:
         raise ValueError("s must be a positive integer")
+    if not math.isfinite(c):
+        raise ValueError(f"requires finite c, got c = {c}")
     moments = [exp_moment(k, c) for k in range(4 * s - 1)]
     return _partition_det_sum(s, [[moments[p + q] for q in range(2 * s)] for p in range(2 * s)])
 
@@ -204,12 +210,15 @@ def cue_limit(s: float, regime: str, *, r: float | None = None, alpha: float | N
         raise ValueError(f"unknown regime {regime!r}")
     if c is None:
         raise ValueError("microscopic regime requires c")
+    if not math.isfinite(c):
+        raise ValueError(f"microscopic regime requires finite c, got c = {c}")
     # Andreief reduction of the multi-integral needs integer s
     if int(s) != s or s < 1:
         raise ValueError("microscopic CUE limit implemented for positive integer s")
     s = int(s)
     table = [exp_moment(k, c) for k in range(2 * s - 1)]
-    hankel = float(det_float([[table[i + j] for j in range(s)] for i in range(s)]))
+    gram = [[table[i + j] for j in range(s)] for i in range(s)]
+    hankel = float(det_float(gram, [range(s)], [range(s)])[0, 0])
     # The Gram determinant of x^k e^(-cx) dx on [0, 1] is positive; a value <= 0
     # is rounding.  Passing this check does not make the value accurate.
     if not hankel > 0:

@@ -10,8 +10,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
 
-import numpy as np
-
 from .linalg import det_exact, det_float
 
 
@@ -45,24 +43,22 @@ def _partition_det_sum(s: int, table):
 
     `table` is 2s x 2s.  An integer table gives a Fraction: integer Bareiss
     determinants weighted over one denominator.  A float table gives a float:
-    one stacked det_float call, its weighted terms added in order, lambda
-    outer.  The weights sum to at most 1, so the sum is finite where its
-    determinants are.
+    one det_float call over the table's minors, its weighted terms added in
+    order, lambda outer.  The weights sum to at most 1, so the sum is finite
+    where its determinants are.
     """
     data = _partition_data(s)
-    pairs = [(lam, mu) for lam in data for mu in data]
     if isinstance(table[0][0], int):
         common = lcm(*(fact for _, fact, _ in data))
         total = sum(
             f_lam * (common // fact_lam) * f_mu * (common // fact_mu)
             * det_exact([[table[i][j] for j in q] for i in p])
-            for (f_lam, fact_lam, p), (f_mu, fact_mu, q) in pairs
+            for f_lam, fact_lam, p in data for f_mu, fact_mu, q in data
         )
         return Fraction(total, common * common)
-    orders = np.array([p for _, _, p in data])
-    stack = np.asarray(table, dtype=float)[orders[:, None, :, None], orders[None, :, None, :]]
-    dets = det_float(stack).ravel().tolist()
+    orders = [p for _, _, p in data]
     total = 0.0
-    for ((f_lam, fact_lam, _), (f_mu, fact_mu, _)), det in zip(pairs, dets):
-        total += f_lam * f_mu / (fact_lam * fact_mu) * det
+    for (f_lam, fact_lam, _), dets in zip(data, det_float(table, orders, orders).tolist()):
+        for (f_mu, fact_mu, _), det in zip(data, dets):
+            total += f_lam * f_mu / (fact_lam * fact_mu) * det
     return total

@@ -275,6 +275,8 @@ def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
         raise ValueError("structure expansion is undefined at |z| = 1")
     if u < 0:
         raise ValueError("u = |z|^2 must be non-negative")
+    if not u < math.inf:
+        raise ValueError(f"requires finite u, got u = {u}")
     block_sums = _block_sums(N, s)
     # The moment is P(u) / (1-u)^k with P = sum_h C_h (1-u)^h, built by Horner in (1-u).
     k = s * s + 2 * s
@@ -298,6 +300,8 @@ def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
     _validate_sizes(N, s)
     if r * r == 1:
         raise ValueError("radial moment via determinant ratio needs |z| != 1")
+    if not -math.inf < r < math.inf:
+        raise ValueError(f"requires finite r, got r = {r}")
     b00 = _b_expansion(s, 0, 0, _block_sums(N, s))
     terms = ((e // 2, c) for e, c in b00.items())
     return _over_one_minus_u(terms, s * s, Fraction(r) ** 2, isinstance(r, Rational))

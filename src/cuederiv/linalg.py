@@ -1,4 +1,4 @@
-"""Small dense determinants: integer Bareiss and stacked, row-scaled floats."""
+"""Small dense determinants: integer Bareiss, and row-scaled float minors of a table."""
 
 from __future__ import annotations
 
@@ -37,31 +37,31 @@ def det_exact(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_float(stack) -> np.ndarray:
-    """Determinants of a stack of float matrices, shape (..., n, n) -> (...).
+def det_float(table, rows, cols) -> np.ndarray:
+    """Determinants of the minors table[rows[i]][:, cols[j]], shape (len(rows), len(cols)).
 
-    Each row is divided by its largest magnitude before np.linalg.slogdet and
-    the log scales are added back, matrix by matrix, with math.log and
-    math.exp.  Raises CapabilityError on a non-finite entry or a determinant
-    that leaves double precision.
+    Each minor row is divided by its largest magnitude before np.linalg.slogdet
+    and the log scales are added back, row by row, with math.log and math.exp.
+    A minor row is a table row over a column set, so each maximum and its log
+    are taken once per (table row, column set).  Raises CapabilityError on a
+    non-finite entry or a determinant that leaves double precision.
     """
-    a = np.array(stack, dtype=float)  # a private copy, scaled in place below
-    *shape, n, _ = a.shape
-    a = a.reshape(math.prod(shape), n, n)
-    row_max = np.maximum(a.max(axis=2, initial=0.0), -a.min(axis=2, initial=0.0))
-    if not np.isfinite(row_max).all():
+    table = np.asarray(table, dtype=float)
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    row_max = np.abs(table)[:, cols].max(axis=2, initial=0.0)  # (table row, column set)
+    if not np.isfinite(row_max[rows]).all():
         raise CapabilityError("float overflow: non-finite determinant entry")
     row_max[row_max == 0.0] = 1.0  # a zero row stays zero: slogdet gives sign 0
-    a /= row_max[:, :, None]
-    sign, log_abs = np.linalg.slogdet(a)
-    dets = np.zeros(len(a))
-    for k, maxima in enumerate(row_max.tolist()):
-        if sign[k]:
-            log_scale = 0.0
-            for mx in maxima:
-                log_scale += math.log(mx)
-            try:
-                dets[k] = float(sign[k]) * math.exp(log_abs[k] + log_scale)
-            except OverflowError:
-                raise CapabilityError("float overflow in a determinant") from None
-    return dets.reshape(shape)
+    logs = np.reshape([math.log(mx) for mx in row_max.ravel().tolist()], row_max.shape)
+    stack = table[rows[:, None, :, None], cols[None, :, None, :]]
+    stack /= row_max[rows[:, None, :], np.arange(len(cols))[None, :, None]][..., None]
+    sign, log_abs = np.linalg.slogdet(stack)
+    log_scale = np.zeros(sign.shape)
+    for i in range(rows.shape[1]):
+        log_scale += logs[rows[:, i]]  # each minor adds its row logs in row order
+    try:
+        dets = [sg * math.exp(x) if sg else 0.0
+                for sg, x in zip(sign.ravel().tolist(), (log_abs + log_scale).ravel().tolist())]
+    except OverflowError:
+        raise CapabilityError("float overflow in a determinant") from None
+    return np.reshape(dets, sign.shape)

@@ -296,6 +296,8 @@ def estimate_moment(
     _check_counts(N, samples)
     if not s > -1:
         raise ValueError("requires s > -1")
+    if not math.isfinite(s):
+        raise ValueError(f"requires finite s, got s = {s}")
     if not cmath.isfinite(z):
         raise ValueError(f"requires finite z, got z = {z}")
     # |Lambda'/Lambda|^(2s) |Lambda|^(2s) = |Lambda'|^(2s) at one point.
@@ -321,6 +323,8 @@ def estimate_joint_moment(
     _check_counts(N, samples)
     if not h > -1:
         raise ValueError("requires h > -1")
+    if not math.isfinite(h):
+        raise ValueError(f"requires finite h, got h = {h}")
     if not (math.isfinite(s) and cmath.isfinite(z1) and cmath.isfinite(z2)):
         raise ValueError(f"requires finite s, z1 and z2, got s = {s}, z1 = {z1}, z2 = {z2}")
     return _estimate_joint(N, s, h, complex(z1), complex(z2), samples, seed, threads, progress)

@@ -15,6 +15,7 @@ from numbers import Rational
 
 import numpy as np
 
+from cuederiv.combinatorics import _partition_data
 from cuederiv.errors import CapabilityError
 from cuederiv.linalg import det_exact
 from cuederiv.rmt_mc import COLLISION_TOLERANCE
@@ -338,6 +339,52 @@ def fraction_det(rows) -> Fraction:
             for j in range(k + 1, n):
                 m[i][j] -= factor * m[k][j]
     return det
+
+
+def stacked_det_float(stack) -> np.ndarray:
+    """Determinants of a stack of float matrices, shape (..., n, n) -> (...),
+    each row scaled minor by minor.
+
+    Each row of each matrix is divided by its largest magnitude before
+    np.linalg.slogdet, and the log scales are added back matrix by matrix with
+    math.log and math.exp.  Raises CapabilityError on a non-finite entry or a
+    determinant that leaves double precision.
+    """
+    a = np.array(stack, dtype=float)
+    *shape, n, _ = a.shape
+    a = a.reshape(math.prod(shape), n, n)
+    row_max = np.maximum(a.max(axis=2, initial=0.0), -a.min(axis=2, initial=0.0))
+    if not np.isfinite(row_max).all():
+        raise CapabilityError("float overflow: non-finite determinant entry")
+    row_max[row_max == 0.0] = 1.0
+    a /= row_max[:, :, None]
+    sign, log_abs = np.linalg.slogdet(a)
+    dets = np.zeros(len(a))
+    for k, maxima in enumerate(row_max.tolist()):
+        if sign[k]:
+            log_scale = 0.0
+            for mx in maxima:
+                log_scale += math.log(mx)
+            try:
+                dets[k] = float(sign[k]) * math.exp(log_abs[k] + log_scale)
+            except OverflowError:
+                raise CapabilityError("float overflow in a determinant") from None
+    return dets.reshape(shape)
+
+
+def partition_det_sum_float(s: int, table) -> float:
+    """The float partition-determinant sum with every minor gathered into one
+    stack and scaled row by row (stacked_det_float), its weighted terms added
+    in (lambda, mu) order, lambda outer."""
+    data = _partition_data(s)
+    pairs = [(lam, mu) for lam in data for mu in data]
+    orders = np.array([p for _, _, p in data])
+    stack = np.asarray(table, dtype=float)[orders[:, None, :, None], orders[None, :, None, :]]
+    dets = stacked_det_float(stack).ravel().tolist()
+    total = 0.0
+    for ((f_lam, fact_lam, _), (f_mu, fact_mu, _)), det in zip(pairs, dets):
+        total += f_lam * f_mu / (fact_lam * fact_mu) * det
+    return total
 
 
 def block_exponent(N: int, s: int, row: int, col: int) -> int:

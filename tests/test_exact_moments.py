@@ -13,6 +13,7 @@ from cuederiv.exact_moments import (
     _c_upoly,
     _entry_from_kd,
     _k_derivatives_exact,
+    _k_derivatives_float,
     _structure_a_upoly,
     cue_moment_integer,
     cue_moment_ks,
@@ -21,8 +22,15 @@ from cuederiv.exact_moments import (
     moment_structure,
 )
 from cuederiv.linalg import det_exact, det_float
-from cuederiv.specfun import hyp1f1
-from oracles import appendix_d00, block_exponent, partition_block_sum, structure_a, structure_b
+from cuederiv.specfun import exp_moment, hyp1f1
+from oracles import (
+    appendix_d00,
+    block_exponent,
+    partition_block_sum,
+    partition_det_sum_float,
+    structure_a,
+    structure_b,
+)
 
 
 def closed_sum_s1(N, u):
@@ -55,8 +63,9 @@ def derivative_entry(p, q, N, s, u):
 
 
 def one_matrix_det_float(rows):
-    """The single-matrix float determinant that det_float stacks: rows scaled
-    by their largest magnitude, np.linalg.slogdet, log scales added back."""
+    """The single-matrix float determinant that det_float takes minor by minor:
+    rows scaled by their largest magnitude, np.linalg.slogdet, log scales
+    added back."""
     a = np.array(rows, dtype=float)
     log_scale = 0.0
     for i in range(len(a)):
@@ -69,17 +78,23 @@ def one_matrix_det_float(rows):
     return 0.0 if sign == 0.0 else float(sign) * math.exp(log_abs + log_scale)
 
 
+def one_minor(rows):
+    """det_float of a square matrix taken as the single minor of itself."""
+    n = len(rows)
+    return det_float(rows, [range(n)], [range(n)])[0, 0]
+
+
 class TestDeterminants:
     def test_exact_matches_float(self):
         # [[1/3, 2], [-5/7, 1/2]], its rows scaled to integers by 3 and 14
         exact = Fraction(det_exact([[1, 6], [-10, 7]]), 3 * 14)
-        approx = det_float([[1 / 3, 2.0], [-5 / 7, 0.5]])
+        approx = one_minor([[1 / 3, 2.0], [-5 / 7, 0.5]])
         assert exact == Fraction(1, 6) + Fraction(10, 7)
         assert abs(float(exact) - approx) < 1e-14
 
     def test_singular(self):
         assert det_exact([[1, 2], [2, 4]]) == 0
-        assert det_float([[0.0, 0.0], [1.0, 2.0]]) == 0.0
+        assert one_minor([[0.0, 0.0], [1.0, 2.0]]) == 0.0
 
     def test_pivoting(self):
         rows = [[0, 1, 2], [1, 0, 1], [2, 3, 0]]
@@ -97,37 +112,88 @@ class TestDeterminants:
             det_exact([[1, 2]])
 
     def test_float_stack_shapes(self):
-        rng = np.random.default_rng(3)
-        stack = rng.standard_normal((2, 3, 4, 4))
-        assert det_float(stack).shape == (2, 3)
-        assert det_float(stack[0, 0]).shape == ()
-        assert det_float(np.zeros((0, 3, 3))).shape == (0,)
-        assert det_float(np.zeros((5, 0, 0))).tolist() == [1.0] * 5
+        # (len(rows), len(cols)) minors of size len(rows[0]) = len(cols[0])
+        table = np.random.default_rng(3).standard_normal((6, 6))
+        assert det_float(table, [[0, 1, 2, 3], [2, 3, 4, 5]], [[0, 1, 2, 3]] * 3).shape == (2, 3)
+        assert det_float(table, np.zeros((0, 3), int), [[0, 1, 2]]).shape == (0, 1)
+        assert det_float(table, np.zeros((5, 0), int), np.zeros((1, 0), int)).tolist() == [[1.0]] * 5
 
     def test_float_zero_row(self):
-        stack = [[[1.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[2.0, 1.0], [1.0, 2.0]]]
-        dets = det_float(stack)
-        assert dets[0] == dets[1] == 0.0
-        assert abs(dets[2] - 3.0) < 1e-14
+        assert one_minor([[1.0, 2.0], [0.0, 0.0]]) == 0.0
+        assert one_minor([[0.0, 0.0], [0.0, 0.0]]) == 0.0
+        assert abs(one_minor([[2.0, 1.0], [1.0, 2.0]]) - 3.0) < 1e-14
 
     def test_float_stack_equals_one_matrix_calls(self):
         # Rows spread over 10^(-45)..10^45: the row scaling carries them.
+        # Every minor of the table, each built and scaled on its own.
         rng = np.random.default_rng(7)
-        stack = rng.standard_normal((40, 6, 6)) * 10.0 ** rng.integers(-45, 45, (40, 6, 1))
-        stack[3, 2] = 0.0
-        stack[5, 4] = stack[5, 1]
-        dets = det_float(stack).tolist()
-        assert dets == [one_matrix_det_float(rows) for rows in stack]
-        assert dets[3] == 0.0
+        table = rng.standard_normal((10, 10)) * 10.0 ** rng.integers(-45, 45, (10, 1))
+        table[2] = 0.0
+        table[7] = table[4]
+        rows = [rng.permutation(10)[:6] for _ in range(12)] + [[0, 1, 2, 3, 5, 6], [9, 8, 7, 4, 1, 0]]
+        cols = [rng.permutation(10)[:6] for _ in range(9)]
+        dets = det_float(table, rows, cols).tolist()
+        assert dets == [[one_matrix_det_float(table[np.ix_(r, c)]) for c in cols] for r in rows]
+        assert dets[-2] == [0.0] * len(cols)
 
     def test_float_leaving_double_precision_is_capability_error(self):
         with pytest.raises(CapabilityError):
-            det_float([[[1e200, 0.0], [0.0, 1e200]], [[1.0, 0.0], [0.0, 1.0]]])
+            one_minor([[1e200, 0.0], [0.0, 1e200]])
         with pytest.raises(CapabilityError):
-            det_float([[1.0, math.inf], [0.0, 1.0]])
+            one_minor([[1.0, math.inf], [0.0, 1.0]])
         with pytest.raises(CapabilityError):
-            det_float([[1.0, math.nan], [0.0, 1.0]])
-        assert det_float([[1e-200, 0.0], [0.0, 1e-200]]) == 0.0
+            one_minor([[1.0, math.nan], [0.0, 1.0]])
+        assert one_minor([[1e-200, 0.0], [0.0, 1e-200]]) == 0.0
+
+
+def exponential_moment_table(s, c):
+    """micro_b's 2s x 2s table m_(p+q)(c)."""
+    moments = [exp_moment(k, c) for k in range(4 * s - 1)]
+    return [[moments[p + q] for q in range(2 * s)] for p in range(2 * s)]
+
+
+def float_moment_table(N, s, u):
+    """moment_exact's float 2s x 2s table at u."""
+    kd = _k_derivatives_float(N, s, u, 4 * s - 2)
+    return [[_entry_from_kd(p, q, u, 1, kd) for q in range(2 * s)] for p in range(2 * s)]
+
+
+def partition_sum_hex(partition_sum, s, table):
+    """float.hex of a partition-determinant sum, or its CapabilityError message."""
+    try:
+        return partition_sum(s, table).hex()
+    except CapabilityError as error:
+        return f"CapabilityError: {error}"
+
+
+class TestFloatPartitionSumBits:
+    """_partition_det_sum takes each row maximum once per (table row, column
+    set); the sum is bit for bit the one that scales every minor row on its own."""
+
+    def assert_same_bits(self, s, table):
+        assert (partition_sum_hex(combinatorics._partition_det_sum, s, table)
+                == partition_sum_hex(partition_det_sum_float, s, table)), (s, table)
+
+    @pytest.mark.parametrize("N", [1, 3, 10, 200, 1000])
+    def test_moment_tables(self, N):
+        for s in range(1, 13):
+            for u in (0.0, 1e-3, 0.5, 0.99, 1.0, 1.5):
+                self.assert_same_bits(s, float_moment_table(N, s, u))
+
+    def test_exponential_moment_tables(self):
+        for s in range(1, 9):
+            for c in (-40.0, -5.0, 0.0, 2.0, 800.0):
+                self.assert_same_bits(s, exponential_moment_table(s, c))
+
+    def test_random_tables(self):
+        # rows spread over 10^(-45)..10^45, one zero row and two equal rows
+        rng = np.random.default_rng(11)
+        for s in range(2, 9):
+            table = rng.standard_normal((2 * s, 2 * s)) * 10.0 ** rng.integers(-45, 45, (2 * s, 1))
+            zero, first, second = rng.permutation(2 * s)[:3]
+            table[zero] = 0.0
+            table[second] = table[first]
+            self.assert_same_bits(s, table)
 
 
 class TestKPolynomial:
@@ -228,13 +294,13 @@ class TestMomentExact:
     def test_float_mode_makes_one_determinant_call(self, monkeypatch):
         shapes = []
 
-        def counting(stack):
-            shapes.append(np.shape(stack))
-            return det_float(stack)
+        def counting(table, rows, cols):
+            shapes.append((np.shape(table), np.shape(rows), np.shape(cols)))
+            return det_float(table, rows, cols)
 
         monkeypatch.setattr(combinatorics, "det_float", counting)
         moment_exact(10, 6, 0.5)
-        assert shapes == [(11, 11, 6, 6)]  # p(6)^2 submatrices of size 6
+        assert shapes == [((12, 12), (11, 6), (11, 6))]  # p(6)^2 minors of size 6
 
     def test_float_overflow_is_capability_error(self):
         # A determinant of the s = 12 sum leaves double precision.
