@@ -132,6 +132,12 @@ def _result(label: str, value, provenance: str, **extra):
     return row
 
 
+def _mc_row(label, est, **extra):
+    """A Monte Carlo estimate's row, with the fields every such row carries."""
+    return _result(label, est.mean, "monte-carlo-verblunsky", std_error=est.std_error,
+                   samples=est.samples, seed=est.seed, generator=est.generator, **extra)
+
+
 def _mc_options(args):
     """Thread count and progress callback for a Monte Carlo call."""
 
@@ -300,16 +306,10 @@ def _run_mc(args):
         _need(args, "mc joint", "h", "z1", "z2")
         est = estimate_joint_moment(args.N, args.s, args.h, args.z1, args.z2,
                                     args.samples, args.seed, **_mc_options(args))
-    extra = {
-        "std_error": est.std_error,
-        "samples": est.samples,
-        "seed": est.seed,
-        "generator": est.generator,
-        "resampled": est.resampled,
-    }
+    extra = {"resampled": est.resampled}
     if est.top_contribution_fraction is not None:
         extra["top_contribution_fraction"] = est.top_contribution_fraction
-    return [_result("mc_mean", est.mean, "monte-carlo-verblunsky", **extra)]
+    return [_mc_row("mc_mean", est, **extra)]
 
 
 def _run_zeta(args):
@@ -416,14 +416,8 @@ def _compare_routes(args):
 def _run_zeros(args):
     estimates = mean_zero_counts(args.N, args.radii, args.samples, args.seed,
                                  **_mc_options(args))
-    rows = []
-    for r, est in zip(args.radii, estimates):
-        rows.append(_result("zero_count", est.mean, "monte-carlo-verblunsky",
-                            r=r, std_error=est.std_error, samples=est.samples,
-                            seed=est.seed, generator=est.generator,
-                            fallback=est.fallback,
-                            limit=expected_zero_count(r)))
-    return rows
+    return [_mc_row("zero_count", est, r=r, fallback=est.fallback, limit=expected_zero_count(r))
+            for r, est in zip(args.radii, estimates)]
 
 
 def _emit(report, fmt):

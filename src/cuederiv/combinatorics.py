@@ -7,15 +7,17 @@ s - i (i = 1..s, parts padded with zeros), which fix its exact integer weights.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import factorial, lcm, prod
 
 from .linalg import det_exact, det_float
 
 
-def _partition_data(s: int):
+@cache
+def _partition_data(s: int) -> tuple:
     """(f_lambda, [lambda]!, derivative orders) for each partition lambda of s,
-    in descending lexicographic order.
+    in descending lexicographic order; built once per s.
 
     [lambda]! = prod l_i!, and Frobenius's formula gives the number of standard
     Young tableaux, f_lambda = s! prod_(i<j) (l_i - l_j) / prod l_i!.
@@ -34,7 +36,7 @@ def _partition_data(s: int):
             descend(orders + (part + slots - 1,), remaining - part, part)
 
     descend((), s, s)
-    return data
+    return tuple(data)
 
 
 def _partition_det_sum(s: int, table):

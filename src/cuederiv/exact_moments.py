@@ -243,12 +243,16 @@ def _over_one_minus_u(
     poly: Iterable[tuple[int, int]], k: int, u: Fraction, exact: bool
 ) -> ExactNumber:
     """P(u) / (1 - u)^k for an integer polynomial P given as (power, coefficient)
-    pairs, u != 1, evaluated at u = p/q over one denominator: a Fraction if
-    `exact`, else the exact value rounded once to a float.  Only nonzero
-    coefficients are visited.
+    pairs, evaluated at u = p/q over one denominator: a Fraction if `exact`,
+    else the exact value rounded once to a float.  Only nonzero coefficients
+    are visited.  At u = 1, where (1 - u)^k must divide P, the value is
+    (-1)^k P^(k)(1) / k! = (-1)^k sum_e c_e C(e, k).
     """
     p, q = u.as_integer_ratio()
     terms = sorted((e, c) for e, c in poly if c)
+    if p == q:
+        value = (-1) ** k * sum(c * math.comb(e, k) for e, c in terms)
+        return Fraction(value) if exact else float(value)
     # q^d P(p/q) = value p^last, d the degree, by Horner in integers over the gaps in the powers.
     degree = terms[-1][0] if terms else 0
     value, q_power, last = 0, 1, degree
@@ -267,12 +271,11 @@ def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
     """E|d/dz Lambda_N(z)|^(2s) at u = |z|^2 via the structure expansion.
 
     Independent of moment_exact: sum over h of C_h(u) / (1 - u)^(s^2 + 2s - h),
-    evaluated exactly at u = p/q.  A float u is taken at its own dyadic
-    rational and the exact value is rounded once.  Requires u != 1.
+    evaluated exactly at u = p/q, where (1 - u)^(s^2 + 2s) divides the
+    numerator, so u = 1 is no exception.  A float u is taken at its own dyadic
+    rational and the exact value is rounded once.
     """
     _validate_sizes(N, s)
-    if u == 1:
-        raise ValueError("structure expansion is undefined at |z| = 1")
     if u < 0:
         raise ValueError("u = |z|^2 must be non-negative")
     if not u < math.inf:
@@ -291,15 +294,13 @@ def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
 
 
 def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
-    """E|Lambda_N(z)|^(2s) at |z| = |r| != 1: b_(0,0)(u) / (1 - u)^(s^2), u = r^2.
+    """E|Lambda_N(z)|^(2s) at |z| = |r|: b_(0,0)(u) / (1 - u)^(s^2), u = r^2.
 
     b_(0,0) comes from the structure route's block sums (``_b_expansion``).  A
     float r is taken at its own dyadic rational and the exact value is rounded
     once.
     """
     _validate_sizes(N, s)
-    if r * r == 1:
-        raise ValueError("radial moment via determinant ratio needs |z| != 1")
     if not -math.inf < r < math.inf:
         raise ValueError(f"requires finite r, got r = {r}")
     b00 = _b_expansion(s, 0, 0, _block_sums(N, s))

@@ -64,50 +64,44 @@ class MomentEstimate:
     fallback: int = 0
 
 
-def _check_counts(N: int, samples: int) -> None:
+def _check_counts(N: int, samples: int, threads: int | None) -> None:
     if N < 1:
         raise ValueError(f"requires N >= 1, got N = {N}")
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    if threads is not None and threads < 1:
+        raise ValueError(f"requires threads >= 1, got threads = {threads}")
 
 
-def _chunk_layout(N: int, samples: int) -> list[tuple[int, int]]:
-    """Deterministic (chunk_index, chunk_size) layout; independent of workers."""
-    chunk = max(1, min(65536, _CHUNK_ELEMENT_BUDGET // (N * N)))
-    return [(index, min(chunk, samples - start))
-            for index, start in enumerate(range(0, samples, chunk))]
+def _run_chunks(N, samples, seed, threads, evaluate, progress=None):
+    """(per-draw values, tally) of `samples` CUE(N) draws in deterministic chunks.
 
-
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    )
-
-
-def _run_chunks(N, samples, seed, threads, worker, progress=None):
-    """Map `worker(size, rng)` over deterministic chunks, in chunk order.
-
-    Progress is reported from the calling thread as results arrive in chunk
-    order, so the sequence of `done` counts does not depend on `threads`
-    (None means one thread).
+    Chunk i holds at most _CHUNK_ELEMENT_BUDGET / N^2 draws (at most 65536)
+    and owns a PCG64 generator seeded by (seed, i).  `evaluate(alpha, rng)`
+    maps its Verblunsky coefficients (see _verblunsky) and that generator to
+    (values, tally); the values are concatenated and the tallies summed in
+    chunk order, so neither depends on `threads` (None means one thread).
+    Progress is reported from the calling thread as chunks complete, in order.
     """
-    layout = _chunk_layout(N, samples)
+    chunk = max(1, min(65536, _CHUNK_ELEMENT_BUDGET // (N * N)))
+    sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
 
-    def run(entry):
-        index, size = entry
-        return worker(size, _chunk_rng(seed, index))
+    def run(index):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+        return evaluate(_verblunsky(N, sizes[index], rng), rng)
 
     threads = threads or 1
-    parts = []
-    done = 0
+    parts, tally, done = [], 0, 0
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(run, layout) if threads > 1 else map(run, layout)
-        for (_, size), part in zip(layout, results):
-            parts.append(part)
+        indices = range(len(sizes))
+        results = pool.map(run, indices) if threads > 1 else map(run, indices)
+        for size, (values, counted) in zip(sizes, results):
+            parts.append(values)
+            tally += counted
             done += size
             if progress is not None:
                 progress(done, samples)
-    return parts
+    return np.concatenate(parts), tally
 
 
 def _verblunsky(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,30 +225,6 @@ def _szego(alpha: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarra
         return np.log(np.abs(phi)) + shift, np.log(np.abs(dphi)) + shift, unresolved
 
 
-def _collect_values(N, samples, seed, threads, evaluate, progress=None):
-    """Evaluate per-draw statistics from Verblunsky coefficients, redrawing
-    the draws that `evaluate` flags as unresolved."""
-
-    def worker(size, rng):
-        alpha = _verblunsky(N, size, rng)
-        values, bad = evaluate(alpha)
-        resampled = 0
-        attempts = 0
-        while np.any(bad):
-            attempts += 1
-            if attempts > 50:
-                raise CapabilityError("the point stayed on an eigenvalue through 50 redraws")
-            count = int(np.sum(bad))
-            resampled += count
-            alpha[bad] = _verblunsky(N, count, rng)
-            values[bad], bad[bad] = evaluate(alpha[bad])
-        return values, resampled
-
-    parts = _run_chunks(N, samples, seed, threads, worker, progress)
-    values = np.concatenate([part[0] for part in parts])
-    return values, sum(part[1] for part in parts)
-
-
 def _estimate_from_values(values, seed, resampled=0, fallback=0) -> MomentEstimate:
     """Mean, standard error and the tail share: the fraction of the total
     contributed by the top 1% of draws, which nears 1 when the mean is
@@ -293,7 +263,7 @@ def estimate_moment(
     of the total contributed by the top 1% of draws.  As in
     estimate_joint_moment, a draw with z on an eigenvalue is redrawn.
     """
-    _check_counts(N, samples)
+    _check_counts(N, samples, threads)
     if not s > -1:
         raise ValueError("requires s > -1")
     if not math.isfinite(s):
@@ -320,7 +290,7 @@ def estimate_joint_moment(
     A draw with z2 on an eigenvalue (possible only for |z2| = 1) is redrawn
     and counted in `resampled`.
     """
-    _check_counts(N, samples)
+    _check_counts(N, samples, threads)
     if not h > -1:
         raise ValueError("requires h > -1")
     if not math.isfinite(h):
@@ -335,7 +305,7 @@ def _estimate_joint(N, s, h, z1, z2, samples, seed, threads, progress) -> Moment
     if h == 0 and s == 0:
         return MomentEstimate(mean=1.0, std_error=0.0, samples=samples, seed=seed)
 
-    def evaluate(alpha):
+    def at_points(alpha):
         # At z1 == z2 and s == h the bracket is exactly 0, so the values are
         # |Lambda'(z1)|^(2s) draw for draw; a draw with Phi = 0 gives nan, and is redrawn.
         log_phi, log_dphi, unresolved = _szego(alpha, [z1] if z1 == z2 else [z1, z2])
@@ -343,7 +313,21 @@ def _estimate_joint(N, s, h, z1, z2, samples, seed, threads, progress) -> Moment
             bracket = 2 * s * log_phi[0] - 2 * h * log_phi[-1]
             return np.exp(2 * h * log_dphi[-1] + bracket), unresolved[-1]
 
-    values, resampled = _collect_values(N, samples, seed, threads, evaluate, progress)
+    def evaluate(alpha, rng):
+        values, bad = at_points(alpha)
+        resampled = 0
+        attempts = 0
+        while np.any(bad):
+            attempts += 1
+            if attempts > 50:
+                raise CapabilityError("the point stayed on an eigenvalue through 50 redraws")
+            count = int(np.sum(bad))
+            resampled += count
+            alpha[bad] = _verblunsky(N, count, rng)
+            values[bad], bad[bad] = at_points(alpha[bad])
+        return values, resampled
+
+    values, resampled = _run_chunks(N, samples, seed, threads, evaluate, progress)
     with np.errstate(over="ignore", invalid="ignore"):
         estimate = _estimate_from_values(values, seed, resampled)
     # An infinite value makes the mean infinite.
@@ -565,7 +549,7 @@ def mean_zero_counts(
     1e-8 of the circle are counted by the sign of |root| - r and flagged with
     a warning.
     """
-    _check_counts(N, samples)
+    _check_counts(N, samples, threads)
     radii = [float(r) for r in radii]
     if not radii:
         raise ValueError("radii must name at least one radius")
@@ -573,8 +557,7 @@ def mean_zero_counts(
         if not 0 < r < 1:
             raise ValueError("radii must lie in (0, 1)")
 
-    def worker(size, rng):
-        alpha = _verblunsky(N, size, rng)
+    def evaluate(alpha, rng):
         counts, uncertified = _winding_counts(alpha, radii)
         redo = np.flatnonzero(np.any(uncertified, axis=1))
         if len(redo):
@@ -590,9 +573,8 @@ def mean_zero_counts(
                 counts[redo[rows], col] = np.sum(moduli[rows] < r, axis=1)
         return counts, np.sum(uncertified, axis=0)
 
-    parts = _run_chunks(N, samples, seed, threads, worker, progress)
-    counts = np.concatenate([part[0] for part in parts]).astype(float)
-    fallback = sum(part[1] for part in parts)
+    counts, fallback = _run_chunks(N, samples, seed, threads, evaluate, progress)
+    counts = counts.astype(float)
     return [
         _estimate_from_values(counts[:, col], seed, fallback=int(fallback[col]))
         for col in range(len(radii))

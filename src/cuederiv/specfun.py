@@ -99,53 +99,40 @@ _BERNOULLI_2K = (
 )
 
 
+def _product(f, g):
+    """The product rule: (fg, (fg)', (fg)'') from (f, f', f'') and (g, g', g'')."""
+    return (f[0] * g[0], f[1] * g[0] + f[0] * g[1], f[2] * g[0] + 2 * f[1] * g[1] + f[0] * g[2])
+
+
 def zeta_real(w: float, order: int = 0) -> float:
     """zeta(w), zeta'(w) or zeta''(w) for real w > 1 by Euler-Maclaurin.
 
-    The asymptotic correction is differentiated termwise; finite differences
-    would be hopeless for w barely above 1.
+    Every term is carried with its first two w-derivatives as (f, f', f''),
+    products by the product rule; finite differences would be hopeless for w
+    barely above 1.
     """
     if not 1 < w < math.inf:
         raise ValueError(f"zeta_real requires finite w > 1, got w = {w}")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     cutoff = 40
-    logs = np.log(np.arange(1, cutoff, dtype=float))
-    powers = np.exp(-w * logs)
-    head = math.fsum(powers * logs**order) * (-1) ** order
-
-    log_m = math.log(cutoff)
-    m_pow = cutoff**-w
-    # Endpoint term M^-w / 2.
-    head += (-1) ** order * 0.5 * m_pow * log_m**order
-    # Integral term M^(1-w) / (w - 1), differentiated in w.
-    t = cutoff ** (1 - w) / (w - 1)
-    if order == 0:
-        head += t
-    elif order == 1:
-        head += t * (-log_m - 1 / (w - 1))
-    else:
-        head += t * ((log_m + 1 / (w - 1)) ** 2 + 1 / (w - 1) ** 2)
+    logs = np.log(np.arange(1, cutoff + 1, dtype=float))
+    # n^-w, n = 1..M with M = cutoff, and its derivatives (-log n)^j n^-w.
+    powers = [(np.exp(-w * logs) * (-logs) ** j).tolist() for j in range(3)]
+    m_pow = [p[-1] for p in powers]
+    inv = 1 / (w - 1)
+    # Head sum over n < M, endpoint term M^-w / 2 and integral term M^(1-w) / (w - 1).
+    total = (math.fsum(powers[order][:-1]) + 0.5 * m_pow[order]
+             + cutoff * _product(m_pow, (inv, -inv * inv, 2 * inv**3))[order])
 
     # Bernoulli corrections B_2k/(2k)! (w)_(2k-1) M^(-w-2k+1).
-    total = head
+    poch = (1.0, 0.0, 0.0)
     prev_size = math.inf
-    for idx, b2k in enumerate(_BERNOULLI_2K):
-        k = idx + 1
-        poch = 1.0
-        dsum = 0.0
-        d2sum = 0.0
-        for j in range(2 * k - 1):
-            poch *= w + j
-            dsum += 1 / (w + j)
-            d2sum += 1 / (w + j) ** 2
-        base = float(b2k) / math.factorial(2 * k) * poch * cutoff ** (-w - 2 * k + 1)
-        if order == 0:
-            term = base
-        elif order == 1:
-            term = base * (dsum - log_m)
-        else:
-            term = base * ((dsum - log_m) ** 2 - d2sum)
+    for k, b2k in enumerate(_BERNOULLI_2K, start=1):
+        for j in range(max(0, 2 * k - 3), 2 * k - 1):
+            poch = _product(poch, (w + j, 1.0, 0.0))
+        scale = float(b2k) / math.factorial(2 * k) * cutoff ** (1 - 2 * k)
+        term = scale * _product(poch, m_pow)[order]
         size = abs(term)
         if size > prev_size:
             break

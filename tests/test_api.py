@@ -6,6 +6,7 @@ import types
 import pytest
 
 import cuederiv
+from cuederiv.exact_moments import _validate_sizes
 
 PUBLIC_NAMES = {
     "CapabilityError",
@@ -74,5 +75,38 @@ def test_public_names_are_pinned():
 def test_non_finite_input_is_refused_by_name(call, message):
     # each was an OverflowError, a conversion error or a capability error
     # that did not name the parameter
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: _validate_sizes(0, 2), r"N must be a positive integer, got 0",
+                 id="_validate_sizes-N"),
+    pytest.param(lambda: _validate_sizes(3, 1.5), r"s must be a positive integer, got 1.5",
+                 id="_validate_sizes-s"),
+    pytest.param(lambda: cuederiv.moment_structure(3, 2, -0.5), r"u = \|z\|\^2 must be non-negative",
+                 id="moment_structure-u-negative"),
+    pytest.param(lambda: cuederiv.cue_moment_ks(0, 1.0), r"N must be a positive integer",
+                 id="cue_moment_ks-N"),
+    pytest.param(lambda: cuederiv.cue_moment_integer(2.5, 1), r"N must be a positive integer",
+                 id="cue_moment_integer-N"),
+    pytest.param(lambda: cuederiv.cue_moment_integer(3, -1), r"s must be a non-negative integer",
+                 id="cue_moment_integer-s"),
+    pytest.param(lambda: cuederiv.expected_zero_count(1.0), r"requires 0 <= r < 1",
+                 id="expected_zero_count-r"),
+    pytest.param(lambda: cuederiv.expected_log_integral(-0.1), r"requires 0 <= r < 1",
+                 id="expected_log_integral-r"),
+    pytest.param(lambda: cuederiv.micro_b(0, 1.0), r"s must be a positive integer",
+                 id="micro_b-s"),
+    pytest.param(lambda: cuederiv.micro_b_bessel(1.5, 1.0), r"s must be a positive integer",
+                 id="micro_b_bessel-s"),
+    pytest.param(lambda: cuederiv.mean_zero_counts(5, [0.5, 1.0], 10, 0),
+                 r"radii must lie in \(0, 1\)", id="mean_zero_counts-radius"),
+    pytest.param(lambda: cuederiv.exp_moment(-1, 1.0), r"exp_moment requires k >= 0",
+                 id="exp_moment-k"),
+    pytest.param(lambda: cuederiv.divisor_table(0, 10), r"requires s >= 1 and n_max >= 1",
+                 id="divisor_table-s"),
+])
+def test_out_of_range_input_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()

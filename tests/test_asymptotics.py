@@ -18,7 +18,7 @@ from cuederiv.asymptotics import (
 )
 from cuederiv.combinatorics import _partition_det_sum
 from cuederiv.errors import CapabilityError
-from cuederiv.exact_moments import cue_moment_integer, moment_exact
+from cuederiv.exact_moments import cue_moment_integer, moment_exact, moment_structure
 from cuederiv.specfun import exp_moment
 from oracles import laguerre
 
@@ -217,22 +217,40 @@ class TestRegimeJoins:
         polynomial = cue_limit(s, "microscopic", c=c)
         assert abs(polynomial * c ** (s * s) - 1) <= 1e-11
 
+    # b_s(0) exactly, s = 1..5.
+    B_AT_ZERO = {
+        1: Fraction(1, 3),
+        2: Fraction(61, 10080),
+        3: Fraction(277, 139708800),
+        4: Fraction(2275447, 474528874659840000),
+        5: Fraction(3700752773, 79536089898707963609088000000),
+    }
+
     def test_microscopic_meets_the_circle(self):
         # The Conrey-Rubinstein-Snaith constants b_1 and b_2.
         assert abs(micro_b(1, 0.0) - 1 / 3) <= 1e-14
         assert abs(micro_b(2, 0.0) - 61 / 10080) <= 1e-14
         # b_3..b_5 exactly: at c = 0, m_k = 1/(k+1) = (L/(k+1))/L with L = lcm(1..4s-1),
         # so the partition sum runs on an integer table and each s x s minor carries L^-s.
-        anchors = {
-            3: Fraction(277, 139708800),
-            4: Fraction(2275447, 474528874659840000),
-            5: Fraction(3700752773, 79536089898707963609088000000),
-        }
-        for s, exact in anchors.items():
+        for s in (3, 4, 5):
+            exact = self.B_AT_ZERO[s]
             L = math.lcm(*range(1, 4 * s))
             table = [[L // (p + q + 1) for q in range(2 * s)] for p in range(2 * s)]
             assert _partition_det_sum(s, table) / L**s == exact
             assert abs(micro_b(s, 0.0) / exact - 1) <= 1e-13
+
+    @pytest.mark.parametrize("s", (1, 2, 3, 4, 5))
+    def test_circle_moment_in_N_leads_with_b_s(self, s):
+        # E|Lambda_N'(1)|^(2s) from the structure route, which shares no code with
+        # the partition sum, is a polynomial in N of degree d = s^2 + 2s with
+        # leading coefficient b_s(0): its d-th difference is d! b_s(0), and the
+        # next one vanishes.
+        d = s * s + 2 * s
+        values = [moment_structure(N, s, Fraction(1)) for N in range(1, d + 3)]
+        for _ in range(d):
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert values[0] / math.factorial(d) == self.B_AT_ZERO[s]
+        assert values[1] == values[0]
 
     @pytest.mark.parametrize("s", (1, 2, 3, 4))
     @pytest.mark.parametrize("r", (0.999, 0.99999, 0.999999))

@@ -508,6 +508,12 @@ _REGIMES = "'global', 'mesoscopic', 'microscopic', 'joint', 'zero-density'"
     ("mc --N 0 --s 1 --z 0.3 --samples 10", "invalid parameters: requires N >= 1, got N = 0"),
     ("zeros --N 0 --radii 0.5 --samples 10", "invalid parameters: requires N >= 1, got N = 0"),
     ("zeros --N 6 --radii= --samples 10", "invalid parameters: radii must name at least one radius"),
+    ("mc --N 6 --s 1 --z 0.3 --samples 10 --threads -2",
+     "invalid parameters: requires threads >= 1, got threads = -2"),
+    ("zeros --N 6 --radii 0.5 --samples 10 --threads 0",
+     "invalid parameters: requires threads >= 1, got threads = 0"),
+    ("compare --routes exact,mc --N 6 --s 1 --r 0.5 --samples 10 --threads 0",
+     "invalid parameters: requires threads >= 1, got threads = 0"),
 ])
 def test_bad_input_is_one_line_usage_error(argv, message, capsys):
     code, out, err = run_cli(capsys, *argv.split())

@@ -32,7 +32,7 @@ class TestPartition:
     def test_frobenius_weights_match_hook_lengths(self):
         # Same shapes, order, tableau counts, factorials and orders.
         for s in range(1, 13):
-            assert _partition_data(s) == partition_data(s, s), s
+            assert list(_partition_data(s)) == partition_data(s, s), s
 
 
 class TestEnumeration:

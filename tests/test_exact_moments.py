@@ -474,9 +474,13 @@ class TestMomentStructure:
         assert value == float(moment_structure(N, 4, Fraction(u)))
         assert value > 0
 
-    def test_rejects_unit_circle(self):
-        with pytest.raises(ValueError):
-            moment_structure(3, 1, Fraction(1))
+    def test_unit_circle_equals_determinant_route(self):
+        # (1 - u)^(s^2 + 2s) divides the expansion's numerator, so u = 1 is a value too
+        for s in (1, 2, 3, 4):
+            for N in (1, 2, 3, 7, 20):
+                exact = moment_exact(N, s, Fraction(1))
+                assert moment_structure(N, s, Fraction(1)) == exact, (N, s)
+                assert moment_structure(N, s, 1.0) == float(exact), (N, s)
 
 
 class TestAppendixCoefficients:
@@ -532,9 +536,11 @@ class TestCueMoments:
 
     @pytest.mark.parametrize("r", (1, -1, Fraction(1), Fraction(-1), 1.0, -1.0),
                              ids=("1", "-1", "Fraction(1)", "Fraction(-1)", "1.0", "-1.0"))
-    def test_radial_rejects_unit_circle(self, r):
-        with pytest.raises(ValueError):
-            cue_moment_radial(4, 2, r)
+    def test_radial_unit_circle_is_circle_moment(self, r):
+        for N, s in [(1, 1), (4, 2), (9, 3), (20, 4)]:
+            value = cue_moment_radial(N, s, r)
+            assert value == cue_moment_integer(N, s), (N, s)
+            assert isinstance(value, float) == isinstance(r, float)
 
     def test_radial_shares_the_exact_cap(self):
         with pytest.raises(CapabilityError):

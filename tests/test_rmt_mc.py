@@ -103,7 +103,7 @@ class TestEstimators:
 
     def test_overflowing_mean_is_capability_error(self, monkeypatch):
         # Every value is finite, but their sum is not.
-        monkeypatch.setattr(rmt_mc, "_collect_values", lambda *args: (np.full(10, 1e308), 0))
+        monkeypatch.setattr(rmt_mc, "_run_chunks", lambda *args: (np.full(10, 1e308), 0))
         with pytest.raises(CapabilityError, match="overflow"):
             estimate_moment(6, 1.0, 0.5, 10, seed=0)
 
@@ -191,6 +191,17 @@ class TestEstimators:
         for N in (1, 10):
             with pytest.raises(ValueError, match="at least 2 samples"):
                 mean_zero_counts(N, [0.5], 1, seed=0)
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_nonpositive_threads_is_refused(self, threads):
+        # -2 was ThreadPoolExecutor's error, which did not name threads; 0 ran one thread
+        message = f"requires threads >= 1, got threads = {threads}"
+        with pytest.raises(ValueError, match=message):
+            estimate_moment(6, 1.0, 0.3, 10, seed=0, threads=threads)
+        with pytest.raises(ValueError, match=message):
+            estimate_joint_moment(6, 1.0, 1.0, 0.3, 0.5j, 10, seed=0, threads=threads)
+        with pytest.raises(ValueError, match=message):
+            mean_zero_counts(6, [0.5], 10, seed=0, threads=threads)
 
     @pytest.mark.parametrize("N", [0, -3])
     def test_nonpositive_N_is_refused(self, N):
