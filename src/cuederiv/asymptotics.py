@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .combinatorics import _partition_det_sum
-from .errors import CapabilityError
+from .errors import CapabilityError, _size
 from .linalg import det_float
 from .exact_moments import _structure_a_upoly
 from .specfun import _kummer_factor, exp_moment
@@ -97,8 +97,7 @@ def expected_log_integral(r: float) -> float:
 def meso_moment(s: int, alpha: float, N: float) -> float:
     """Mesoscopic asymptotic N^(alpha(s^2+2s)) s! L_s(-s^2), the coefficient
     taken exactly as the structure route's a_(0,0) at u = 1 and rounded once."""
-    if s < 1 or int(s) != s:
-        raise ValueError("s must be a positive integer")
+    s = _size("s", s)
     if not 0 < alpha < 1:
         raise ValueError("requires 0 < alpha < 1")
     coefficient = float(sum(_structure_a_upoly(s, 0, 0)))
@@ -110,8 +109,7 @@ def micro_b(s: int, c: float) -> float:
 
     The N^(s^2+2s) coefficient of the derivative moment at |z|^2 = 1 - c/N.
     """
-    if s < 1 or int(s) != s:
-        raise ValueError("s must be a positive integer")
+    s = _size("s", s)
     if not math.isfinite(c):
         raise ValueError(f"requires finite c, got c = {c}")
     moments = [exp_moment(k, c) for k in range(4 * s - 1)]
@@ -168,8 +166,7 @@ def micro_b_bessel(s: int, c: float) -> float:
     pivots are invertible: their constant terms come from the positive-definite
     Hankel matrix of exponential moments.
     """
-    if s < 1 or int(s) != s:
-        raise ValueError("s must be a positive integer")
+    s = _size("s", s)
     table = [exp_moment(k, c) for k in range(4 * s - 1)]
     rows = [[_bessel_entry_coeffs(i, j, table, s) for j in range(1, s + 1)]
             for i in range(1, s + 1)]
@@ -186,7 +183,7 @@ def micro_b_bessel(s: int, c: float) -> float:
 
 
 def cue_limit(s: float, regime: str, *, r: float | None = None, alpha: float | None = None,
-              c: float | None = None, N: int | None = None) -> float:
+              c: float | None = None, N: float | None = None) -> float:
     """Limits of E|Lambda_N|^(2s) itself in the three regimes.
 
     global (0 <= r < 1): (1-r^2)^(-s^2).  mesoscopic (0 < alpha < 1, N > 0):
@@ -212,10 +209,7 @@ def cue_limit(s: float, regime: str, *, r: float | None = None, alpha: float | N
         raise ValueError("microscopic regime requires c")
     if not math.isfinite(c):
         raise ValueError(f"microscopic regime requires finite c, got c = {c}")
-    # Andreief reduction of the multi-integral needs integer s
-    if int(s) != s or s < 1:
-        raise ValueError("microscopic CUE limit implemented for positive integer s")
-    s = int(s)
+    s = _size("s", s)  # Andreief reduction of the multi-integral needs integer s
     table = [exp_moment(k, c) for k in range(2 * s - 1)]
     gram = [[table[i + j] for j in range(s)] for i in range(s)]
     hankel = float(det_float(gram, [range(s)], [range(s)])[0, 0])

@@ -269,8 +269,7 @@ def _run_asympt(args):
         return [_result("joint_moment", joint_moment(args.s, args.h, args.z1, args.z2),
                         "gaussian-joint-limit")]
     if args.of == "polynomial":
-        limit = cue_limit(args.s, regime, r=args.r, alpha=args.alpha, c=args.c,
-                          N=None if args.N is None else int(args.N))
+        limit = cue_limit(args.s, regime, r=args.r, alpha=args.alpha, c=args.c, N=args.N)
         return [_result("cue_moment_limit", limit, "polynomial-moment-limit")]
     if regime == "global":
         _need(args, regime, "r")

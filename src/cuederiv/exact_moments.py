@@ -34,19 +34,12 @@ from typing import Iterable, Union
 import numpy as np
 
 from .combinatorics import _partition_det_sum
-from .errors import CapabilityError
+from .errors import CapabilityError, _size
 
 ExactNumber = Union[Fraction, float]
 
 EXACT_S_CAP = 8
 FLOAT_S_CAP = 12
-
-
-def _validate_sizes(N: int, s: int) -> None:
-    if N < 1 or int(N) != N:
-        raise ValueError(f"N must be a positive integer, got {N}")
-    if s < 1 or int(s) != s:
-        raise ValueError(f"s must be a positive integer, got {s}")
 
 
 def _k_derivatives_exact(N: int, s: int, p: int, q: int, max_order: int) -> list[int]:
@@ -94,7 +87,7 @@ def moment_exact(N: int, s: int, u: ExactNumber) -> ExactNumber:
     of every partition of s add up to s(s+1)/2, so every determinant of the sum
     shares the denominator b^(s(N+s-1) + s(s+1)/2), divided out at the end.
     """
-    _validate_sizes(N, s)
+    N, s = _size("N", N), _size("s", s)
     exact = isinstance(u, Rational)
     mode, cap = ("exact", EXACT_S_CAP) if exact else ("float", FLOAT_S_CAP)
     if s > cap:
@@ -275,7 +268,7 @@ def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
     numerator, so u = 1 is no exception.  A float u is taken at its own dyadic
     rational and the exact value is rounded once.
     """
-    _validate_sizes(N, s)
+    N, s = _size("N", N), _size("s", s)
     if u < 0:
         raise ValueError("u = |z|^2 must be non-negative")
     if not u < math.inf:
@@ -300,7 +293,7 @@ def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
     float r is taken at its own dyadic rational and the exact value is rounded
     once.
     """
-    _validate_sizes(N, s)
+    N, s = _size("N", N), _size("s", s)
     if not -math.inf < r < math.inf:
         raise ValueError(f"requires finite r, got r = {r}")
     b00 = _b_expansion(s, 0, 0, _block_sums(N, s))
@@ -315,8 +308,7 @@ def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
 
 def cue_moment_ks(N: int, s: float) -> float:
     """E|Lambda_N|^(2s) on the unit circle for real s > -1/2 (Gamma product)."""
-    if N < 1 or int(N) != N:
-        raise ValueError("N must be a positive integer")
+    N = _size("N", N)
     if not -0.5 < s < math.inf:
         raise ValueError(f"requires finite s > -1/2, got s = {s}")
     log_total = 0.0
@@ -329,10 +321,7 @@ def cue_moment_ks(N: int, s: float) -> float:
 
 def cue_moment_integer(N: int, s: int) -> Fraction:
     """E|Lambda_N|^(2s) on the unit circle for integer s >= 0, exact."""
-    if N < 1 or int(N) != N:
-        raise ValueError("N must be a positive integer")
-    if s < 0 or int(s) != s:
-        raise ValueError("s must be a non-negative integer")
+    N, s = _size("N", N), _size("s", s, minimum=0)
     total = Fraction(1)
     for j in range(1, s + 1):
         total *= Fraction(

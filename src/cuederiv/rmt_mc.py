@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, _size
 
 GENERATOR_NAME = "pcg64/verblunsky"
 COLLISION_TOLERANCE = 1e-14
@@ -64,13 +64,10 @@ class MomentEstimate:
     fallback: int = 0
 
 
-def _check_counts(N: int, samples: int, threads: int | None) -> None:
-    if N < 1:
-        raise ValueError(f"requires N >= 1, got N = {N}")
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    if threads is not None and threads < 1:
-        raise ValueError(f"requires threads >= 1, got threads = {threads}")
+def _check_counts(N, samples, seed, threads) -> tuple[int, int, int, int | None]:
+    """N, samples (two at least, for a standard error), seed and threads as ints."""
+    return (_size("N", N), _size("samples", samples, minimum=2), _size("seed", seed, minimum=0),
+            None if threads is None else _size("threads", threads))
 
 
 def _run_chunks(N, samples, seed, threads, evaluate, progress=None):
@@ -263,7 +260,7 @@ def estimate_moment(
     of the total contributed by the top 1% of draws.  As in
     estimate_joint_moment, a draw with z on an eigenvalue is redrawn.
     """
-    _check_counts(N, samples, threads)
+    N, samples, seed, threads = _check_counts(N, samples, seed, threads)
     if not s > -1:
         raise ValueError("requires s > -1")
     if not math.isfinite(s):
@@ -290,7 +287,7 @@ def estimate_joint_moment(
     A draw with z2 on an eigenvalue (possible only for |z2| = 1) is redrawn
     and counted in `resampled`.
     """
-    _check_counts(N, samples, threads)
+    N, samples, seed, threads = _check_counts(N, samples, seed, threads)
     if not h > -1:
         raise ValueError("requires h > -1")
     if not math.isfinite(h):
@@ -549,7 +546,7 @@ def mean_zero_counts(
     1e-8 of the circle are counted by the sign of |root| - r and flagged with
     a warning.
     """
-    _check_counts(N, samples, threads)
+    N, samples, seed, threads = _check_counts(N, samples, seed, threads)
     radii = [float(r) for r in radii]
     if not radii:
         raise ValueError("radii must name at least one radius")

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, _size
 
 _SERIES_LIMIT = 100_000
 
@@ -53,8 +53,7 @@ def exp_moment(k: int, c: float) -> float:
     c ~ 708, long before the moment does, so from c = k + 40 on the closed form
     k!/c^(k+1) (1 - sum_(j<=k) e^(-c) c^j/j!) is used, each term taken in logs.
     """
-    if k < 0:
-        raise ValueError("exp_moment requires k >= 0")
+    k = _size("k", k, minimum=0)
     c = float(c)
     if c < 1.0:
         term = 1.0
@@ -113,8 +112,9 @@ def zeta_real(w: float, order: int = 0) -> float:
     """
     if not 1 < w < math.inf:
         raise ValueError(f"zeta_real requires finite w > 1, got w = {w}")
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
+    order = _size("order", order, minimum=0)
+    if order > 2:
+        raise ValueError(f"requires order <= 2, got order = {order}")
     cutoff = 40
     logs = np.log(np.arange(1, cutoff + 1, dtype=float))
     # n^-w, n = 1..M with M = cutoff, and its derivatives (-log n)^j n^-w.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, _size
 from .specfun import _kummer_factor
 
 _INNER_SUM_EPS = 1e-16
@@ -107,8 +107,7 @@ def _self_convolution(s: int, n_max: int, log: bool) -> np.ndarray:
     product is sieved in place, but at s >= 3 the first takes a new array:
     base, which it would overwrite, is every product's g.
     """
-    if s < 1 or n_max < 1:
-        raise ValueError("requires s >= 1 and n_max >= 1")
+    s, n_max = _size("s", s), _size("n_max", n_max)
     if log:
         base = np.arange(n_max + 1, dtype=float)  # index 0 stays 0: the sieve never reads it
         np.log(base[1:], out=base[1:])
@@ -253,12 +252,11 @@ def _truncated_series(table: np.ndarray, s: int, sigma: float, log_power: int) -
     return SeriesResult(value, tail, n_max, tail_estimate=estimate)
 
 
-def _check_series_args(sigma: float, n_max: int) -> None:
+def _check_series_args(s: int, sigma: float, n_max: int) -> tuple[int, int]:
     if not 0.5 < sigma < math.inf:
         raise ValueError(f"requires finite sigma > 1/2, got sigma = {sigma}")
-    if n_max < 3:
-        # the tail estimate fits its density on n_max//2..n_max, empty below 3
-        raise ValueError(f"requires n_max >= 3, got n_max = {n_max}")
+    # the tail estimate fits its density on n_max//2..n_max, empty below 3
+    return _size("s", s), _size("n_max", n_max, minimum=3)
 
 
 def deriv_moment_series(s: int, sigma: float, n_max: int) -> SeriesResult:
@@ -266,13 +264,13 @@ def deriv_moment_series(s: int, sigma: float, n_max: int) -> SeriesResult:
 
     The tail estimate uses (log*...*log)(n) <= d_s(n) (log n)^s.
     """
-    _check_series_args(sigma, n_max)
+    s, n_max = _check_series_args(s, sigma, n_max)
     return _truncated_series(log_convolution_table(s, n_max), s, sigma, 2 * s)
 
 
 def lindelof_series(s: int, sigma: float, n_max: int) -> SeriesResult:
     """Truncated sum of d_s(n)^2 / n^(2 sigma) with a tail estimate."""
-    _check_series_args(sigma, n_max)
+    s, n_max = _check_series_args(s, sigma, n_max)
     return _truncated_series(divisor_table(s, n_max), s, sigma, 0)
 
 
@@ -340,8 +338,7 @@ def arithmetic_factor(s: float, p_max: int) -> SeriesResult:
     """
     if not 0 < s < math.inf:
         raise ValueError(f"requires finite s > 0, got s = {s}")
-    if p_max < 100:
-        raise ValueError("requires p_max >= 100")
+    p_max = _size("p_max", p_max, minimum=100)
     primes = primes_up_to(p_max)
     # In blocks of primes, so the recurrence's working arrays stay small.
     logs = np.concatenate([_euler_factor_logs(s, primes[i : i + 2**16])

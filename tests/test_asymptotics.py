@@ -299,7 +299,7 @@ class TestCueLimit:
         (2, "mesoscopic", dict(alpha=0.5), "mesoscopic CUE limit needs N"),
         (1.5, "microscopic", dict(), "microscopic regime requires c"),
         (1.5, "microscopic", dict(c=1.0),
-         "microscopic CUE limit implemented for positive integer s"),
+         "requires a whole number s >= 1, got s = 1.5"),
         (2, "nearside", dict(r=0.1), "unknown regime 'nearside'"),
         # nan and inf were reported as a float overflow
         (math.nan, "global", dict(r=0.5), "requires finite s, got s = nan"),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cuederiv import cli, rmt_mc
+from cuederiv import cli, cue_limit, rmt_mc
 from cuederiv.cli import main
 from cuederiv.exact_moments import cue_moment_radial, moment_structure
 
@@ -157,6 +157,19 @@ class TestAsymptCommand:
         )
         value = parse_report(out)["results"][0]["value"]
         assert abs(value - 0.75**-4) < 1e-12
+
+    @pytest.mark.parametrize("regime, flags, N", [
+        ("mesoscopic", ["--alpha", "0.5"], "100.7"),
+        ("microscopic", ["--c", "1"], "0.5"),
+    ], ids=["meso-N-100.7", "micro-N-0.5"])
+    def test_polynomial_takes_N_as_given(self, capsys, regime, flags, N):
+        # --N was cut to an int: 100.7 printed the value at N = 100, and 0.5
+        # failed with "requires N > 0, got N = 0"
+        code, out, _ = run_cli(capsys, "asympt", "--regime", regime, "--of", "polynomial",
+                               "--s", "2", *flags, "--N", N)
+        assert code == 0
+        expected = cue_limit(2.0, regime, alpha=0.5, c=1.0, N=float(N))
+        assert parse_report(out)["results"][0]["value"] == expected
 
     @pytest.mark.parametrize("s, r", [("30", "0.9"), ("20", "0.99")])
     def test_global_overflow_is_capability_exit(self, capsys, s, r):
@@ -458,7 +471,7 @@ class TestZerosCommand:
         )
         assert code == 1
         assert out == ""
-        assert "at least 2 samples" in err
+        assert "requires samples >= 2" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -514,6 +527,9 @@ _REGIMES = "'global', 'mesoscopic', 'microscopic', 'joint', 'zero-density'"
      "invalid parameters: requires threads >= 1, got threads = 0"),
     ("compare --routes exact,mc --N 6 --s 1 --r 0.5 --samples 10 --threads 0",
      "invalid parameters: requires threads >= 1, got threads = 0"),
+    # numpy's "expected non-negative integer" did not name the flag
+    ("mc --N 6 --s 1 --z 0.3 --samples 10 --seed -1",
+     "invalid parameters: requires seed >= 0, got seed = -1"),
 ])
 def test_bad_input_is_one_line_usage_error(argv, message, capsys):
     code, out, err = run_cli(capsys, *argv.split())
