@@ -26,7 +26,9 @@ zeros.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from numbers import Rational
 from typing import Iterable, Union
@@ -133,6 +135,38 @@ def _structure_a_upoly(s: int, h1: int, h2: int) -> list[int]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _subset_layout(s: int):
+    """The part of `_block_sums` that does not depend on N, about 3 MB at s = 8.
+
+    masks[k] holds the column bitmask of every k-subset of the 2s columns,
+    k = 0..s, in combinations order.  pairing holds, per s-subset S in the same
+    order: the mask of S, the mask of the shifted complement, whose minor is W
+    times (-1)^flip, the number of high columns in both, e at N = 0, which
+    gains N per high column, and the parity of the sign at e = 0.
+    """
+    masks = tuple(tuple(sum(1 << j for j in cols) for cols in combinations(range(2 * s), k))
+                  for k in range(s + 1))
+    exps = list(range(s)) + [2 * s - 1 - j for j in range(s)]
+    pairing = []
+    for cols, mask in zip(combinations(range(2 * s), s), masks[s]):
+        rest = [j for j in range(2 * s) if j not in cols]
+        # The w-rows have the z-rows' exponent of column (j + s) mod 2s at j, so the
+        # w-sum on `rest` is the z-sum on its shifted columns, whose sorting moves
+        # s - low columns past low ones: sign (-1)^(low (s - low)).
+        low = sum(j < s for j in rest)
+        shifted = [j - s for j in rest[low:]] + [j + s for j in rest[:low]]
+        both = list(cols) + shifted
+        # Laplace sign (-1)^(s(s-1)/2 + sum of 0-based columns), times (-1)^e
+        # from (-r)^e; (-r)^(-h1-h2) cancels the sign of (-s r)^|h2-h1|.
+        pairing.append((
+            mask, sum(1 << j for j in shifted), low * (s - low) % 2,
+            sum(j >= s for j in both), sum(exps[j] for j in both) - s * (s - 1),
+            (s * (s - 1) // 2 + sum(cols)) % 2,
+        ))
+    return masks, tuple(pairing)
+
+
 def _block_sums(N: int, s: int) -> list[tuple[int, int, list[int], list[int]]]:
     """(e, sign, Z, W) per s-subset S of the 2s columns, in combinations order.
 
@@ -145,67 +179,76 @@ def _block_sums(N: int, s: int) -> list[tuple[int, int, list[int], list[int]]]:
     X_h = h! [t^h] det[D^(s-k) L_(a_j)(-t)], k = 1..s, a_j the column exponents:
     entries are the integer sequences n -> C(a_j, n + s - k), multiplied by
     binomial convolution truncated at n = s, and the minors over every k-subset
-    of columns are built row by row, by Laplace expansion along the last row.
+    of columns, keyed by column bitmask, are built row by row, by Laplace
+    expansion along the last row.
     """
     if s > EXACT_S_CAP:
         raise CapabilityError(f"exact mode supports s <= {EXACT_S_CAP}, got {s}")
-    binom = [[math.comb(n, m) for m in range(n + 1)] for n in range(s + 1)]
+    masks, pairing = _subset_layout(s)
     exps = list(range(s)) + [N + 2 * s - 1 - j for j in range(s)]
-    minors = {(): [1] + [0] * s}
+    # Minors that vanish identically (over a third of them at s = 8) are left out.
+    minors = {0: [1] + [0] * s}
     for k in range(1, s + 1):
-        entries = [[math.comb(a, n + s - k) for n in range(s + 1)] for a in exps]
+        # weights[j][parity]: (n, n - m, C(n, m) C(a_j, m + s - k)) over the nonzero
+        # entries of column j, and their negatives.
+        weights = []
+        for a in exps:
+            row = [(n, n - m, math.comb(n, m) * c) for m in range(s + 1)
+                   if (c := math.comb(a, m + s - k)) for n in range(m, s + 1)]
+            weights.append((row, [(n, d, -x) for n, d, x in row]))
         grown = {}
-        for cols in combinations(range(2 * s), k):
+        for cols, mask in zip(combinations(range(2 * s), k), masks[k]):
             total = [0] * (s + 1)
             for i, j in enumerate(cols):
-                minor = minors[cols[:i] + cols[i + 1:]]
-                for m, entry in enumerate(entries[j]):
-                    if entry:
-                        entry *= (-1) ** (k - 1 + i)
-                        for n in range(m, s + 1):
-                            total[n] += binom[n][m] * entry * minor[n - m]
-            grown[cols] = total
+                minor = minors.get(mask ^ 1 << j)
+                if minor:
+                    for n, d, x in weights[j][(k - 1 + i) % 2]:
+                        total[n] += x * minor[d]
+            if any(total):
+                grown[mask] = total
         minors = grown
+    # No s-subset's minor vanishes: its t^0 coefficient det[C(a_j, s - k)] is, up
+    # to sign, the Vandermonde determinant of the distinct a_j over 0! 1! .. (s-1)!.
     records = []
-    for cols, z in minors.items():
-        rest = [j for j in range(2 * s) if j not in cols]
-        # The w-rows have the z-rows' exponent of column (j + s) mod 2s at j, so the
-        # w-sum on `rest` is the z-sum on its shifted columns, whose sorting moves
-        # s - low columns past low ones: sign (-1)^(low (s - low)).
-        low = sum(j < s for j in rest)
-        shifted = tuple(j - s for j in rest[low:]) + tuple(j + s for j in rest[:low])
-        w = minors[shifted] if low * (s - low) % 2 == 0 else [-x for x in minors[shifted]]
-        e = sum(exps[j] for j in cols) + sum(exps[j] for j in shifted) - s * (s - 1)
-        # Laplace sign (-1)^(s(s-1)/2 + sum of 0-based columns), times (-1)^e
-        # from (-r)^e; (-r)^(-h1-h2) cancels the sign of (-s r)^|h2-h1|.
-        sign = (-1) ** (s * (s - 1) // 2 + sum(cols) + e)
-        records.append((e, sign, z, w))
+    for z_mask, w_mask, flip, highs, e, parity in pairing:
+        e += highs * N
+        w = minors[w_mask]
+        records.append((e, (-1) ** (parity + e), minors[z_mask], [-x for x in w] if flip else w))
     return records
 
 
-def _b_expansion(s: int, h1: int, h2: int, block_sums) -> dict[int, int]:
-    """b_(h1,h2)(N, r), 0 <= h1, h2 <= s, the derivatives of the block
-    determinant ratio at z = w = -r, as an exact polynomial in r = |z|:
-    power -> coefficient, from the records of `_block_sums(N, s)`.
+def _b_expansion(s: int, block_sums) -> dict[tuple[int, int], dict[int, int]]:
+    """b_(h1,h2)(N, r) for every 0 <= h1, h2 <= s, the derivatives of the block
+    determinant ratio at z = w = -r, as exact polynomials in r = |z|:
+    (h1, h2) -> {power: coefficient}, from the records of `_block_sums(N, s)`.
 
     Generalized Laplace expansion of the differentiated block matrix along its
     s z-rows.  Every entry of a row with derivative order o in a column with
     exponent a is perm(a, o) (-r)^(a - o), so the z-minor on a column subset S
     is (-r)^(sum_S a_j - sum_i o_i) det[perm(a_j, o_i)], and sum_i o_i =
     h1 + s(s-1)/2 whatever the partition.  The partition sums of the two
-    blocks therefore separate, subset by subset, into `_block_sums`.
+    blocks therefore separate, subset by subset, into `_block_sums`.  One pass
+    groups the records by e and sums sign Z_h1 W_h2 for every (h1, h2), which
+    lands on the power e - 2 min(h1, h2).
 
     Includes the (-s r)^|h2-h1| prefactor; all surviving powers are even, so
-    the result is secretly a polynomial in u = r^2.
+    each b_(h1,h2) is secretly a polynomial in u = r^2.
     """
-    scale = s ** abs(h2 - h1)
-    result: dict[int, int] = {}
+    groups: dict[int, tuple[list, list]] = {}
     for e, sign, z, w in block_sums:
-        term = z[h1] * w[h2]
-        if term:
-            power = e - 2 * min(h1, h2)
-            result[power] = result.get(power, 0) + sign * scale * term
-    return {e: c for e, c in result.items() if c}
+        zs, ws = groups.setdefault(e, ([], []))
+        zs.append(z if sign > 0 else [-x for x in z])
+        ws.append(w)
+    pairs = [(h1, h2, s ** abs(h2 - h1), 2 * min(h1, h2))
+             for h1 in range(s + 1) for h2 in range(s + 1)]
+    table: dict[tuple[int, int], dict[int, int]] = {(h1, h2): {} for h1, h2, _, _ in pairs}
+    for e, (zs, ws) in groups.items():
+        z_columns, w_columns = list(zip(*zs)), list(zip(*ws))
+        for h1, h2, scale, shift in pairs:
+            total = sum(map(operator.mul, z_columns[h1], w_columns[h2]))
+            if total:
+                table[h1, h2][e - shift] = scale * total
+    return table
 
 
 def _structure_pairs(s: int, h: int):
@@ -213,19 +256,16 @@ def _structure_pairs(s: int, h: int):
     return [(h1, h - h1, 1 if 2 * h1 == h else 2) for h1 in range(max(0, h - s), h // 2 + 1)]
 
 
-def _c_upoly(N: int, s: int, h: int, block_sums) -> list[int]:
-    """C_h(N, .) as an integer polynomial in u = r^2, from the records of `_block_sums(N, s)`."""
+def _c_upoly(N: int, s: int, h: int, b_table) -> list[int]:
+    """C_h(N, .) as an integer polynomial in u = r^2, from `_b_expansion`'s table."""
     acc: dict[int, int] = {}
     for h1, h2, mult in _structure_pairs(s, h):
-        b_poly = _b_expansion(s, h1, h2, block_sums)
-        for k, ac in enumerate(_structure_a_upoly(s, h1, h2)):
-            for e, bc in b_poly.items():
-                power = 2 * k + e
-                if power % 2:
-                    raise ArithmeticError(
-                        f"odd power of r survived in C_{h} (N={N}, s={s})"
-                    )
-                acc[power // 2] = acc.get(power // 2, 0) + mult * ac * bc
+        a_poly = [mult * ac for ac in _structure_a_upoly(s, h1, h2)]
+        for e, bc in b_table[h1, h2].items():
+            if e % 2:
+                raise ArithmeticError(f"odd power of r survived in C_{h} (N={N}, s={s})")
+            for k, ac in enumerate(a_poly, e // 2):
+                acc[k] = acc.get(k, 0) + ac * bc
     coeffs = [acc.get(k, 0) for k in range(max(acc, default=-1) + 1)]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -273,12 +313,12 @@ def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
         raise ValueError("u = |z|^2 must be non-negative")
     if not u < math.inf:
         raise ValueError(f"requires finite u, got u = {u}")
-    block_sums = _block_sums(N, s)
+    b_table = _b_expansion(s, _block_sums(N, s))
     # The moment is P(u) / (1-u)^k with P = sum_h C_h (1-u)^h, built by Horner in (1-u).
     k = s * s + 2 * s
     poly: list[int] = []
     for h in reversed(range(2 * s + 1)):
-        c_h = _c_upoly(N, s, h, block_sums)
+        c_h = _c_upoly(N, s, h, b_table)
         poly = [a - b for a, b in zip(poly + [0], [0] + poly)]
         poly += [0] * (len(c_h) - len(poly))
         for e, c in enumerate(c_h):
@@ -296,7 +336,7 @@ def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
     N, s = _size("N", N), _size("s", s)
     if not -math.inf < r < math.inf:
         raise ValueError(f"requires finite r, got r = {r}")
-    b00 = _b_expansion(s, 0, 0, _block_sums(N, s))
+    b00 = _b_expansion(s, _block_sums(N, s))[0, 0]
     terms = ((e // 2, c) for e, c in b00.items())
     return _over_one_minus_u(terms, s * s, Fraction(r) ** 2, isinstance(r, Rational))
 

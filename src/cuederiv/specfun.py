@@ -22,6 +22,9 @@ def hyp1f1(a: float, b: float, x: float) -> float:
     1F1(a,b;x) = e^x 1F1(b-a, b; -x) avoids an alternating sum.  A series
     whose sum overflows raises CapabilityError.
     """
+    for name, value in (("a", a), ("b", b), ("x", x)):
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"1F1 requires finite {name}, got {name} = {value}")
     if b <= 0 and float(b).is_integer():
         raise ValueError(f"1F1 undefined for non-positive integer b = {b}")
     if x < 0:
@@ -55,6 +58,8 @@ def exp_moment(k: int, c: float) -> float:
     """
     k = _size("k", k, minimum=0)
     c = float(c)
+    if not -math.inf < c < math.inf:
+        raise ValueError(f"requires finite c, got c = {c}")
     if c < 1.0:
         term = 1.0
         total = 1.0 / (k + 1)

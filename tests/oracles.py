@@ -17,6 +17,7 @@ import numpy as np
 
 from cuederiv.combinatorics import _partition_data
 from cuederiv.errors import CapabilityError
+from cuederiv.exact_moments import EXACT_S_CAP
 from cuederiv.linalg import det_exact
 from cuederiv.rmt_mc import COLLISION_TOLERANCE
 from cuederiv.specfun import hyp1f1
@@ -284,6 +285,51 @@ def partition_block_sum(h: int, s: int, exponents: tuple[int, ...]) -> Fraction:
         rows = [[math.perm(a, o) for a in exponents] for o in orders]
         total += Fraction(syt_count(lam), partition_factorial(lam, s)) * det_exact(rows)
     return total
+
+
+def laplace_block_sums(N: int, s: int) -> list[tuple[int, int, list[int], list[int]]]:
+    """(e, sign, Z, W) per s-subset of the 2s columns, in combinations order, by
+    the structure route's former minor table: every minor keyed by its column
+    tuple, the Laplace sign and three multiplies inside the convolution loop,
+    and the shifted complement of each subset found by list scans.
+
+    The reference for exact_moments._block_sums, which keys the minors by
+    column bitmask and must give the same records.
+    """
+    if s > EXACT_S_CAP:
+        raise CapabilityError(f"exact mode supports s <= {EXACT_S_CAP}, got {s}")
+    binom = [[math.comb(n, m) for m in range(n + 1)] for n in range(s + 1)]
+    exps = list(range(s)) + [N + 2 * s - 1 - j for j in range(s)]
+    minors = {(): [1] + [0] * s}
+    for k in range(1, s + 1):
+        entries = [[math.comb(a, n + s - k) for n in range(s + 1)] for a in exps]
+        grown = {}
+        for cols in combinations(range(2 * s), k):
+            total = [0] * (s + 1)
+            for i, j in enumerate(cols):
+                minor = minors[cols[:i] + cols[i + 1:]]
+                for m, entry in enumerate(entries[j]):
+                    if entry:
+                        entry *= (-1) ** (k - 1 + i)
+                        for n in range(m, s + 1):
+                            total[n] += binom[n][m] * entry * minor[n - m]
+            grown[cols] = total
+        minors = grown
+    records = []
+    for cols, z in minors.items():
+        rest = [j for j in range(2 * s) if j not in cols]
+        # The w-rows have the z-rows' exponent of column (j + s) mod 2s at j, so the
+        # w-sum on `rest` is the z-sum on its shifted columns, whose sorting moves
+        # s - low columns past low ones: sign (-1)^(low (s - low)).
+        low = sum(j < s for j in rest)
+        shifted = tuple(j - s for j in rest[low:]) + tuple(j + s for j in rest[:low])
+        w = minors[shifted] if low * (s - low) % 2 == 0 else [-x for x in minors[shifted]]
+        e = sum(exps[j] for j in cols) + sum(exps[j] for j in shifted) - s * (s - 1)
+        # Laplace sign (-1)^(s(s-1)/2 + sum of 0-based columns), times (-1)^e
+        # from (-r)^e; (-r)^(-h1-h2) cancels the sign of (-s r)^|h2-h1|.
+        sign = (-1) ** (s * (s - 1) // 2 + sum(cols) + e)
+        records.append((e, sign, z, w))
+    return records
 
 
 def laguerre(s: int, x):

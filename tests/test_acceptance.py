@@ -261,7 +261,7 @@ def test_criterion_10_cue_moment_identities():
 @pytest.mark.parametrize("s", (1, 2))
 @pytest.mark.parametrize("N", (5, 8))
 def test_criterion_11_appendix_expansion(s, N):
-    expansion = _b_expansion(s, 0, 0, _block_sums(N, s))
+    expansion = _b_expansion(s, _block_sums(N, s))[0, 0]
     rebuilt: dict[int, Fraction] = {}
     hi = (3 * s - 1) * s // 2
     for l in range(s + 1):

@@ -75,10 +75,20 @@ def test_public_names_are_pinned():
                  r"requires finite s, got s = inf", id="global_moment-s-inf"),
     pytest.param(lambda: cuederiv.micro_b(2, math.nan),
                  r"requires finite c, got c = nan", id="micro_b-c-nan"),
+    pytest.param(lambda: cuederiv.exp_moment(2, math.nan),
+                 r"requires finite c, got c = nan", id="exp_moment-c-nan"),
+    pytest.param(lambda: cuederiv.exp_moment(2, math.inf),
+                 r"requires finite c, got c = inf", id="exp_moment-c-inf"),
+    pytest.param(lambda: cuederiv.hyp1f1(math.nan, 2.0, 1.0),
+                 r"1F1 requires finite a, got a = nan", id="hyp1f1-a-nan"),
+    pytest.param(lambda: cuederiv.hyp1f1(1.0, math.inf, 1.0),
+                 r"1F1 requires finite b, got b = inf", id="hyp1f1-b-inf"),
+    pytest.param(lambda: cuederiv.hyp1f1(1.0, 2.0, math.nan),
+                 r"1F1 requires finite x, got x = nan", id="hyp1f1-x-nan"),
 ])
 def test_non_finite_input_is_refused_by_name(call, message):
-    # each was an OverflowError, a conversion error or a capability error
-    # that did not name the parameter
+    # each was an OverflowError, a conversion error, a capability error or a
+    # series that ran to its term limit, none naming the parameter
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -181,13 +191,17 @@ def test_whole_number_size_gives_the_int_result(func, kwargs, name, value):
     "fractional": lambda good, _: good + 0.5,
     "below-minimum": lambda _, minimum: minimum - 1,
     "nan": lambda good, _: math.nan,
+    "true": lambda *_: True,
+    "false": lambda *_: False,
+    "numpy-true": lambda *_: np.True_,
 }))
 def test_bad_size_is_refused_by_name(func, kwargs, name, value):
     with pytest.raises(ValueError, match=rf"\b{name} = {re.escape(str(value))}$"):
         func(**{**kwargs, name: value})
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, "2", 2 + 0j, None, Fraction(3, 2)])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, "2", 2 + 0j, None, Fraction(3, 2),
+                                   True, np.True_])
 def test_size_refuses_what_is_not_a_whole_number(value):
     with pytest.raises(ValueError, match=r"requires a whole number n >= 1, got n = "):
         _size("n", value)

@@ -217,13 +217,15 @@ class TestRegimeJoins:
         polynomial = cue_limit(s, "microscopic", c=c)
         assert abs(polynomial * c ** (s * s) - 1) <= 1e-11
 
-    # b_s(0) exactly, s = 1..5.
+    # b_s(0) exactly, s = 1..6, from the partition sum on the L // (p + q + 1) table
+    # of test_microscopic_meets_the_circle.
     B_AT_ZERO = {
         1: Fraction(1, 3),
         2: Fraction(61, 10080),
         3: Fraction(277, 139708800),
         4: Fraction(2275447, 474528874659840000),
         5: Fraction(3700752773, 79536089898707963609088000000),
+        6: Fraction(3654712923689, 3189557386805513023425155249995776000000000),
     }
 
     def test_microscopic_meets_the_circle(self):
@@ -239,7 +241,7 @@ class TestRegimeJoins:
             assert _partition_det_sum(s, table) / L**s == exact
             assert abs(micro_b(s, 0.0) / exact - 1) <= 1e-13
 
-    @pytest.mark.parametrize("s", (1, 2, 3, 4, 5))
+    @pytest.mark.parametrize("s", (1, 2, 3, 4, 5, 6))
     def test_circle_moment_in_N_leads_with_b_s(self, s):
         # E|Lambda_N'(1)|^(2s) from the structure route, which shares no code with
         # the partition sum, is a polynomial in N of degree d = s^2 + 2s with

@@ -26,6 +26,7 @@ from cuederiv.specfun import exp_moment, hyp1f1
 from oracles import (
     appendix_d00,
     block_exponent,
+    laplace_block_sums,
     partition_block_sum,
     partition_det_sum_float,
     structure_a,
@@ -379,12 +380,17 @@ class TestStructureB:
     @pytest.mark.parametrize("N", (1, 5, 10))
     def test_expansion_matches_numeric_evaluation(self, N, s):
         r = Fraction(1, 3)
-        block_sums = _block_sums(N, s)
+        b_table = _b_expansion(s, _block_sums(N, s))
         for h1 in range(s + 1):
             for h2 in range(s + 1):
-                poly = _b_expansion(s, h1, h2, block_sums)
+                poly = b_table[h1, h2]
                 value = sum(c * r**e for e, c in poly.items())
                 assert value == structure_b(N, s, h1, h2, r), (h1, h2)
+
+    @pytest.mark.parametrize("s", (1, 2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("N", (1, 10, 1000))
+    def test_block_sums_equal_the_laplace_table(self, N, s):
+        assert _block_sums(N, s) == laplace_block_sums(N, s)
 
     @pytest.mark.parametrize("s", (1, 2, 3, 4, 5))
     @pytest.mark.parametrize("N", (1, 3, 10, 1000))
@@ -403,13 +409,13 @@ class TestStructureB:
 
 class TestStructureC:
     def test_empty_above_2s(self):
-        assert _c_upoly(3, 1, 3, _block_sums(3, 1)) == []
-        assert _c_upoly(3, 2, 5, _block_sums(3, 2)) == []
+        assert _c_upoly(3, 1, 3, _b_expansion(1, _block_sums(3, 1))) == []
+        assert _c_upoly(3, 2, 5, _b_expansion(2, _block_sums(3, 2))) == []
 
     def test_polynomial_degree_in_u(self):
         for N, s in [(2, 1), (4, 1), (3, 2)]:
             for h in range(2 * s + 1):
-                poly = _c_upoly(N, s, h, _block_sums(N, s))
+                poly = _c_upoly(N, s, h, _b_expansion(s, _block_sums(N, s)))
                 assert len(poly) - 1 == N * s + s * s + s - h, (N, s, h)
 
     def test_c0_limit_is_hypergeometric_coefficient(self):
@@ -419,23 +425,24 @@ class TestStructureC:
             * math.exp(-(s * r) ** 2)
             * hyp1f1(s + 1, 1, (s * r) ** 2)
         )
-        value = float(evaluate(_c_upoly(200, s, 0, _block_sums(200, s)), Fraction(1, 4)))
+        b_table = _b_expansion(s, _block_sums(200, s))
+        value = float(evaluate(_c_upoly(200, s, 0, b_table), Fraction(1, 4)))
         assert abs(value - limit) < 1e-4 * abs(limit)
 
     def test_higher_c_vanish_in_the_limit(self):
         s = 2
-        block_sums = _block_sums(200, s)
+        b_table = _b_expansion(s, _block_sums(200, s))
         for h in (1, 2, 3, 4):
-            assert abs(evaluate(_c_upoly(200, s, h, block_sums), Fraction(1, 4))) < 1e-4
+            assert abs(evaluate(_c_upoly(200, s, h, b_table), Fraction(1, 4))) < 1e-4
 
 
 GRID_POINTS = [Fraction(0), Fraction(1, 16), Fraction(1, 4), Fraction(9, 16), Fraction(4)]
 
 # (s, N): the grid for s <= 2, then N in {1, 2, 3, 10} up to the exact cap
 # s = 8.  Every moment_structure call builds its own block sums, and at N = 10
-# one point takes about 1.4 s at s = 7 and 6 s at s = 8, so s >= 3 runs at
+# one point takes about 0.1 s at s = 7 and 0.6 s at s = 8, so s >= 3 runs at
 # u = 1/2 and 1/3 and s >= 7 at u = 1/2 only.  Budget: the whole test within
-# 25 s on a 2-core machine.
+# 25 s on a 2-core machine; it takes about 2.3 s.
 ROUTE_CASES = (
     [(s, N) for s in (1, 2) for N in (1, 2, 3, 4, 5, 6, 10)]
     + [(s, N) for s in range(3, 7) for N in (1, 2, 3, 10)]
