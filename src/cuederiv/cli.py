@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -115,9 +116,13 @@ def _integer_s(args) -> int:
 
 
 def _jsonable(value):
-    """JSON form of a value: Fraction as num/den/approx, complex as re/im, lists by item."""
+    """JSON form of a value: Fraction as num/den/approx, complex as re/im, lists by item.
+
+    num and den go through Decimal, which prints every digit; str() of an int
+    stops at sys.get_int_max_str_digits() (4,300 by default).
+    """
     if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator),
+        return {"num": str(Decimal(value.numerator)), "den": str(Decimal(value.denominator)),
                 "approx": float(value)}
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}

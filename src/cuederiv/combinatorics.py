@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import factorial, lcm, prod
+from operator import mul
 
 from .linalg import det_exact, det_float
 
@@ -43,22 +44,20 @@ def _partition_det_sum(s: int, table):
     """Sum over partitions lambda and mu of s of f_lambda f_mu / ([lambda]! [mu]!)
     det table[p][q], p and q the derivative orders of lambda and mu.
 
-    `table` is 2s x 2s.  An integer table gives a Fraction: integer Bareiss
-    determinants weighted over one denominator.  A float table gives a float:
-    one det_float call over the table's minors, its weighted terms added in
-    order, lambda outer.  The weights sum to at most 1, so the sum is finite
-    where its determinants are.
+    `table` is 2s x 2s.  An integer table gives a Fraction: the integer
+    determinants of one det_exact call, weighted over one denominator.  A
+    float table gives a float: one det_float call over the table's minors, its
+    weighted terms added in order, lambda outer.  The weights sum to at most 1,
+    so the sum is finite where its determinants are.
     """
     data = _partition_data(s)
+    orders = [p for _, _, p in data]
     if isinstance(table[0][0], int):
         common = lcm(*(fact for _, fact, _ in data))
-        total = sum(
-            f_lam * (common // fact_lam) * f_mu * (common // fact_mu)
-            * det_exact([[table[i][j] for j in q] for i in p])
-            for f_lam, fact_lam, p in data for f_mu, fact_mu, q in data
-        )
+        weights = [f * (common // fact) for f, fact, _ in data]
+        total = sum(w_lam * sum(map(mul, weights, dets))
+                    for w_lam, dets in zip(weights, det_exact(table, orders, orders)))
         return Fraction(total, common * common)
-    orders = [p for _, _, p in data]
     total = 0.0
     for (f_lam, fact_lam, _), dets in zip(data, det_float(table, orders, orders).tolist()):
         for (f_mu, fact_mu, _), det in zip(data, dets):

@@ -1,4 +1,5 @@
-"""Small dense determinants: integer Bareiss, and row-scaled float minors of a table."""
+"""Determinants of many minors of one table: shared integer Bareiss steps, and
+row-scaled float minors."""
 
 from __future__ import annotations
 
@@ -9,12 +10,10 @@ import numpy as np
 from .errors import CapabilityError
 
 
-def det_exact(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
+def _bareiss(rows) -> int:
+    """Determinant of one square integer matrix by Bareiss elimination with row swaps."""
     m = [list(row) for row in rows]
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
     if n == 0:
         return 1
     sign = 1
@@ -35,6 +34,77 @@ def det_exact(rows) -> int:
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def _prefix_tree(entries, depth):
+    """(indices, children, leaves) of the ascending index tuples in `entries`,
+    which share their first `depth` entries: every index at or past `depth`,
+    {next index: subtree}, and the (sign, position) of each tuple.
+
+    `entries` holds sorted (ascending tuple, sign, position) triples.
+    """
+    indices = sorted({t[k] for t, _, _ in entries for k in range(depth, len(t))})
+    groups = {}
+    if depth < len(entries[0][0]):
+        for entry in entries:
+            groups.setdefault(entry[0][depth], []).append(entry)
+    children = {r: _prefix_tree(group, depth + 1) for r, group in groups.items()}
+    return indices, children, [(sign, pos) for _, sign, pos in entries]
+
+
+def det_exact(table, rows, cols) -> list[list[int]]:
+    """Determinants of the minors table[rows[i]][:, cols[j]] of one integer
+    table, as a len(rows) x len(cols) list of lists of ints.
+
+    One fraction-free (Bareiss) elimination serves every minor.  After k steps
+    it holds the bordered minors det table[P + (x,)][:, Q + (y,)] of the first
+    k rows P and columns Q, so with each index tuple taken in ascending order
+    (and the sign of its sorting permutation), minors whose tuples share a
+    prefix share those steps.  With the pivot p = M[r][c] and the previous
+    pivot d, step k + 1 is M'[x][y] = (p M[x][y] - M[x][c] M[r][y]) // d,
+    exact by Sylvester's identity.  Below a zero pivot each minor takes its
+    own Bareiss elimination with row swaps.
+    """
+    rows, cols = [tuple(r) for r in rows], [tuple(c) for c in cols]
+    n = len((rows + cols or [()])[0])
+    if any(len(t) != n for t in rows + cols):
+        raise ValueError("minors must be square: every index tuple needs the same length")
+    if n == 0 or not rows or not cols:
+        return [[1] * len(cols) for _ in rows]
+    out = [[0] * len(cols) for _ in rows]
+
+    def tree(tuples):
+        entries = []
+        for pos, t in enumerate(tuples):
+            inversions = sum(a > b for k, a in enumerate(t) for b in t[k + 1:])
+            entries.append((tuple(sorted(t)), -1 if inversions % 2 else 1, pos))
+        return _prefix_tree(sorted(entries), 0)
+
+    def descend(m, d, row_node, col_node, depth):
+        for r, row_child in row_node[1].items():
+            rest_rows, _, row_leaves = row_child
+            mr = m[r]
+            for c, col_child in col_node[1].items():
+                rest_cols, _, col_leaves = col_child
+                pivot = mr[c]
+                if depth + 1 == n:
+                    for si, i in row_leaves:
+                        for sj, j in col_leaves:
+                            out[i][j] = si * sj * pivot
+                elif pivot == 0:
+                    for _, i in row_leaves:
+                        for _, j in col_leaves:
+                            out[i][j] = _bareiss([[table[x][y] for y in cols[j]] for x in rows[i]])
+                else:
+                    nxt = {}
+                    for x in rest_rows:
+                        mx = m[x]
+                        mxc = mx[c]
+                        nxt[x] = {y: (pivot * mx[y] - mxc * mr[y]) // d for y in rest_cols}
+                    descend(nxt, pivot, row_child, col_child, depth + 1)
+
+    descend(table, 1, tree(rows), tree(cols), 0)
+    return out
 
 
 def det_float(table, rows, cols) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 from cuederiv.combinatorics import _partition_data
 from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import EXACT_S_CAP
-from cuederiv.linalg import det_exact
 from cuederiv.rmt_mc import COLLISION_TOLERANCE
 from cuederiv.specfun import hyp1f1
 from cuederiv.zeta import _INNER_SUM_EPS, divisor_table
@@ -283,7 +282,7 @@ def partition_block_sum(h: int, s: int, exponents: tuple[int, ...]) -> Fraction:
         padded = lam + (0,) * (s - len(lam))
         orders = [padded[i] + s - (i + 1) for i in range(s)]
         rows = [[math.perm(a, o) for a in exponents] for o in orders]
-        total += Fraction(syt_count(lam), partition_factorial(lam, s)) * det_exact(rows)
+        total += Fraction(syt_count(lam), partition_factorial(lam, s)) * bareiss_det(rows)
     return total
 
 
@@ -385,6 +384,51 @@ def fraction_det(rows) -> Fraction:
             for j in range(k + 1, n):
                 m[i][j] -= factor * m[k][j]
     return det
+
+
+def bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    The single-matrix elimination that linalg.det_exact shares across minors;
+    the reference every exact determinant is compared against.
+    """
+    m = [list(row) for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def partition_det_sum_exact(s: int, table) -> Fraction:
+    """The exact partition-determinant sum with every minor taken on its own
+    (bareiss_det), its weighted terms summed over one denominator."""
+    data = _partition_data(s)
+    common = math.lcm(*(fact for _, fact, _ in data))
+    total = sum(
+        f_lam * (common // fact_lam) * f_mu * (common // fact_mu)
+        * bareiss_det([[table[i][j] for j in q] for i in p])
+        for f_lam, fact_lam, p in data for f_mu, fact_mu, q in data
+    )
+    return Fraction(total, common * common)
 
 
 def stacked_det_float(stack) -> np.ndarray:

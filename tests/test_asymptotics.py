@@ -232,14 +232,16 @@ class TestRegimeJoins:
         # The Conrey-Rubinstein-Snaith constants b_1 and b_2.
         assert abs(micro_b(1, 0.0) - 1 / 3) <= 1e-14
         assert abs(micro_b(2, 0.0) - 61 / 10080) <= 1e-14
-        # b_3..b_5 exactly: at c = 0, m_k = 1/(k+1) = (L/(k+1))/L with L = lcm(1..4s-1),
+        # b_3..b_6 exactly: at c = 0, m_k = 1/(k+1) = (L/(k+1))/L with L = lcm(1..4s-1),
         # so the partition sum runs on an integer table and each s x s minor carries L^-s.
-        for s in (3, 4, 5):
+        # The float micro_b is 5.2e-12 off at s = 6, so it is checked to s = 5.
+        for s in (3, 4, 5, 6):
             exact = self.B_AT_ZERO[s]
             L = math.lcm(*range(1, 4 * s))
             table = [[L // (p + q + 1) for q in range(2 * s)] for p in range(2 * s)]
             assert _partition_det_sum(s, table) / L**s == exact
-            assert abs(micro_b(s, 0.0) / exact - 1) <= 1e-13
+            if s <= 5:
+                assert abs(micro_b(s, 0.0) / exact - 1) <= 1e-13
 
     @pytest.mark.parametrize("s", (1, 2, 3, 4, 5, 6))
     def test_circle_moment_in_N_leads_with_b_s(self, s):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from cuederiv import cli, cue_limit, rmt_mc
 from cuederiv.cli import main
-from cuederiv.exact_moments import cue_moment_radial, moment_structure
+from cuederiv.exact_moments import cue_moment_radial, moment_exact, moment_structure
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +45,19 @@ class TestExactCommand:
             "partition-determinant",
             "structure-expansion",
         }
+
+    @pytest.mark.parametrize("route", ["determinant", "structure"])
+    def test_result_past_the_int_digit_limit(self, capsys, route):
+        # 4,826 and 4,776 digits: str() of either int stops at 4,300 by default.
+        code, out, err = run_cli(
+            capsys, "exact", "--N", "400", "--s", "4", "--u", "0.999", "--route", route,
+        )
+        assert (code, err) == (0, "")
+        (row,) = parse_report(out)["results"]
+        num, den = row["value"]["num"], row["value"]["den"]
+        assert (len(num), len(den)) == (4826, 4776)
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == moment_exact(
+            400, 4, Fraction(999, 1000))
 
     def test_r_input(self, capsys):
         code, out, _ = run_cli(

@@ -1,11 +1,11 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from cuederiv import combinatorics
+from cuederiv import combinatorics, linalg
 from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import (
     _b_expansion,
@@ -25,9 +25,11 @@ from cuederiv.linalg import det_exact, det_float
 from cuederiv.specfun import exp_moment, hyp1f1
 from oracles import (
     appendix_d00,
+    bareiss_det,
     block_exponent,
     laplace_block_sums,
     partition_block_sum,
+    partition_det_sum_exact,
     partition_det_sum_float,
     structure_a,
     structure_b,
@@ -85,32 +87,98 @@ def one_minor(rows):
     return det_float(rows, [range(n)], [range(n)])[0, 0]
 
 
+def one_exact_minor(rows):
+    """det_exact of an integer matrix taken as the single minor of itself."""
+    return det_exact(rows, [range(len(rows))], [range(len(rows[0]) if rows else 0)])[0][0]
+
+
+def assert_exact_minors(table, rows, cols):
+    """det_exact's minors of `table` equal the oracle's, each taken on its own."""
+    dets = det_exact(table, rows, cols)
+    assert dets == [[bareiss_det([[table[x][y] for y in c] for x in r]) for c in cols]
+                    for r in rows], (table, rows, cols)
+
+
 class TestDeterminants:
     def test_exact_matches_float(self):
         # [[1/3, 2], [-5/7, 1/2]], its rows scaled to integers by 3 and 14
-        exact = Fraction(det_exact([[1, 6], [-10, 7]]), 3 * 14)
+        exact = Fraction(one_exact_minor([[1, 6], [-10, 7]]), 3 * 14)
         approx = one_minor([[1 / 3, 2.0], [-5 / 7, 0.5]])
         assert exact == Fraction(1, 6) + Fraction(10, 7)
         assert abs(float(exact) - approx) < 1e-14
 
     def test_singular(self):
-        assert det_exact([[1, 2], [2, 4]]) == 0
+        assert one_exact_minor([[1, 2], [2, 4]]) == 0
         assert one_minor([[0.0, 0.0], [1.0, 2.0]]) == 0.0
 
     def test_pivoting(self):
         rows = [[0, 1, 2], [1, 0, 1], [2, 3, 0]]
-        assert det_exact(rows) == 0 * (0 - 3) - 1 * (0 - 2) + 2 * (3 - 0)
+        assert one_exact_minor(rows) == 0 * (0 - 3) - 1 * (0 - 2) + 2 * (3 - 0)
 
     def test_exact_is_integer_bareiss(self):
-        assert det_exact([]) == 1
-        assert det_exact([[0, 1], [1, 0]]) == -1
-        assert det_exact([[0, 0, 1], [0, 2, 3], [4, 5, 6]]) == -8
-        assert det_exact([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+        assert one_exact_minor([]) == 1
+        assert one_exact_minor([[0, 1], [1, 0]]) == -1
+        assert one_exact_minor([[0, 0, 1], [0, 2, 3], [4, 5, 6]]) == -8
+        assert one_exact_minor([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
         big = 10**40
-        assert det_exact([[big, 1], [1, big]]) == big * big - 1
-        assert type(det_exact([[2, 1], [1, 2]])) is int
+        assert one_exact_minor([[big, 1], [1, big]]) == big * big - 1
+        assert type(one_exact_minor([[2, 1], [1, 2]])) is int
         with pytest.raises(ValueError):
-            det_exact([[1, 2]])
+            one_exact_minor([[1, 2]])
+
+    def test_exact_minors_of_small_random_tables(self):
+        # Entries in -2..2 make zero pivots and singular minors common; the
+        # index tuples are unsorted, and some repeat an index.
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            size = int(rng.integers(1, 9))
+            n = int(rng.integers(1, size + 1))
+            table = rng.integers(-2, 3, (size, size)).tolist()
+            rows = [rng.permutation(size)[:n].tolist() for _ in range(int(rng.integers(1, 7)))]
+            cols = [rng.permutation(size)[:n].tolist() for _ in range(int(rng.integers(1, 7)))]
+            rows.append(rng.integers(0, size, n).tolist())
+            assert_exact_minors(table, rows, cols)
+
+    def test_exact_minors_with_zero_and_repeated_rows(self):
+        rng = np.random.default_rng(30)
+        table = rng.integers(-9, 10, (7, 7)).tolist()
+        table[2] = [0] * 7
+        table[5] = list(table[1])
+        subsets = [list(c) for c in combinations(range(7), 4)]
+        assert_exact_minors(table, subsets, subsets[::-1])
+        assert_exact_minors(table, [[1, 5, 0], [3, 3, 4], [2, 0, 6]], [[0, 1, 2], [6, 4, 2]])
+
+    def test_exact_minors_of_upper_triangular_tables(self):
+        # The shape of moment_exact's table at u = 0: each entry below the
+        # diagonal is zero, so a sorted minor starts with a zero pivot.
+        rng = np.random.default_rng(31)
+        table = np.triu(rng.integers(-3, 4, (8, 8))).tolist()
+        for n in (1, 3, 5, 8):
+            subsets = [list(c) for c in combinations(range(8), n)]
+            assert_exact_minors(table, subsets, subsets)
+
+    def test_exact_minor_signs_under_permutation(self):
+        # Every ordering of the same rows and columns: the sign of its sorting.
+        rng = np.random.default_rng(32)
+        table = rng.integers(-50, 51, (6, 6)).tolist()
+        orderings = [list(p) for p in permutations([0, 2, 3, 5])]
+        assert_exact_minors(table, orderings, orderings)
+
+    def test_exact_empty_minors(self):
+        table = [[1, 2], [3, 4]]
+        assert det_exact(table, [(), ()], [(), (), ()]) == [[1, 1, 1], [1, 1, 1]]
+        assert det_exact(table, [], [(0,)]) == []
+        assert det_exact(table, [(1,)], []) == [[]]
+        assert det_exact([], [()], [()]) == [[1]]
+        with pytest.raises(ValueError):
+            det_exact(table, [(0,)], [(0, 1)])
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_exact_minors_over_the_partition_orders(self, s):
+        rng = np.random.default_rng(33 + s)
+        orders = [p for _, _, p in combinatorics._partition_data(s)]
+        assert_exact_minors(rng.integers(-2, 3, (2 * s, 2 * s)).tolist(), orders, orders)
+        assert_exact_minors(exact_moment_table(10, s, Fraction(1, 2)), orders, orders)
 
     def test_float_stack_shapes(self):
         # (len(rows), len(cols)) minors of size len(rows[0]) = len(cols[0])
@@ -151,6 +219,14 @@ def exponential_moment_table(s, c):
     """micro_b's 2s x 2s table m_(p+q)(c)."""
     moments = [exp_moment(k, c) for k in range(4 * s - 1)]
     return [[moments[p + q] for q in range(2 * s)] for p in range(2 * s)]
+
+
+def exact_moment_table(N, s, u):
+    """moment_exact's integer 2s x 2s table at rational u = a/b (row p scaled by
+    b^(N+s-1+p))."""
+    a, b = u.numerator, u.denominator
+    kd = _k_derivatives_exact(N, s, a, b, 4 * s - 2)
+    return [[_entry_from_kd(p, q, a, b, kd) for q in range(2 * s)] for p in range(2 * s)]
 
 
 def float_moment_table(N, s, u):
@@ -307,6 +383,28 @@ class TestMomentExact:
         # A determinant of the s = 12 sum leaves double precision.
         with pytest.raises(CapabilityError, match="overflow"):
             moment_exact(200, 12, 0.998001)
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_zero_pivots_equal_per_minor_sum_and_structure(self, s, monkeypatch):
+        # At N <= 3 the kernel's degree N + s - 1 is below the table's highest
+        # derivative order, and at u = 0 the table is upper triangular, so
+        # shared eliminations meet zero pivots and hand minors to _bareiss.
+        fallbacks = []
+
+        def counting(rows):
+            fallbacks.append(len(rows))
+            return bareiss(rows)
+
+        bareiss = linalg._bareiss
+        monkeypatch.setattr(linalg, "_bareiss", counting)
+        for N in (1, 2, 3):
+            for u in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)):
+                table = exact_moment_table(N, s, u)
+                scale = u.denominator ** (s * (N + s - 1) + s * (s + 1) // 2)
+                value = moment_exact(N, s, u)
+                assert value == partition_det_sum_exact(s, table) / scale, (N, u)
+                assert value == moment_structure(N, s, u), (N, u)
+        assert (len(fallbacks) > 0) == (s > 1)
 
     def test_large_denominator_equals_structure_route(self):
         # u = Fraction(0.99) has denominator 2^52: every determinant entry
