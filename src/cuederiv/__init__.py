@@ -5,7 +5,7 @@ closed-form asymptotics, Monte Carlo over Haar unitaries) plus the
 number-theory side series they are conjectured to match.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .errors import CapabilityError
 from .exact_moments import (

@@ -33,6 +33,7 @@ from .asymptotics import (
 )
 from .errors import CapabilityError
 from .exact_moments import (
+    FLOAT_S_CAP,
     cue_moment_integer,
     cue_moment_ks,
     cue_moment_radial,
@@ -255,7 +256,14 @@ def _run_exact(args):
     for route, name in (("determinant", "exact"), ("structure", "structure")):
         if args.route in (route, "both"):
             provenance, evaluate = _ROUTES[name]
-            rows.append(_result("moment", evaluate(args, u)[0], provenance))
+            try:
+                rows.append(_result("moment", evaluate(args, u)[0], provenance))
+            except CapabilityError as exc:
+                # both routes reach the structure route's cap only in float mode, s = 9..12
+                if args.route == "both":
+                    raise CapabilityError(f"{exc}; --route determinant reaches "
+                                          f"s <= {FLOAT_S_CAP} in float mode") from None
+                raise
     return rows
 
 

@@ -12,6 +12,8 @@ from itertools import combinations
 from math import factorial, lcm, prod
 from operator import mul
 
+import numpy as np
+
 from .linalg import det_exact, det_float
 
 
@@ -40,6 +42,17 @@ def _partition_data(s: int) -> tuple:
     return tuple(data)
 
 
+@cache
+def _float_weights(s: int) -> np.ndarray:
+    """The read-only p(s) x p(s) float array f_lambda f_mu / ([lambda]! [mu]!),
+    each entry the correctly rounded int quotient; built once per s."""
+    data = _partition_data(s)
+    weights = np.array([[f_lam * f_mu / (fact_lam * fact_mu) for f_mu, fact_mu, _ in data]
+                        for f_lam, fact_lam, _ in data])
+    weights.flags.writeable = False
+    return weights
+
+
 def _partition_det_sum(s: int, table):
     """Sum over partitions lambda and mu of s of f_lambda f_mu / ([lambda]! [mu]!)
     det table[p][q], p and q the derivative orders of lambda and mu.
@@ -47,8 +60,9 @@ def _partition_det_sum(s: int, table):
     `table` is 2s x 2s.  An integer table gives a Fraction: the integer
     determinants of one det_exact call, weighted over one denominator.  A
     float table gives a float: one det_float call over the table's minors, its
-    weighted terms added in order, lambda outer.  The weights sum to at most 1,
-    so the sum is finite where its determinants are.
+    weighted terms added one at a time from +0.0, lambda outer (a sequential
+    np.add.accumulate, not a pairwise sum).  The weights sum to at most 1, so
+    the sum is finite where its determinants are.
     """
     data = _partition_data(s)
     orders = [p for _, _, p in data]
@@ -58,8 +72,5 @@ def _partition_det_sum(s: int, table):
         total = sum(w_lam * sum(map(mul, weights, dets))
                     for w_lam, dets in zip(weights, det_exact(table, orders, orders)))
         return Fraction(total, common * common)
-    total = 0.0
-    for (f_lam, fact_lam, _), dets in zip(data, det_float(table, orders, orders).tolist()):
-        for (f_mu, fact_mu, _), det in zip(data, dets):
-            total += f_lam * f_mu / (fact_lam * fact_mu) * det
-    return total
+    terms = np.multiply(_float_weights(s), det_float(table, orders, orders)).ravel()
+    return np.add.accumulate(np.concatenate(([0.0], terms)))[-1].item()

@@ -71,13 +71,21 @@ def _k_derivatives_float(N: int, s: int, u: float, max_order: int) -> list[float
     return out
 
 
-def _entry_from_kd(p: int, q: int, a, b, kd):
+@lru_cache(maxsize=None)
+def _leibniz_terms(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(C(q, t) perm(p, t), p - t, t, p + q - t) for t = 0..min(p, q)."""
+    return tuple((math.comb(q, t) * math.perm(p, t), p - t, t, p + q - t)
+                 for t in range(min(p, q) + 1))
+
+
+def _entry_from_kd(p: int, q: int, a_pows, b_pows, kd):
     """Leibniz expansion of the q-th derivative of u^p K^(p)(u) at u = a/b, times
-    b^p: sum_t C(q, t) perm(p, t) a^(p-t) b^t K^(p+q-t).  Integer for integer a,
-    b and kd; b = 1 for a float u = a."""
+    b^p: sum_t C(q, t) perm(p, t) a^(p-t) b^t K^(p+q-t), with a_pows[e] = a**e
+    and b_pows[e] = b**e for e <= p.  Integer for integer a, b and kd; b = 1 for
+    a float u = a."""
     total = kd[0] * 0
-    for t in range(min(p, q) + 1):
-        total += math.comb(q, t) * math.perm(p, t) * a ** (p - t) * b**t * kd[p + q - t]
+    for coefficient, i, t, k in _leibniz_terms(p, q):
+        total += coefficient * a_pows[i] * b_pows[t] * kd[k]
     return total
 
 
@@ -103,7 +111,9 @@ def moment_exact(N: int, s: int, u: ExactNumber) -> ExactNumber:
         a, b = float(u), 1
         kd = _k_derivatives_float(N, s, a, 4 * s - 2)
 
-    table = [[_entry_from_kd(p, q, a, b, kd) for q in range(2 * s)] for p in range(2 * s)]
+    a_pows, b_pows = [a**e for e in range(2 * s)], [b**e for e in range(2 * s)]
+    table = [[_entry_from_kd(p, q, a_pows, b_pows, kd) for q in range(2 * s)]
+             for p in range(2 * s)]
     return _partition_det_sum(s, table) / b ** (s * (N + s - 1) + s * (s + 1) // 2)
 
 
@@ -183,7 +193,7 @@ def _block_sums(N: int, s: int) -> list[tuple[int, int, list[int], list[int]]]:
     expansion along the last row.
     """
     if s > EXACT_S_CAP:
-        raise CapabilityError(f"exact mode supports s <= {EXACT_S_CAP}, got {s}")
+        raise CapabilityError(f"the structure route supports s <= {EXACT_S_CAP}, got {s}")
     masks, pairing = _subset_layout(s)
     exps = list(range(s)) + [N + 2 * s - 1 - j for j in range(s)]
     # Minors that vanish identically (over a third of them at s = 8) are left out.
@@ -217,10 +227,11 @@ def _block_sums(N: int, s: int) -> list[tuple[int, int, list[int], list[int]]]:
     return records
 
 
-def _b_expansion(s: int, block_sums) -> dict[tuple[int, int], dict[int, int]]:
-    """b_(h1,h2)(N, r) for every 0 <= h1, h2 <= s, the derivatives of the block
-    determinant ratio at z = w = -r, as exact polynomials in r = |z|:
-    (h1, h2) -> {power: coefficient}, from the records of `_block_sums(N, s)`.
+def _b_expansion(s: int, block_sums, pairs=None) -> dict[tuple[int, int], dict[int, int]]:
+    """b_(h1,h2)(N, r) for each (h1, h2) in `pairs` (by default every 0 <= h1,
+    h2 <= s), the derivatives of the block determinant ratio at z = w = -r, as
+    exact polynomials in r = |z|: (h1, h2) -> {power: coefficient}, from the
+    records of `_block_sums(N, s)`.
 
     Generalized Laplace expansion of the differentiated block matrix along its
     s z-rows.  Every entry of a row with derivative order o in a column with
@@ -239,12 +250,13 @@ def _b_expansion(s: int, block_sums) -> dict[tuple[int, int], dict[int, int]]:
         zs, ws = groups.setdefault(e, ([], []))
         zs.append(z if sign > 0 else [-x for x in z])
         ws.append(w)
-    pairs = [(h1, h2, s ** abs(h2 - h1), 2 * min(h1, h2))
-             for h1 in range(s + 1) for h2 in range(s + 1)]
-    table: dict[tuple[int, int], dict[int, int]] = {(h1, h2): {} for h1, h2, _, _ in pairs}
+    if pairs is None:
+        pairs = [(h1, h2) for h1 in range(s + 1) for h2 in range(s + 1)]
+    table: dict[tuple[int, int], dict[int, int]] = {pair: {} for pair in pairs}
+    scaled = [(h1, h2, s ** abs(h2 - h1), 2 * min(h1, h2)) for h1, h2 in pairs]
     for e, (zs, ws) in groups.items():
         z_columns, w_columns = list(zip(*zs)), list(zip(*ws))
-        for h1, h2, scale, shift in pairs:
+        for h1, h2, scale, shift in scaled:
             total = sum(map(operator.mul, z_columns[h1], w_columns[h2]))
             if total:
                 table[h1, h2][e - shift] = scale * total
@@ -313,7 +325,8 @@ def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
         raise ValueError("u = |z|^2 must be non-negative")
     if not u < math.inf:
         raise ValueError(f"requires finite u, got u = {u}")
-    b_table = _b_expansion(s, _block_sums(N, s))
+    b_table = _b_expansion(s, _block_sums(N, s),
+                           [(h1, h2) for h2 in range(s + 1) for h1 in range(h2 + 1)])
     # The moment is P(u) / (1-u)^k with P = sum_h C_h (1-u)^h, built by Horner in (1-u).
     k = s * s + 2 * s
     poly: list[int] = []
@@ -336,7 +349,7 @@ def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
     N, s = _size("N", N), _size("s", s)
     if not -math.inf < r < math.inf:
         raise ValueError(f"requires finite r, got r = {r}")
-    b00 = _b_expansion(s, _block_sums(N, s))[0, 0]
+    b00 = _b_expansion(s, _block_sums(N, s), [(0, 0)])[0, 0]
     terms = ((e // 2, c) for e, c in b00.items())
     return _over_one_minus_u(terms, s * s, Fraction(r) ** 2, isinstance(r, Rational))
 

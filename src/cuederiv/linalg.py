@@ -112,20 +112,22 @@ def det_float(table, rows, cols) -> np.ndarray:
 
     Each minor row is divided by its largest magnitude before np.linalg.slogdet
     and the log scales are added back, row by row, with math.log and math.exp.
-    A minor row is a table row over a column set, so each maximum and its log
-    are taken once per (table row, column set).  Raises CapabilityError on a
-    non-finite entry or a determinant that leaves double precision.
+    A minor row is a table row over a column set, so each piece table[x, cols[j]]
+    is scaled, and its maximum's log taken, once; the minors are gathered from
+    the scaled pieces.  Raises CapabilityError on a non-finite entry or a
+    determinant that leaves double precision.
     """
     table = np.asarray(table, dtype=float)
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    row_max = np.abs(table)[:, cols].max(axis=2, initial=0.0)  # (table row, column set)
+    pieces = table[:, cols]  # (table row, column set, column)
+    row_max = np.abs(pieces).max(axis=2, initial=0.0)
     if not np.isfinite(row_max[rows]).all():
         raise CapabilityError("float overflow: non-finite determinant entry")
     row_max[row_max == 0.0] = 1.0  # a zero row stays zero: slogdet gives sign 0
     logs = np.reshape([math.log(mx) for mx in row_max.ravel().tolist()], row_max.shape)
-    stack = table[rows[:, None, :, None], cols[None, :, None, :]]
-    stack /= row_max[rows[:, None, :], np.arange(len(cols))[None, :, None]][..., None]
-    sign, log_abs = np.linalg.slogdet(stack)
+    with np.errstate(invalid="ignore"):  # inf / inf in a table row no minor reads
+        pieces /= row_max[..., None]
+    sign, log_abs = np.linalg.slogdet(pieces[rows[:, None, :], np.arange(len(cols))[None, :, None]])
     log_scale = np.zeros(sign.shape)
     for i in range(rows.shape[1]):
         log_scale += logs[rows[:, i]]  # each minor adds its row logs in row order

@@ -15,9 +15,9 @@ from numbers import Rational
 
 import numpy as np
 
-from cuederiv.combinatorics import _partition_data
-from cuederiv.errors import CapabilityError
-from cuederiv.exact_moments import EXACT_S_CAP
+from cuederiv.combinatorics import _partition_data, _partition_det_sum
+from cuederiv.errors import CapabilityError, _size
+from cuederiv.exact_moments import EXACT_S_CAP, FLOAT_S_CAP, _k_derivatives_exact, _k_derivatives_float
 from cuederiv.rmt_mc import COLLISION_TOLERANCE
 from cuederiv.specfun import hyp1f1
 from cuederiv.zeta import _INNER_SUM_EPS, divisor_table
@@ -475,6 +475,84 @@ def partition_det_sum_float(s: int, table) -> float:
     for ((f_lam, fact_lam, _), (f_mu, fact_mu, _)), det in zip(pairs, dets):
         total += f_lam * f_mu / (fact_lam * fact_mu) * det
     return total
+
+
+def leibniz_entry(p: int, q: int, a, b, kd):
+    """Leibniz expansion of the q-th derivative of u^p K^(p)(u) at u = a/b, times
+    b^p: sum_t C(q, t) perm(p, t) a^(p-t) b^t K^(p+q-t).  Integer for integer a,
+    b and kd; b = 1 for a float u = a.
+
+    exact_moments._entry_from_kd as it was before it read its coefficients and
+    powers from per-table lists: every term computed on its own.
+    """
+    total = kd[0] * 0
+    for t in range(min(p, q) + 1):
+        total += math.comb(q, t) * math.perm(p, t) * a ** (p - t) * b**t * kd[p + q - t]
+    return total
+
+
+def det_float_per_minor_row(table, rows, cols) -> np.ndarray:
+    """Determinants of the minors table[rows[i]][:, cols[j]], shape (len(rows), len(cols)).
+
+    linalg.det_float as it was before it scaled each (table row, column set)
+    once: the row maxima and their logs are taken once per (table row, column
+    set), but every gathered minor row is divided on its own.
+    """
+    table = np.asarray(table, dtype=float)
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    row_max = np.abs(table)[:, cols].max(axis=2, initial=0.0)  # (table row, column set)
+    if not np.isfinite(row_max[rows]).all():
+        raise CapabilityError("float overflow: non-finite determinant entry")
+    row_max[row_max == 0.0] = 1.0  # a zero row stays zero: slogdet gives sign 0
+    logs = np.reshape([math.log(mx) for mx in row_max.ravel().tolist()], row_max.shape)
+    stack = table[rows[:, None, :, None], cols[None, :, None, :]]
+    stack /= row_max[rows[:, None, :], np.arange(len(cols))[None, :, None]][..., None]
+    sign, log_abs = np.linalg.slogdet(stack)
+    log_scale = np.zeros(sign.shape)
+    for i in range(rows.shape[1]):
+        log_scale += logs[rows[:, i]]  # each minor adds its row logs in row order
+    try:
+        dets = [sg * math.exp(x) if sg else 0.0
+                for sg, x in zip(sign.ravel().tolist(), (log_abs + log_scale).ravel().tolist())]
+    except OverflowError:
+        raise CapabilityError("float overflow in a determinant") from None
+    return np.reshape(dets, sign.shape)
+
+
+def partition_det_sum_loop(s: int, table) -> float:
+    """The float partition-determinant sum as a Python loop: det_float_per_minor_row
+    over the table's minors, each weight an int quotient, its weighted terms
+    added in order, lambda outer."""
+    data = _partition_data(s)
+    orders = [p for _, _, p in data]
+    total = 0.0
+    for (f_lam, fact_lam, _), dets in zip(data, det_float_per_minor_row(table, orders, orders).tolist()):
+        for (f_mu, fact_mu, _), det in zip(data, dets):
+            total += f_lam * f_mu / (fact_lam * fact_mu) * det
+    return total
+
+
+def moment_exact_per_term(N: int, s: int, u):
+    """exact_moments.moment_exact from leibniz_entry and, for a float u,
+    partition_det_sum_loop.  A Rational u takes the library's exact partition
+    sum, which tests compare with partition_det_sum_exact on their own."""
+    N, s = _size("N", N), _size("s", s)
+    exact = isinstance(u, Rational)
+    mode, cap = ("exact", EXACT_S_CAP) if exact else ("float", FLOAT_S_CAP)
+    if s > cap:
+        raise CapabilityError(f"{mode} mode supports s <= {cap}, got {s}")
+    if not 0 <= u < math.inf:
+        raise ValueError(f"u = |z|^2 must be finite and non-negative, got u = {u}")
+    if exact:
+        a, b = u.numerator, u.denominator
+        kd = _k_derivatives_exact(N, s, a, b, 4 * s - 2)
+    else:
+        a, b = float(u), 1
+        kd = _k_derivatives_float(N, s, a, 4 * s - 2)
+
+    table = [[leibniz_entry(p, q, a, b, kd) for q in range(2 * s)] for p in range(2 * s)]
+    partition_sum = _partition_det_sum if exact else partition_det_sum_loop
+    return partition_sum(s, table) / b ** (s * (N + s - 1) + s * (s + 1) // 2)
 
 
 def block_exponent(N: int, s: int, row: int, col: int) -> int:

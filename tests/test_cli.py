@@ -91,9 +91,12 @@ class TestExactCommand:
 
     @pytest.mark.parametrize("argv, limit", [
         (("--s", "5", "--mode", "float"), None),
-        (("--s", "9", "--route", "structure"), "exact mode supports s <= 8"),
-        (("--s", "9", "--mode", "float", "--route", "structure"), "exact mode supports s <= 8"),
-    ], ids=["float-s5", "structure-s9", "float-structure-s9"])
+        (("--s", "9", "--route", "structure"), "the structure route supports s <= 8, got 9"),
+        (("--s", "9", "--mode", "float", "--route", "structure"),
+         "the structure route supports s <= 8, got 9"),
+        (("--s", "9", "--mode", "float"), "the structure route supports s <= 8, got 9; "
+                                          "--route determinant reaches s <= 12 in float mode"),
+    ], ids=["float-s5", "structure-s9", "float-structure-s9", "float-both-s9"])
     def test_structure_capability_limits(self, capsys, argv, limit):
         code, out, err = run_cli(capsys, "exact", "--N", "6", "--u", "1/2", *argv)
         if limit is None:

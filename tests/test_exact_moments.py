@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 from cuederiv import combinatorics, linalg
+from cuederiv.asymptotics import micro_b
 from cuederiv.errors import CapabilityError
 from cuederiv.exact_moments import (
+    EXACT_S_CAP,
     _b_expansion,
     _block_sums,
     _c_upoly,
@@ -28,9 +31,11 @@ from oracles import (
     bareiss_det,
     block_exponent,
     laplace_block_sums,
+    moment_exact_per_term,
     partition_block_sum,
     partition_det_sum_exact,
     partition_det_sum_float,
+    partition_det_sum_loop,
     structure_a,
     structure_b,
 )
@@ -62,7 +67,8 @@ def derivative_entry(p, q, N, s, u):
     moment_exact's integer entry over its row denominator b^(N+s-1+p)."""
     a, b = u.numerator, u.denominator
     kd = _k_derivatives_exact(N, s, a, b, p + q)
-    return Fraction(_entry_from_kd(p, q, a, b, kd), b ** (N + s - 1 + p))
+    a_pows, b_pows = [a**e for e in range(p + 1)], [b**e for e in range(p + 1)]
+    return Fraction(_entry_from_kd(p, q, a_pows, b_pows, kd), b ** (N + s - 1 + p))
 
 
 def one_matrix_det_float(rows):
@@ -205,6 +211,14 @@ class TestDeterminants:
         assert dets == [[one_matrix_det_float(table[np.ix_(r, c)]) for c in cols] for r in rows]
         assert dets[-2] == [0.0] * len(cols)
 
+    def test_float_non_finite_row_that_no_minor_reads(self):
+        table = [[math.inf, math.inf], [1.0, 2.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert det_float(table, [[1]], [[0], [1]]).tolist() == [[1.0, 2.0]]
+        with pytest.raises(CapabilityError, match="non-finite"):
+            det_float(table, [[0]], [[0]])
+
     def test_float_leaving_double_precision_is_capability_error(self):
         with pytest.raises(CapabilityError):
             one_minor([[1e200, 0.0], [0.0, 1e200]])
@@ -226,19 +240,23 @@ def exact_moment_table(N, s, u):
     b^(N+s-1+p))."""
     a, b = u.numerator, u.denominator
     kd = _k_derivatives_exact(N, s, a, b, 4 * s - 2)
-    return [[_entry_from_kd(p, q, a, b, kd) for q in range(2 * s)] for p in range(2 * s)]
+    a_pows, b_pows = [a**e for e in range(2 * s)], [b**e for e in range(2 * s)]
+    return [[_entry_from_kd(p, q, a_pows, b_pows, kd) for q in range(2 * s)] for p in range(2 * s)]
 
 
 def float_moment_table(N, s, u):
     """moment_exact's float 2s x 2s table at u."""
     kd = _k_derivatives_float(N, s, u, 4 * s - 2)
-    return [[_entry_from_kd(p, q, u, 1, kd) for q in range(2 * s)] for p in range(2 * s)]
+    u_pows = [u**e for e in range(2 * s)]
+    return [[_entry_from_kd(p, q, u_pows, [1] * (2 * s), kd) for q in range(2 * s)]
+            for p in range(2 * s)]
 
 
-def partition_sum_hex(partition_sum, s, table):
-    """float.hex of a partition-determinant sum, or its CapabilityError message."""
+def partition_sum_hex(partition_sum, *args):
+    """float.hex of a partition-determinant sum (or of moment_exact or micro_b,
+    which end in one), or its CapabilityError message."""
     try:
-        return partition_sum(s, table).hex()
+        return partition_sum(*args).hex()
     except CapabilityError as error:
         return f"CapabilityError: {error}"
 
@@ -271,6 +289,42 @@ class TestFloatPartitionSumBits:
             table[zero] = 0.0
             table[second] = table[first]
             self.assert_same_bits(s, table)
+
+
+class TestPerTermBits:
+    """Float moment_exact and micro_b build their Leibniz entries from cached
+    coefficients and per-table powers, scale each (table row, column set) once
+    and sum with cached weights; every result is bit for bit the per-term
+    oracle's (moment_exact_per_term, partition_det_sum_loop), and so is every
+    CapabilityError message."""
+
+    N_GRID = (1, 2, 3, 10, 200, 1000, 4000)
+    U_GRID = ("0", "0.25", "0.5", "0.9", "0.99", "0.998001", "1")
+
+    @pytest.mark.parametrize("N", N_GRID)
+    def test_float_moment_exact(self, N):
+        for s in range(1, 13):
+            for u in map(float, self.U_GRID):
+                assert (partition_sum_hex(moment_exact, N, s, u)
+                        == partition_sum_hex(moment_exact_per_term, N, s, u)), (N, s, u)
+
+    def test_grid_holds_a_zero_row(self):
+        assert not np.any(float_moment_table(3, 8, 0.5)[-1])
+
+    def test_micro_b(self):
+        # c = N(1 - u), the microscopic scaling, at u = 1/2 and u = 1; the other
+        # u would add 28 values of c and 3 s
+        for c in (0.0, 0.5, 1.0, 1.5, 5.0, 100.0, 500.0, 2000.0):
+            for s in range(1, 13):
+                assert (partition_sum_hex(micro_b, s, c)
+                        == partition_sum_hex(partition_det_sum_loop, s,
+                                             exponential_moment_table(s, c))), (s, c)
+
+    @pytest.mark.parametrize("N", N_GRID[:3])
+    def test_exact_moment_exact(self, N):
+        for s in range(1, EXACT_S_CAP + 1):
+            for u in map(Fraction, self.U_GRID):
+                assert moment_exact(N, s, u) == moment_exact_per_term(N, s, u), (N, s, u)
 
 
 class TestKPolynomial:
