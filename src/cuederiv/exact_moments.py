@@ -60,14 +60,16 @@ def _k_derivatives_float(N: int, s: int, u: float, max_order: int) -> list[float
     if u == 1.0:
         return [float(math.factorial(m)) * float(math.comb(terms, m + 1))
                 for m in range(max_order + 1)]
-    u_pows = np.power(u, np.arange(terms, dtype=float))
     # perm(j, m) over j = m..terms-1 gains the factor j - m per order; past the
-    # degree, j is empty and the sum is 0.
+    # degree, j is empty and the sum is 0.  An overflow gives inf (or nan, as
+    # inf * 0), which det_float refuses.
     poch = np.ones(terms)
     out = []
-    for _ in range(max_order + 1):
-        out.append(float(np.sum(poch * u_pows[: len(poch)])))
-        poch = poch[1:] * np.arange(1, len(poch), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_pows = np.power(u, np.arange(terms, dtype=float))
+        for _ in range(max_order + 1):
+            out.append(float(np.sum(poch * u_pows[: len(poch)])))
+            poch = poch[1:] * np.arange(1, len(poch), dtype=float)
     return out
 
 
@@ -227,11 +229,11 @@ def _block_sums(N: int, s: int) -> list[tuple[int, int, list[int], list[int]]]:
     return records
 
 
-def _b_expansion(s: int, block_sums, pairs=None) -> dict[tuple[int, int], dict[int, int]]:
-    """b_(h1,h2)(N, r) for each (h1, h2) in `pairs` (by default every 0 <= h1,
-    h2 <= s), the derivatives of the block determinant ratio at z = w = -r, as
-    exact polynomials in r = |z|: (h1, h2) -> {power: coefficient}, from the
-    records of `_block_sums(N, s)`.
+def _b_expansion(s: int, block_sums, pairs) -> dict[tuple[int, int], dict[int, int]]:
+    """b_(h1,h2)(N, r) for each (h1, h2) in `pairs` (0 <= h1, h2 <= s), the
+    derivatives of the block determinant ratio at z = w = -r, as exact
+    polynomials in r = |z|: (h1, h2) -> {power: coefficient}, from the records
+    of `_block_sums(N, s)`.
 
     Generalized Laplace expansion of the differentiated block matrix along its
     s z-rows.  Every entry of a row with derivative order o in a column with
@@ -250,8 +252,6 @@ def _b_expansion(s: int, block_sums, pairs=None) -> dict[tuple[int, int], dict[i
         zs, ws = groups.setdefault(e, ([], []))
         zs.append(z if sign > 0 else [-x for x in z])
         ws.append(w)
-    if pairs is None:
-        pairs = [(h1, h2) for h1 in range(s + 1) for h2 in range(s + 1)]
     table: dict[tuple[int, int], dict[int, int]] = {pair: {} for pair in pairs}
     scaled = [(h1, h2, s ** abs(h2 - h1), 2 * min(h1, h2)) for h1, h2 in pairs]
     for e, (zs, ws) in groups.items():

@@ -10,38 +10,12 @@ import numpy as np
 from .errors import CapabilityError
 
 
-def _bareiss(rows) -> int:
-    """Determinant of one square integer matrix by Bareiss elimination with row swaps."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
 def _prefix_tree(entries, depth):
-    """(indices, children, leaves) of the ascending index tuples in `entries`,
-    which share their first `depth` entries: every index at or past `depth`,
-    {next index: subtree}, and the (sign, position) of each tuple.
+    """(indices, children, leaves) of the index tuples in `entries`, which
+    share their first `depth` entries: every index at or past `depth`,
+    {next index: subtree}, and the entries themselves as leaves.
 
-    `entries` holds sorted (ascending tuple, sign, position) triples.
+    `entries` holds (index tuple, sign, position) triples.
     """
     indices = sorted({t[k] for t, _, _ in entries for k in range(depth, len(t))})
     groups = {}
@@ -49,7 +23,7 @@ def _prefix_tree(entries, depth):
         for entry in entries:
             groups.setdefault(entry[0][depth], []).append(entry)
     children = {r: _prefix_tree(group, depth + 1) for r, group in groups.items()}
-    return indices, children, [(sign, pos) for _, sign, pos in entries]
+    return indices, children, entries
 
 
 def det_exact(table, rows, cols) -> list[list[int]]:
@@ -62,8 +36,9 @@ def det_exact(table, rows, cols) -> list[list[int]]:
     (and the sign of its sorting permutation), minors whose tuples share a
     prefix share those steps.  With the pivot p = M[r][c] and the previous
     pivot d, step k + 1 is M'[x][y] = (p M[x][y] - M[x][c] M[r][y]) // d,
-    exact by Sylvester's identity.  Below a zero pivot each minor takes its
-    own Bareiss elimination with row swaps.
+    exact by Sylvester's identity.  At a zero pivot each row tuple swaps in its
+    next row with a nonzero entry in that column, negating its sign, and goes
+    on alone from the shared state; with no such row its minors are 0.
     """
     rows, cols = [tuple(r) for r in rows], [tuple(c) for c in cols]
     n = len((rows + cols or [()])[0])
@@ -80,30 +55,32 @@ def det_exact(table, rows, cols) -> list[list[int]]:
             entries.append((tuple(sorted(t)), -1 if inversions % 2 else 1, pos))
         return _prefix_tree(sorted(entries), 0)
 
-    def descend(m, d, row_node, col_node, depth):
-        for r, row_child in row_node[1].items():
-            rest_rows, _, row_leaves = row_child
+    def descend(m, d, row_children, col_children, depth):
+        for r, (rest_rows, row_grandchildren, row_leaves) in row_children.items():
             mr = m[r]
-            for c, col_child in col_node[1].items():
-                rest_cols, _, col_leaves = col_child
+            for c, col_child in col_children.items():
+                rest_cols, col_grandchildren, col_leaves = col_child
                 pivot = mr[c]
                 if depth + 1 == n:
-                    for si, i in row_leaves:
-                        for sj, j in col_leaves:
+                    for _, si, i in row_leaves:
+                        for _, sj, j in col_leaves:
                             out[i][j] = si * sj * pivot
                 elif pivot == 0:
-                    for _, i in row_leaves:
-                        for _, j in col_leaves:
-                            out[i][j] = _bareiss([[table[x][y] for y in cols[j]] for x in rows[i]])
+                    for t, sign, i in row_leaves:
+                        k = next((k for k in range(depth + 1, n) if m[t[k]][c] != 0), None)
+                        if k is not None:
+                            swapped = t[:depth] + (t[k],) + t[depth + 1:k] + (r,) + t[k + 1:]
+                            descend(m, d, _prefix_tree([(swapped, -sign, i)], depth)[1],
+                                    {c: col_child}, depth)
                 else:
                     nxt = {}
                     for x in rest_rows:
                         mx = m[x]
                         mxc = mx[c]
                         nxt[x] = {y: (pivot * mx[y] - mxc * mr[y]) // d for y in rest_cols}
-                    descend(nxt, pivot, row_child, col_child, depth + 1)
+                    descend(nxt, pivot, row_grandchildren, col_grandchildren, depth + 1)
 
-    descend(table, 1, tree(rows), tree(cols), 0)
+    descend(table, 1, tree(rows)[1], tree(cols)[1], 0)
     return out
 
 

@@ -120,6 +120,17 @@ class TestExactCommand:
         assert err.startswith("capability limit:") and "overflow" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_kernel_derivative_overflow_is_one_line(self, capsys):
+        # u^(N + s - 1) and the derivative sums overflow before any determinant
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "exact", "--N", "4000", "--s", "2", "--u", "3",
+                "--mode", "float", "--route", "determinant",
+            )
+        assert code == 2 and out == ""
+        assert err == "capability limit: float overflow: non-finite determinant entry\n"
+
     def test_usage_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--N", "2")
         assert code == 1
