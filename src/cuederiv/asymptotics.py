@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._numpy import np
 from .combinatorics import _partition_det_sum
 from .errors import CapabilityError, _size
 from .linalg import det_float

@@ -12,8 +12,7 @@ from itertools import combinations
 from math import factorial, lcm, prod
 from operator import mul
 
-import numpy as np
-
+from ._numpy import np
 from .linalg import det_exact, det_float
 
 

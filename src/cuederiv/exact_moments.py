@@ -33,8 +33,7 @@ from itertools import combinations
 from numbers import Rational
 from typing import Iterable, Union
 
-import numpy as np
-
+from ._numpy import np
 from .combinatorics import _partition_det_sum
 from .errors import CapabilityError, _size
 
@@ -61,14 +60,23 @@ def _k_derivatives_float(N: int, s: int, u: float, max_order: int) -> list[float
         return [float(math.factorial(m)) * float(math.comb(terms, m + 1))
                 for m in range(max_order + 1)]
     # perm(j, m) over j = m..terms-1 gains the factor j - m per order; past the
-    # degree, j is empty and the sum is 0.  An overflow gives inf (or nan, as
-    # inf * 0), which det_float refuses.
+    # degree, j is empty and the sum is 0.  A sum is nan only where an
+    # overflowed perm(j, m) meets an underflowed u^j (inf * 0); u^j falls with
+    # j, so its zeros are a tail, and their terms are set to 0.  The array
+    # keeps its length, so np.sum adds the terms in the same groups.  Any
+    # other overflow gives inf, which det_float refuses.
     poch = np.ones(terms)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         u_pows = np.power(u, np.arange(terms, dtype=float))
+        live = np.count_nonzero(u_pows)
         for _ in range(max_order + 1):
-            out.append(float(np.sum(poch * u_pows[: len(poch)])))
+            products = poch * u_pows[: len(poch)]
+            total = np.sum(products)
+            if math.isnan(total):
+                products[live:] = 0.0
+                total = np.sum(products)
+            out.append(float(total))
             poch = poch[1:] * np.arange(1, len(poch), dtype=float)
     return out
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._numpy import np
 from .errors import CapabilityError
 
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import CapabilityError, _size
 
 GENERATOR_NAME = "pcg64/verblunsky"
@@ -79,19 +78,25 @@ def _run_chunks(N, samples, seed, threads, evaluate, progress=None):
     (values, tally); the values are concatenated and the tallies summed in
     chunk order, so neither depends on `threads` (None means one thread).
     Progress is reported from the calling thread as chunks complete, in order.
+    The generators are built in the calling thread (`Executor.map` takes its
+    arguments there), so numpy is loaded before any worker starts (see _numpy).
     """
     chunk = max(1, min(65536, _CHUNK_ELEMENT_BUDGET // (N * N)))
     sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
+    rngs = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+            for index in range(len(sizes)))
 
-    def run(index):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
-        return evaluate(_verblunsky(N, sizes[index], rng), rng)
+    def run(size, rng):
+        return evaluate(_verblunsky(N, size, rng), rng)
 
-    threads = threads or 1
+    if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=threads)
+        results = pool.map(run, sizes, rngs)
+    else:
+        pool, results = nullcontext(), map(run, sizes, rngs)
     parts, tally, done = [], 0, 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        indices = range(len(sizes))
-        results = pool.map(run, indices) if threads > 1 else map(run, indices)
+    with pool:
         for size, (values, counted) in zip(sizes, results):
             parts.append(values)
             tally += counted

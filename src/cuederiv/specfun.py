@@ -8,8 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .errors import CapabilityError, _size
 
 _SERIES_LIMIT = 100_000

@@ -456,6 +456,16 @@ class TestMomentExact:
                 assert value == partition_det_sum_exact(s, table) / scale, (N, u)
                 assert value == moment_structure(N, s, u), (N, u)
 
+    def test_large_N_at_u0(self):
+        # Past N of about 5e6 at s = 12 an overflowed perm(j, m) meets an
+        # underflowed u^j in the kernel derivatives; that term is 0.  The
+        # moment at u = 0 is s! for every N >= s.
+        assert moment_exact(6 * 10**6, 12, 0.0) == moment_exact(40, 12, 0.0)
+
+    def test_large_N_at_half(self):
+        assert moment_exact(6 * 10**6, 12, 0.5) == pytest.approx(
+            moment_exact(4 * 10**6, 12, 0.5), rel=1e-8)
+
     def test_large_denominator_equals_structure_route(self):
         # u = Fraction(0.99) has denominator 2^52: every determinant entry
         # carries a power of it.
