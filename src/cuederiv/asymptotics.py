@@ -12,7 +12,7 @@ import math
 
 from ._numpy import np
 from .combinatorics import _partition_det_sum
-from .errors import CapabilityError, _size
+from .errors import CapabilityError, _complex, _real, _size
 from .linalg import det_float
 from .exact_moments import _structure_a_upoly
 from .specfun import _kummer_factor, exp_moment
@@ -24,28 +24,17 @@ def global_moment(s: float, r: float) -> float:
     e^(-s^2 r^2) Gamma(s+1) 1F1(s+1, 1; s^2 r^2) / (1-r^2)^(s^2+2s); for
     integer s this equals s! L_s(-r^2 s^2) / (1-r^2)^(s^2+2s).
     """
-    if not 0 <= r < 1:
-        raise ValueError("global regime requires 0 <= r < 1")
-    if not s > -1:
-        raise ValueError("requires s > -1")
-    if not math.isfinite(s):
-        raise ValueError(f"requires finite s, got s = {s}")
+    s, r = float(_real("s", s, -1)), float(_real("r", r, 0, 1, closed=True))
     return _finite_quotient(_kummer_factor(s, s * s * r * r), (1 - r * r) ** (s * s + 2 * s),
                             "global moment")
 
 
 def joint_moment(s: float, h: float, z1: complex, z2: complex) -> float:
     """Limiting joint moment of |dLambda/Lambda(z2)|^(2h) |Lambda(z1)|^(2s)."""
-    z1 = complex(z1)
-    z2 = complex(z2)
-    if not math.isfinite(s):
-        raise ValueError(f"requires finite s, got s = {s}")
+    s, h = float(_real("s", s)), float(_real("h", h, -1))
+    z1, z2 = _complex("z1", z1), _complex("z2", z2)
     if not (abs(z1) < 1 and abs(z2) < 1):
         raise ValueError("requires |z1| < 1 and |z2| < 1")
-    if not h > -1:
-        raise ValueError("requires h > -1")
-    if not math.isfinite(h):
-        raise ValueError(f"requires finite h, got h = {h}")
     rho = abs(z1) ** 2 * (1 - abs(z2) ** 2) ** 2 / abs(1 - z1 * z2.conjugate()) ** 2
     return _finite_quotient(
         _kummer_factor(h, s * s * rho),
@@ -64,14 +53,12 @@ def _finite_quotient(numerator: float, denominator: float, what: str) -> float:
 
 
 def _scaled(coefficient: float, base, exponent: float, what: str) -> float:
-    """coefficient * float(base)**exponent; CapabilityError where it overflows.
+    """coefficient * float(base)**float(exponent); CapabilityError where it overflows.
 
-    base is N or, in the global CUE limit, 1 - r^2; it must be positive.
+    base is N or, in the global CUE limit, 1 - r^2; the callers check it is positive.
     """
-    if not base > 0:
-        raise ValueError(f"the {what} requires N > 0, got N = {base}")
     try:
-        value = coefficient * float(base) ** exponent
+        value = coefficient * float(base) ** float(exponent)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -81,24 +68,20 @@ def _scaled(coefficient: float, base, exponent: float, what: str) -> float:
 
 def expected_zero_count(r: float) -> float:
     """Limiting mean number of zeros of the derivative inside radius r."""
-    if not 0 <= r < 1:
-        raise ValueError("requires 0 <= r < 1")
+    r = float(_real("r", r, 0, 1, closed=True))
     return 2 * r * r / (1 - r * r)
 
 
 def expected_log_integral(r: float) -> float:
     """Limit of the radially integrated zero density: -log(1 - r^2)."""
-    if not 0 <= r < 1:
-        raise ValueError("requires 0 <= r < 1")
+    r = float(_real("r", r, 0, 1, closed=True))
     return -math.log1p(-r * r)
 
 
 def meso_moment(s: int, alpha: float, N: float) -> float:
     """Mesoscopic asymptotic N^(alpha(s^2+2s)) s! L_s(-s^2), the coefficient
     taken exactly as the structure route's a_(0,0) at u = 1 and rounded once."""
-    s = _size("s", s)
-    if not 0 < alpha < 1:
-        raise ValueError("requires 0 < alpha < 1")
+    s, alpha, N = _size("s", s), float(_real("alpha", alpha, 0, 1)), float(_real("N", N, 0))
     coefficient = float(sum(_structure_a_upoly(s, 0, 0)))
     return _scaled(coefficient, N, alpha * (s * s + 2 * s), "mesoscopic moment")
 
@@ -108,9 +91,7 @@ def micro_b(s: int, c: float) -> float:
 
     The N^(s^2+2s) coefficient of the derivative moment at |z|^2 = 1 - c/N.
     """
-    s = _size("s", s)
-    if not math.isfinite(c):
-        raise ValueError(f"requires finite c, got c = {c}")
+    s, c = _size("s", s), _real("c", c)
     moments = [exp_moment(k, c) for k in range(4 * s - 1)]
     return _partition_det_sum(s, [[moments[p + q] for q in range(2 * s)] for p in range(2 * s)])
 
@@ -165,7 +146,7 @@ def micro_b_bessel(s: int, c: float) -> float:
     pivots are invertible: their constant terms come from the positive-definite
     Hankel matrix of exponential moments.
     """
-    s = _size("s", s)
+    s, c = _size("s", s), _real("c", c)
     table = [exp_moment(k, c) for k in range(4 * s - 1)]
     rows = [[_bessel_entry_coeffs(i, j, table, s) for j in range(1, s + 1)]
             for i in range(1, s + 1)]
@@ -190,24 +171,16 @@ def cue_limit(s: float, regime: str, *, r: float | None = None, alpha: float | N
     prod_j Gamma(j)Gamma(j+1) (integer s); without N the N-free coefficient is
     returned.
     """
-    if not math.isfinite(s):
-        raise ValueError(f"requires finite s, got s = {s}")
+    s = _real("s", s)
     if regime == "global":
-        if r is None or not 0 <= r < 1:
-            raise ValueError("global regime requires 0 <= r < 1")
+        r = float(_real("r", r, 0, 1, closed=True))
         return _scaled(1.0, 1 - r**2, -(s * s), "global CUE limit")
     if regime == "mesoscopic":
-        if alpha is None or not 0 < alpha < 1:
-            raise ValueError("mesoscopic regime requires 0 < alpha < 1")
-        if N is None:
-            raise ValueError("mesoscopic CUE limit needs N")
+        alpha, N = float(_real("alpha", alpha, 0, 1)), float(_real("N", N, 0))
         return _scaled(1.0, N, s * s * alpha, "mesoscopic CUE limit")
     if regime != "microscopic":
         raise ValueError(f"unknown regime {regime!r}")
-    if c is None:
-        raise ValueError("microscopic regime requires c")
-    if not math.isfinite(c):
-        raise ValueError(f"microscopic regime requires finite c, got c = {c}")
+    c, N = float(_real("c", c)), 1.0 if N is None else float(_real("N", N, 0))
     s = _size("s", s)  # Andreief reduction of the multi-integral needs integer s
     table = [exp_moment(k, c) for k in range(2 * s - 1)]
     gram = [[table[i + j] for j in range(s)] for i in range(s)]
@@ -220,4 +193,4 @@ def cue_limit(s: float, regime: str, *, r: float | None = None, alpha: float | N
     coefficient = math.factorial(s) * hankel
     for j in range(1, s + 1):
         coefficient /= math.gamma(j) * math.gamma(j + 1)
-    return _scaled(coefficient, 1.0 if N is None else N, s * s, "microscopic CUE limit")
+    return _scaled(coefficient, N, s * s, "microscopic CUE limit")

@@ -31,7 +31,7 @@ from .asymptotics import (
     micro_b,
     micro_b_bessel,
 )
-from .errors import CapabilityError
+from .errors import CapabilityError, _real
 from .exact_moments import (
     FLOAT_S_CAP,
     cue_moment_integer,
@@ -304,7 +304,8 @@ def _run_asympt(args):
             _result("coefficient", bessel, "bessel-kernel-determinant")]
     if args.N is not None:
         rows.append(_result("moment_asymptotic",
-                            _scaled(coeff, args.N, s * s + 2 * s, "microscopic moment"),
+                            _scaled(coeff, _real("N", args.N, 0), s * s + 2 * s,
+                                    "microscopic moment"),
                             "exp-moment-determinant"))
     return rows
 
@@ -401,6 +402,8 @@ def _compare_routes(args):
     names = [part.strip() for part in args.routes.split(",") if part.strip()]
     if len(names) != 2:
         raise SystemExit2("compare needs exactly two routes")
+    _real("--tolerance", args.tolerance, 0, closed=True)
+    _real("--se-multiplier", args.se_multiplier, 0, closed=True)
     u = args.r * args.r
     rows = []
     for name in names:

@@ -35,7 +35,7 @@ from typing import Iterable, Union
 
 from ._numpy import np
 from .combinatorics import _partition_det_sum
-from .errors import CapabilityError, _size
+from .errors import CapabilityError, _real, _size
 
 ExactNumber = Union[Fraction, float]
 
@@ -107,13 +107,11 @@ def moment_exact(N: int, s: int, u: ExactNumber) -> ExactNumber:
     of every partition of s add up to s(s+1)/2, so every determinant of the sum
     shares the denominator b^(s(N+s-1) + s(s+1)/2), divided out at the end.
     """
-    N, s = _size("N", N), _size("s", s)
+    N, s, u = _size("N", N), _size("s", s), _real("u", u, 0, closed=True)
     exact = isinstance(u, Rational)
     mode, cap = ("exact", EXACT_S_CAP) if exact else ("float", FLOAT_S_CAP)
     if s > cap:
         raise CapabilityError(f"{mode} mode supports s <= {cap}, got {s}")
-    if not 0 <= u < math.inf:
-        raise ValueError(f"u = |z|^2 must be finite and non-negative, got u = {u}")
     if exact:
         a, b = u.numerator, u.denominator
         kd = _k_derivatives_exact(N, s, a, b, 4 * s - 2)
@@ -328,11 +326,7 @@ def moment_structure(N: int, s: int, u: ExactNumber) -> ExactNumber:
     numerator, so u = 1 is no exception.  A float u is taken at its own dyadic
     rational and the exact value is rounded once.
     """
-    N, s = _size("N", N), _size("s", s)
-    if u < 0:
-        raise ValueError("u = |z|^2 must be non-negative")
-    if not u < math.inf:
-        raise ValueError(f"requires finite u, got u = {u}")
+    N, s, u = _size("N", N), _size("s", s), _real("u", u, 0, closed=True)
     b_table = _b_expansion(s, _block_sums(N, s),
                            [(h1, h2) for h2 in range(s + 1) for h1 in range(h2 + 1)])
     # The moment is P(u) / (1-u)^k with P = sum_h C_h (1-u)^h, built by Horner in (1-u).
@@ -354,9 +348,7 @@ def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
     float r is taken at its own dyadic rational and the exact value is rounded
     once.
     """
-    N, s = _size("N", N), _size("s", s)
-    if not -math.inf < r < math.inf:
-        raise ValueError(f"requires finite r, got r = {r}")
+    N, s, r = _size("N", N), _size("s", s), _real("r", r)
     b00 = _b_expansion(s, _block_sums(N, s), [(0, 0)])[0, 0]
     terms = ((e // 2, c) for e, c in b00.items())
     return _over_one_minus_u(terms, s * s, Fraction(r) ** 2, isinstance(r, Rational))
@@ -369,9 +361,7 @@ def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
 
 def cue_moment_ks(N: int, s: float) -> float:
     """E|Lambda_N|^(2s) on the unit circle for real s > -1/2 (Gamma product)."""
-    N = _size("N", N)
-    if not -0.5 < s < math.inf:
-        raise ValueError(f"requires finite s > -1/2, got s = {s}")
+    N, s = _size("N", N), float(_real("s", s, -0.5))
     log_total = 0.0
     for j in range(1, N + 1):
         log_total += (

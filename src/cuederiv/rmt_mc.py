@@ -21,14 +21,13 @@ any thread count.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ._numpy import np
-from .errors import CapabilityError, _size
+from .errors import CapabilityError, _complex, _real, _size
 
 GENERATOR_NAME = "pcg64/verblunsky"
 COLLISION_TOLERANCE = 1e-14
@@ -266,14 +265,9 @@ def estimate_moment(
     estimate_joint_moment, a draw with z on an eigenvalue is redrawn.
     """
     N, samples, seed, threads = _check_counts(N, samples, seed, threads)
-    if not s > -1:
-        raise ValueError("requires s > -1")
-    if not math.isfinite(s):
-        raise ValueError(f"requires finite s, got s = {s}")
-    if not cmath.isfinite(z):
-        raise ValueError(f"requires finite z, got z = {z}")
+    s, z = float(_real("s", s, -1)), _complex("z", z)
     # |Lambda'/Lambda|^(2s) |Lambda|^(2s) = |Lambda'|^(2s) at one point.
-    return _estimate_joint(N, s, s, complex(z), complex(z), samples, seed, threads, progress)
+    return _estimate_joint(N, s, s, z, z, samples, seed, threads, progress)
 
 
 def estimate_joint_moment(
@@ -293,13 +287,9 @@ def estimate_joint_moment(
     and counted in `resampled`.
     """
     N, samples, seed, threads = _check_counts(N, samples, seed, threads)
-    if not h > -1:
-        raise ValueError("requires h > -1")
-    if not math.isfinite(h):
-        raise ValueError(f"requires finite h, got h = {h}")
-    if not (math.isfinite(s) and cmath.isfinite(z1) and cmath.isfinite(z2)):
-        raise ValueError(f"requires finite s, z1 and z2, got s = {s}, z1 = {z1}, z2 = {z2}")
-    return _estimate_joint(N, s, h, complex(z1), complex(z2), samples, seed, threads, progress)
+    s, h = float(_real("s", s)), float(_real("h", h, -1))
+    z1, z2 = _complex("z1", z1), _complex("z2", z2)
+    return _estimate_joint(N, s, h, z1, z2, samples, seed, threads, progress)
 
 
 def _estimate_joint(N, s, h, z1, z2, samples, seed, threads, progress) -> MomentEstimate:
@@ -552,12 +542,11 @@ def mean_zero_counts(
     a warning.
     """
     N, samples, seed, threads = _check_counts(N, samples, seed, threads)
-    radii = [float(r) for r in radii]
+    if isinstance(radii, str) or not hasattr(radii, "__iter__"):  # a str iterates by characters
+        raise ValueError(f"requires a sequence of radii, got radii = {radii!r}")
+    radii = [float(_real("radii", r, 0, 1)) for r in radii]
     if not radii:
         raise ValueError("radii must name at least one radius")
-    for r in radii:
-        if not 0 < r < 1:
-            raise ValueError("radii must lie in (0, 1)")
 
     def evaluate(alpha, rng):
         counts, uncertified = _winding_counts(alpha, radii)

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from ._numpy import np
-from .errors import CapabilityError, _size
+from .errors import CapabilityError, _real, _size
 
 _SERIES_LIMIT = 100_000
 
@@ -21,10 +21,8 @@ def hyp1f1(a: float, b: float, x: float) -> float:
     1F1(a,b;x) = e^x 1F1(b-a, b; -x) avoids an alternating sum.  A series
     whose sum overflows raises CapabilityError.
     """
-    for name, value in (("a", a), ("b", b), ("x", x)):
-        if not -math.inf < value < math.inf:
-            raise ValueError(f"1F1 requires finite {name}, got {name} = {value}")
-    if b <= 0 and float(b).is_integer():
+    a, b, x = float(_real("a", a)), float(_real("b", b)), float(_real("x", x))
+    if b <= 0 and b.is_integer():
         raise ValueError(f"1F1 undefined for non-positive integer b = {b}")
     if x < 0:
         return math.exp(x) * hyp1f1(b - a, b, -x)
@@ -55,10 +53,7 @@ def exp_moment(k: int, c: float) -> float:
     c ~ 708, long before the moment does, so from c = k + 40 on the closed form
     k!/c^(k+1) (1 - sum_(j<=k) e^(-c) c^j/j!) is used, each term taken in logs.
     """
-    k = _size("k", k, minimum=0)
-    c = float(c)
-    if not -math.inf < c < math.inf:
-        raise ValueError(f"requires finite c, got c = {c}")
+    k, c = _size("k", k, minimum=0), float(_real("c", c))
     if c < 1.0:
         term = 1.0
         total = 1.0 / (k + 1)
@@ -114,9 +109,7 @@ def zeta_real(w: float, order: int = 0) -> float:
     products by the product rule; finite differences would be hopeless for w
     barely above 1.
     """
-    if not 1 < w < math.inf:
-        raise ValueError(f"zeta_real requires finite w > 1, got w = {w}")
-    order = _size("order", order, minimum=0)
+    w, order = float(_real("w", w, 1)), _size("order", order, minimum=0)
     if order > 2:
         raise ValueError(f"requires order <= 2, got order = {order}")
     cutoff = 40

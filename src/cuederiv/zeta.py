@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .errors import CapabilityError, _size
+from .errors import CapabilityError, _real, _size
 from .specfun import _kummer_factor
 
 _INNER_SUM_EPS = 1e-16
@@ -251,11 +251,9 @@ def _truncated_series(table: np.ndarray, s: int, sigma: float, log_power: int) -
     return SeriesResult(value, tail, n_max, tail_estimate=estimate)
 
 
-def _check_series_args(s: int, sigma: float, n_max: int) -> tuple[int, int]:
-    if not 0.5 < sigma < math.inf:
-        raise ValueError(f"requires finite sigma > 1/2, got sigma = {sigma}")
+def _check_series_args(s: int, sigma: float, n_max: int) -> tuple[int, float, int]:
     # the tail estimate fits its density on n_max//2..n_max, empty below 3
-    return _size("s", s), _size("n_max", n_max, minimum=3)
+    return _size("s", s), float(_real("sigma", sigma, 0.5)), _size("n_max", n_max, minimum=3)
 
 
 def deriv_moment_series(s: int, sigma: float, n_max: int) -> SeriesResult:
@@ -263,13 +261,13 @@ def deriv_moment_series(s: int, sigma: float, n_max: int) -> SeriesResult:
 
     The tail estimate uses (log*...*log)(n) <= d_s(n) (log n)^s.
     """
-    s, n_max = _check_series_args(s, sigma, n_max)
+    s, sigma, n_max = _check_series_args(s, sigma, n_max)
     return _truncated_series(log_convolution_table(s, n_max), s, sigma, 2 * s)
 
 
 def lindelof_series(s: int, sigma: float, n_max: int) -> SeriesResult:
     """Truncated sum of d_s(n)^2 / n^(2 sigma) with a tail estimate."""
-    s, n_max = _check_series_args(s, sigma, n_max)
+    s, sigma, n_max = _check_series_args(s, sigma, n_max)
     return _truncated_series(divisor_table(s, n_max), s, sigma, 0)
 
 
@@ -335,9 +333,7 @@ def arithmetic_factor(s: float, p_max: int) -> SeriesResult:
     CapabilityError where a local factor or the product leaves double
     precision: a_s > 0, so a product that underflows to 0 is refused.
     """
-    if not 0 < s < math.inf:
-        raise ValueError(f"requires finite s > 0, got s = {s}")
-    p_max = _size("p_max", p_max, minimum=100)
+    s, p_max = float(_real("s", s, 0)), _size("p_max", p_max, minimum=100)
     primes = primes_up_to(p_max)
     # In blocks of primes, so the recurrence's working arrays stay small.
     logs = np.concatenate([_euler_factor_logs(s, primes[i : i + 2**16])
@@ -366,8 +362,7 @@ def arithmetic_factor(s: float, p_max: int) -> SeriesResult:
 def rmt_leading_coefficient(s: float) -> float:
     """h_s = e^(-s^2) Gamma(s+1) 1F1(s+1, 1; s^2): the unit-circle limit of
     (1-r^2)^(s^2+2s) times the global derivative moment."""
-    if not 0 < s < math.inf:
-        raise ValueError(f"requires finite s > 0, got s = {s}")
+    s = float(_real("s", s, 0))
     return _kummer_factor(s, s * s)
 
 
@@ -377,8 +372,7 @@ def conjecture_rhs(s: float, sigma: float, p_max: int = 100_000) -> float:
     Raises CapabilityError when the Euler product's tail bound is above 1e-6
     of a_s at this p_max (e.g. s = 10 at p_max = 100, where it is 2 a_s).
     """
-    if not 0.5 < sigma < math.inf:
-        raise ValueError(f"requires finite sigma > 1/2, got sigma = {sigma}")
+    s, sigma = float(_real("s", s, 0)), float(_real("sigma", sigma, 0.5))
     a_s = arithmetic_factor(s, p_max)
     if a_s.tail_bound > 1e-6 * a_s.value:
         raise CapabilityError(f"the Euler product for a_s at s = {s}, p_max = {p_max} has a tail "

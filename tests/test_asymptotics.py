@@ -63,9 +63,9 @@ class TestGlobalMoment:
     def test_nan_is_refused(self):
         # nan fails every comparison, so each check is written to fail on it;
         # s = nan reached the 1F1 series, which then did not converge
-        with pytest.raises(ValueError, match="requires s > -1"):
+        with pytest.raises(ValueError, match="requires finite s, got s = nan"):
             global_moment(math.nan, 0.5)
-        with pytest.raises(ValueError, match="requires 0 <= r < 1"):
+        with pytest.raises(ValueError, match="requires finite r, got r = nan"):
             global_moment(1, math.nan)
 
 
@@ -101,10 +101,10 @@ class TestJointMoment:
             joint_moment(1, -1.2, 0.3, 0.3)
 
     @pytest.mark.parametrize("h, z1, z2, message", [
-        (math.nan, 0.3, 0.5j, "requires h > -1"),
-        (1, complex(math.nan, 0), 0.5j, r"requires \|z1\| < 1"),
-        (1, 0.3, complex(0, math.nan), r"requires \|z1\| < 1 and \|z2\| < 1"),
-    ])
+        (math.nan, 0.3, 0.5j, "requires finite h, got h = nan"),
+        (1, complex(math.nan, 0), 0.5j, r"requires finite z1, got z1 = \(nan\+0j\)"),
+        (1, 0.3, complex(0, math.nan), r"requires finite z2, got z2 = nanj"),
+    ], ids=["h-nan", "z1-nan", "z2-nan"])
     def test_nan_is_refused(self, h, z1, z2, message):
         with pytest.raises(ValueError, match=message):
             joint_moment(1, h, z1, z2)
@@ -295,13 +295,13 @@ class TestCueLimit:
             cue_limit(1, **point)
 
     @pytest.mark.parametrize("s, regime, params, message", [
-        (2, "global", dict(r=1.0), "global regime requires 0 <= r < 1"),
-        (2, "global", dict(), "global regime requires 0 <= r < 1"),
-        (2, "mesoscopic", dict(alpha=1.5, N=100), "mesoscopic regime requires 0 < alpha < 1"),
+        (2, "global", dict(r=1.0), "requires 0 <= r < 1, got r = 1.0"),
+        (2, "global", dict(), "requires a real number r, got r = None"),
+        (2, "mesoscopic", dict(alpha=1.5, N=100), "requires 0 < alpha < 1, got alpha = 1.5"),
         # alpha is checked before N, c before the integer s
-        (2, "mesoscopic", dict(alpha=1.5), "mesoscopic regime requires 0 < alpha < 1"),
-        (2, "mesoscopic", dict(alpha=0.5), "mesoscopic CUE limit needs N"),
-        (1.5, "microscopic", dict(), "microscopic regime requires c"),
+        (2, "mesoscopic", dict(alpha=1.5), "requires 0 < alpha < 1, got alpha = 1.5"),
+        (2, "mesoscopic", dict(alpha=0.5), "requires a real number N, got N = None"),
+        (1.5, "microscopic", dict(), "requires a real number c, got c = None"),
         (1.5, "microscopic", dict(c=1.0),
          "requires a whole number s >= 1, got s = 1.5"),
         (2, "nearside", dict(r=0.1), "unknown regime 'nearside'"),

@@ -475,6 +475,19 @@ class TestCompareCommand:
         rows = parse_report(out)["results"]
         assert rows[-1]["passed"] is False
 
+    @pytest.mark.parametrize("routes, flag", [
+        ("exact,structure", "--tolerance"),
+        ("exact,mc", "--se-multiplier"),
+    ])
+    def test_negative_bound_is_usage_error(self, capsys, routes, flag):
+        # routes that agree reported passed: false and exited 3
+        code, out, err = run_cli(
+            capsys, "compare", "--routes", routes, "--N", "4", "--s", "2", "--r", "0.5",
+            "--samples", "20", flag, "-1",
+        )
+        assert code == 1 and out == ""
+        assert err == f"invalid parameters: requires {flag} >= 0, got {flag} = -1.0\n"
+
 
 class TestZerosCommand:
     def test_sweep_with_overlay(self, capsys):

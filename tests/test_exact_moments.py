@@ -424,7 +424,7 @@ class TestMomentExact:
     @pytest.mark.parametrize("u", [math.nan, math.inf])
     def test_non_finite_u_is_refused(self, u):
         # it was reported as a non-finite determinant entry
-        with pytest.raises(ValueError, match=r"u = \|z\|\^2 must be finite and non-negative"):
+        with pytest.raises(ValueError, match=r"requires finite u, got u = "):
             moment_exact(5, 2, u)
 
     def test_float_mode_makes_one_determinant_call(self, monkeypatch):
@@ -717,5 +717,5 @@ class TestCueMoments:
             cue_moment_ks(5, -0.6)
         # nan and inf returned nan
         for s in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="requires finite s > -1/2"):
+            with pytest.raises(ValueError, match="requires finite s, got s = "):
                 cue_moment_ks(5, s)

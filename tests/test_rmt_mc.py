@@ -216,11 +216,11 @@ class TestEstimators:
 
     def test_nan_exponent_is_refused(self):
         # a nan exponent was reported as a float overflow
-        with pytest.raises(ValueError, match="requires s > -1"):
+        with pytest.raises(ValueError, match="requires finite s, got s = nan"):
             estimate_moment(6, math.nan, 0.3, 10, seed=0)
-        with pytest.raises(ValueError, match="requires h > -1"):
+        with pytest.raises(ValueError, match="requires finite h, got h = nan"):
             estimate_joint_moment(6, 1.0, math.nan, 0.3, 0.5j, 10, seed=0)
-        with pytest.raises(ValueError, match="requires finite s, z1 and z2"):
+        with pytest.raises(ValueError, match="requires finite s, got s = nan"):
             estimate_joint_moment(6, math.nan, 1.0, 0.3, 0.5j, 10, seed=0)
 
     @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0, math.inf)])
@@ -228,14 +228,22 @@ class TestEstimators:
         # each was reported as a float overflow
         with pytest.raises(ValueError, match="requires finite z, got z = "):
             estimate_moment(6, 1.0, z, 10, seed=0)
-        with pytest.raises(ValueError, match="requires finite s, z1 and z2"):
+        with pytest.raises(ValueError, match="requires finite z1, got z1 = "):
             estimate_joint_moment(6, 1.0, 1.0, z, 0.5j, 10, seed=0)
-        with pytest.raises(ValueError, match="requires finite s, z1 and z2"):
+        with pytest.raises(ValueError, match="requires finite z2, got z2 = "):
             estimate_joint_moment(6, 1.0, 1.0, 0.3, z, 10, seed=0)
 
     def test_empty_radius_list_is_refused(self):
         with pytest.raises(ValueError, match="radii must name at least one radius"):
             mean_zero_counts(6, [], 10, seed=0)
+
+    @pytest.mark.parametrize("radii, shown", [("0.5", "'0.5'"), (0.5, "0.5")])
+    def test_radii_that_are_no_sequence_are_refused_by_name(self, radii, shown):
+        # a str was walked by its characters (could not convert string to
+        # float: '.'), and a float was a TypeError: 'float' object is not iterable
+        message = f"^requires a sequence of radii, got radii = {shown}$"
+        with pytest.raises(ValueError, match=message):
+            mean_zero_counts(5, radii, 10, 0)
 
 
 def szego_coefficients(alpha):

@@ -179,7 +179,7 @@ class TestZetaReal:
             zeta_real(2.0, 3)
         # nan and inf returned nan
         for w in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="zeta_real requires finite w > 1"):
+            with pytest.raises(ValueError, match="requires finite w, got w = "):
                 zeta_real(w)
 
     def test_derivatives_against_finite_differences(self):
