@@ -12,7 +12,7 @@ import math
 
 from ._numpy import np
 from .combinatorics import _partition_det_sum
-from .errors import CapabilityError, _complex, _real, _size
+from .errors import CapabilityError, _complex, _float, _real, _size
 from .linalg import det_float
 from .exact_moments import _structure_a_upoly
 from .specfun import _kummer_factor, exp_moment
@@ -24,14 +24,14 @@ def global_moment(s: float, r: float) -> float:
     e^(-s^2 r^2) Gamma(s+1) 1F1(s+1, 1; s^2 r^2) / (1-r^2)^(s^2+2s); for
     integer s this equals s! L_s(-r^2 s^2) / (1-r^2)^(s^2+2s).
     """
-    s, r = float(_real("s", s, -1)), float(_real("r", r, 0, 1, closed=True))
+    s, r = _float("s", s, -1), _float("r", r, 0, 1, closed=True)
     return _finite_quotient(_kummer_factor(s, s * s * r * r), (1 - r * r) ** (s * s + 2 * s),
                             "global moment")
 
 
 def joint_moment(s: float, h: float, z1: complex, z2: complex) -> float:
     """Limiting joint moment of |dLambda/Lambda(z2)|^(2h) |Lambda(z1)|^(2s)."""
-    s, h = float(_real("s", s)), float(_real("h", h, -1))
+    s, h = _float("s", s), _float("h", h, -1)
     z1, z2 = _complex("z1", z1), _complex("z2", z2)
     if not (abs(z1) < 1 and abs(z2) < 1):
         raise ValueError("requires |z1| < 1 and |z2| < 1")
@@ -68,20 +68,20 @@ def _scaled(coefficient: float, base, exponent: float, what: str) -> float:
 
 def expected_zero_count(r: float) -> float:
     """Limiting mean number of zeros of the derivative inside radius r."""
-    r = float(_real("r", r, 0, 1, closed=True))
+    r = _float("r", r, 0, 1, closed=True)
     return 2 * r * r / (1 - r * r)
 
 
 def expected_log_integral(r: float) -> float:
     """Limit of the radially integrated zero density: -log(1 - r^2)."""
-    r = float(_real("r", r, 0, 1, closed=True))
+    r = _float("r", r, 0, 1, closed=True)
     return -math.log1p(-r * r)
 
 
 def meso_moment(s: int, alpha: float, N: float) -> float:
     """Mesoscopic asymptotic N^(alpha(s^2+2s)) s! L_s(-s^2), the coefficient
     taken exactly as the structure route's a_(0,0) at u = 1 and rounded once."""
-    s, alpha, N = _size("s", s), float(_real("alpha", alpha, 0, 1)), float(_real("N", N, 0))
+    s, alpha, N = _size("s", s), _float("alpha", alpha, 0, 1), _float("N", N, 0)
     coefficient = float(sum(_structure_a_upoly(s, 0, 0)))
     return _scaled(coefficient, N, alpha * (s * s + 2 * s), "mesoscopic moment")
 
@@ -171,16 +171,16 @@ def cue_limit(s: float, regime: str, *, r: float | None = None, alpha: float | N
     prod_j Gamma(j)Gamma(j+1) (integer s); without N the N-free coefficient is
     returned.
     """
-    s = _real("s", s)
+    real_s = _float("s", s)  # microscopic takes s as given, through _size
     if regime == "global":
-        r = float(_real("r", r, 0, 1, closed=True))
-        return _scaled(1.0, 1 - r**2, -(s * s), "global CUE limit")
+        r = _float("r", r, 0, 1, closed=True)
+        return _scaled(1.0, 1 - r**2, -(real_s * real_s), "global CUE limit")
     if regime == "mesoscopic":
-        alpha, N = float(_real("alpha", alpha, 0, 1)), float(_real("N", N, 0))
-        return _scaled(1.0, N, s * s * alpha, "mesoscopic CUE limit")
+        alpha, N = _float("alpha", alpha, 0, 1), _float("N", N, 0)
+        return _scaled(1.0, N, real_s * real_s * alpha, "mesoscopic CUE limit")
     if regime != "microscopic":
         raise ValueError(f"unknown regime {regime!r}")
-    c, N = float(_real("c", c)), 1.0 if N is None else float(_real("N", N, 0))
+    c, N = _float("c", c), 1.0 if N is None else _float("N", N, 0)
     s = _size("s", s)  # Andreief reduction of the multi-integral needs integer s
     table = [exp_moment(k, c) for k in range(2 * s - 1)]
     gram = [[table[i + j] for j in range(s)] for i in range(s)]

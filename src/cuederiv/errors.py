@@ -40,13 +40,33 @@ def _real(name: str, value, low=-math.inf, high=math.inf, closed: bool = False):
     return value
 
 
+def _float(name: str, value, low=-math.inf, high=math.inf, closed: bool = False) -> float:
+    """`_real(name, value, low, high, closed)` as a float; a whole number or
+    Fraction beyond the float range is a ValueError naming `name`."""
+    value = _real(name, value, low, high, closed)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _beyond_float(name, value) from None
+
+
+def _beyond_float(name: str, value) -> ValueError:
+    """The refusal of a rational `value` too large for a float; it gives the
+    size as a power of two, since such an int may be too long to print."""
+    bits = (abs(value.numerator) // value.denominator).bit_length() - 1
+    return ValueError(f"requires {name} within the float range, got |{name}| >= 2**{bits}")
+
+
 def _complex(name: str, value) -> complex:
     """`value`, a finite complex number (a real one too), as a complex; a bool,
     str or None is a ValueError naming `name`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Complex):
         shown = repr(value) if isinstance(value, str) else value
         raise ValueError(f"requires a complex number {name}, got {name} = {shown}")
-    point = complex(value)
+    try:
+        point = complex(value)
+    except OverflowError:
+        raise _beyond_float(name, value) from None
     if not (math.isfinite(point.real) and math.isfinite(point.imag)):
         raise ValueError(f"requires finite {name}, got {name} = {value}")
     return point

@@ -35,7 +35,7 @@ from typing import Iterable, Union
 
 from ._numpy import np
 from .combinatorics import _partition_det_sum
-from .errors import CapabilityError, _real, _size
+from .errors import CapabilityError, _float, _real, _size
 
 ExactNumber = Union[Fraction, float]
 
@@ -361,7 +361,7 @@ def cue_moment_radial(N: int, s: int, r: ExactNumber) -> ExactNumber:
 
 def cue_moment_ks(N: int, s: float) -> float:
     """E|Lambda_N|^(2s) on the unit circle for real s > -1/2 (Gamma product)."""
-    N, s = _size("N", N), float(_real("s", s, -0.5))
+    N, s = _size("N", N), _float("s", s, -0.5)
     log_total = 0.0
     for j in range(1, N + 1):
         log_total += (

@@ -3,13 +3,15 @@
 Every estimator draws CUE(N) through its Verblunsky coefficients, which are
 independent (Killip & Nenciu, IMRN 2004): for k < N-1, |alpha_k|^2 is
 Beta(1, N-k-1) with a uniform phase, and alpha_(N-1) is uniform on the unit
-circle.  For the moments, Szego's recursion gives Phi_N(z) = det(z - U) and
-its derivative in O(N) per draw and point, with |Lambda_N| = |Phi_N| and
-|Lambda_N'| = |Phi_N'| since |det U| = 1.  The recursion carries its values
-as a mantissa and a power-of-two exponent, and rescales them only where a
-bound from |alpha_k| and |z| says they could leave a fixed window: rescaling
-by a power of two is exact, so the results are those of rescaling at every
-step, bit for bit (see _szego_scaled).  Zero counts read the winding number
+circle.  Each phase exp(2 pi i u) is a quarter turn i^q times exp(i t) with
+|t| <= pi/4, from one sine and a square root, within about 2 ulp of the
+true coefficient (see _verblunsky).  For the moments, Szego's recursion
+gives Phi_N(z) = det(z - U) and its derivative in O(N) per draw and point,
+with |Lambda_N| = |Phi_N| and |Lambda_N'| = |Phi_N'| since |det U| = 1.  The
+recursion carries its values as a mantissa and a power-of-two exponent, and
+rescales them only where a bound from |alpha_k| and |z| says they could
+leave a fixed window: rescaling by a power of two is exact, so the results
+are those of rescaling at every step, bit for bit (see _szego_scaled).  Zero counts read the winding number
 of Phi_N' around each circle |z| = r from the coefficients of Phi_N, built by
 the same recursion on coefficient vectors in O(N^2) per draw: one FFT gives
 Phi_N' and Phi_N'' on each circle, and Horner's rule at bisection points.  A
@@ -27,7 +29,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ._numpy import np
-from .errors import CapabilityError, _complex, _real, _size
+from .errors import CapabilityError, _complex, _float, _size
 
 GENERATOR_NAME = "pcg64/verblunsky"
 COLLISION_TOLERANCE = 1e-14
@@ -109,12 +111,57 @@ def _verblunsky(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Verblunsky coefficients of `count` CUE(N) draws, shape (count, N).
 
     |alpha_k|^2 = 1 - v^(1/(N-k-1)) with v uniform on (0, 1] is Beta(1, N-k-1);
-    the last coefficient has modulus 1.
+    the last coefficient has modulus 1.  The phase exp(2 pi i u), u uniform on
+    [0, 1), is i^q exp(i t) with q = rint(4u) and t = (4u - q) pi/2 in
+    [-pi/4, pi/4]; 4u - q is exact, sin t comes from np.sin and cos t from
+    sqrt(1 - sin^2 t) >= 1/sqrt(2), and the quarter turn i^q is exact, so each
+    coefficient is within about 2 ulp (2^-52 |alpha_k|) of its true value.
+    The draws (v for every coefficient, then u) and the generator's state
+    after the call are those of the complex-exponential form kept in
+    tests/oracles.py (verblunsky_cexp).  Three scratch arrays are written in
+    place; the two halves of the returned array serve as two more until the
+    last step fills it.
     """
-    v = 1.0 - rng.random((count, N - 1))
-    modulus = np.ones((count, N))
-    modulus[:, :-1] = np.sqrt(-np.expm1(np.log(v) / np.arange(N - 1, 0, -1)))
-    return modulus * np.exp(2j * np.pi * rng.random((count, N)))
+    alpha = np.empty((count, N), dtype=complex)
+    first, second = alpha.view(float).reshape(2, count, N)
+    modulus, sine, turns = np.empty((3, count, N))
+    v = turns.reshape(-1)[:count * (N - 1)].reshape(count, N - 1)
+    rng.random(out=v)
+    np.subtract(1.0, v, out=v)
+    np.log(v, out=v)
+    np.divide(v, np.arange(N - 1, 0, -1), out=v)
+    np.expm1(v, out=v)
+    np.negative(v, out=v)
+    np.sqrt(v, out=modulus[:, :-1])
+    modulus[:, -1] = 1.0
+    rng.random(out=sine)
+    sine *= 4
+    np.rint(sine, out=turns)
+    sine -= turns
+    sine *= math.pi / 2
+    np.sin(sine, out=sine)
+    cosine = np.multiply(sine, sine, out=first)
+    np.subtract(1.0, cosine, out=cosine)
+    np.sqrt(cosine, out=cosine)
+    # i^q = a + ib with d = q - 2 in {-2, ..., 2}: a = |d| - 1, b = (|d| - 2) d,
+    # both in {-1, 0, 1}; then scaled by the modulus.
+    turns -= 2
+    a = np.abs(turns, out=second)
+    a -= 2
+    b = np.multiply(turns, a, out=turns)
+    a += 1
+    a *= modulus
+    b *= modulus
+    # alpha = (a + ib)(cos t + i sin t); one of a, b is zero, so each sum is exact.
+    real = np.multiply(cosine, a, out=modulus)
+    a *= sine
+    np.multiply(sine, b, out=sine)
+    real -= sine
+    b *= cosine
+    imag = np.add(a, b, out=sine)
+    alpha.real = real
+    alpha.imag = imag
+    return alpha
 
 
 def _renormalised_steps(alpha_abs: np.ndarray, z_abs: np.ndarray) -> list[bool]:
@@ -265,7 +312,7 @@ def estimate_moment(
     estimate_joint_moment, a draw with z on an eigenvalue is redrawn.
     """
     N, samples, seed, threads = _check_counts(N, samples, seed, threads)
-    s, z = float(_real("s", s, -1)), _complex("z", z)
+    s, z = _float("s", s, -1), _complex("z", z)
     # |Lambda'/Lambda|^(2s) |Lambda|^(2s) = |Lambda'|^(2s) at one point.
     return _estimate_joint(N, s, s, z, z, samples, seed, threads, progress)
 
@@ -287,7 +334,7 @@ def estimate_joint_moment(
     and counted in `resampled`.
     """
     N, samples, seed, threads = _check_counts(N, samples, seed, threads)
-    s, h = float(_real("s", s)), float(_real("h", h, -1))
+    s, h = _float("s", s), _float("h", h, -1)
     z1, z2 = _complex("z1", z1), _complex("z2", z2)
     return _estimate_joint(N, s, h, z1, z2, samples, seed, threads, progress)
 
@@ -544,7 +591,7 @@ def mean_zero_counts(
     N, samples, seed, threads = _check_counts(N, samples, seed, threads)
     if isinstance(radii, str) or not hasattr(radii, "__iter__"):  # a str iterates by characters
         raise ValueError(f"requires a sequence of radii, got radii = {radii!r}")
-    radii = [float(_real("radii", r, 0, 1)) for r in radii]
+    radii = [_float("radii", r, 0, 1) for r in radii]
     if not radii:
         raise ValueError("radii must name at least one radius")
 

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from ._numpy import np
-from .errors import CapabilityError, _real, _size
+from .errors import CapabilityError, _float, _size
 
 _SERIES_LIMIT = 100_000
 
@@ -21,7 +21,7 @@ def hyp1f1(a: float, b: float, x: float) -> float:
     1F1(a,b;x) = e^x 1F1(b-a, b; -x) avoids an alternating sum.  A series
     whose sum overflows raises CapabilityError.
     """
-    a, b, x = float(_real("a", a)), float(_real("b", b)), float(_real("x", x))
+    a, b, x = _float("a", a), _float("b", b), _float("x", x)
     if b <= 0 and b.is_integer():
         raise ValueError(f"1F1 undefined for non-positive integer b = {b}")
     if x < 0:
@@ -53,7 +53,7 @@ def exp_moment(k: int, c: float) -> float:
     c ~ 708, long before the moment does, so from c = k + 40 on the closed form
     k!/c^(k+1) (1 - sum_(j<=k) e^(-c) c^j/j!) is used, each term taken in logs.
     """
-    k, c = _size("k", k, minimum=0), float(_real("c", c))
+    k, c = _size("k", k, minimum=0), _float("c", c)
     if c < 1.0:
         term = 1.0
         total = 1.0 / (k + 1)
@@ -109,7 +109,7 @@ def zeta_real(w: float, order: int = 0) -> float:
     products by the product rule; finite differences would be hopeless for w
     barely above 1.
     """
-    w, order = float(_real("w", w, 1)), _size("order", order, minimum=0)
+    w, order = _float("w", w, 1), _size("order", order, minimum=0)
     if order > 2:
         raise ValueError(f"requires order <= 2, got order = {order}")
     cutoff = 40

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .errors import CapabilityError, _real, _size
+from .errors import CapabilityError, _float, _size
 from .specfun import _kummer_factor
 
 _INNER_SUM_EPS = 1e-16
@@ -253,7 +253,7 @@ def _truncated_series(table: np.ndarray, s: int, sigma: float, log_power: int) -
 
 def _check_series_args(s: int, sigma: float, n_max: int) -> tuple[int, float, int]:
     # the tail estimate fits its density on n_max//2..n_max, empty below 3
-    return _size("s", s), float(_real("sigma", sigma, 0.5)), _size("n_max", n_max, minimum=3)
+    return _size("s", s), _float("sigma", sigma, 0.5), _size("n_max", n_max, minimum=3)
 
 
 def deriv_moment_series(s: int, sigma: float, n_max: int) -> SeriesResult:
@@ -333,7 +333,7 @@ def arithmetic_factor(s: float, p_max: int) -> SeriesResult:
     CapabilityError where a local factor or the product leaves double
     precision: a_s > 0, so a product that underflows to 0 is refused.
     """
-    s, p_max = float(_real("s", s, 0)), _size("p_max", p_max, minimum=100)
+    s, p_max = _float("s", s, 0), _size("p_max", p_max, minimum=100)
     primes = primes_up_to(p_max)
     # In blocks of primes, so the recurrence's working arrays stay small.
     logs = np.concatenate([_euler_factor_logs(s, primes[i : i + 2**16])
@@ -362,7 +362,7 @@ def arithmetic_factor(s: float, p_max: int) -> SeriesResult:
 def rmt_leading_coefficient(s: float) -> float:
     """h_s = e^(-s^2) Gamma(s+1) 1F1(s+1, 1; s^2): the unit-circle limit of
     (1-r^2)^(s^2+2s) times the global derivative moment."""
-    s = float(_real("s", s, 0))
+    s = _float("s", s, 0)
     return _kummer_factor(s, s * s)
 
 
@@ -372,7 +372,7 @@ def conjecture_rhs(s: float, sigma: float, p_max: int = 100_000) -> float:
     Raises CapabilityError when the Euler product's tail bound is above 1e-6
     of a_s at this p_max (e.g. s = 10 at p_max = 100, where it is 2 a_s).
     """
-    s, sigma = float(_real("s", s, 0)), float(_real("sigma", sigma, 0.5))
+    s, sigma = _float("s", s, 0), _float("sigma", sigma, 0.5)
     a_s = arithmetic_factor(s, p_max)
     if a_s.tail_bound > 1e-6 * a_s.value:
         raise CapabilityError(f"the Euler product for a_s at s = {s}, p_max = {p_max} has a tail "

@@ -42,6 +42,16 @@ def haar_phases(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.mod(np.angle(eigenvalues), 2 * np.pi)
 
 
+def verblunsky_cexp(N: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Verblunsky coefficients of `count` CUE(N) draws, each phase from the
+    complex exponential exp(2 pi i u): rmt_mc._verblunsky's earlier form,
+    which draws the same uniforms in the same order."""
+    v = 1.0 - rng.random((count, N - 1))
+    modulus = np.ones((count, N))
+    modulus[:, :-1] = np.sqrt(-np.expm1(np.log(v) / np.arange(N - 1, 0, -1)))
+    return modulus * np.exp(2j * np.pi * rng.random((count, N)))
+
+
 def eigenphase_lambda_and_deriv(phases, z: complex) -> tuple[complex, complex]:
     """(Lambda(z), Lambda'(z)) from the product over eigenphases,
     Lambda(z) = prod_j (1 - z e^(-i theta_j))."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cuederiv
-from cuederiv.errors import _complex, _real, _size
+from cuederiv.errors import _complex, _float, _real, _size
 from cuederiv.zeta import rmt_leading_coefficient
 
 PUBLIC_NAMES = {
@@ -295,6 +295,23 @@ def test_bad_real_argument_is_refused_by_name(func, kwargs, name, value):
         func(**{**kwargs, name: value})
 
 
+@pytest.mark.parametrize("func, kwargs, name, value", [
+    case for case in _real_cases({"int-beyond-float": lambda *_: 10**400})
+    if case.values[0] not in _EXACT_ROUTES])
+def test_whole_number_beyond_the_float_range_is_refused_by_name(func, kwargs, name, value):
+    # A float route takes the float; a bounded parameter is refused by its range first.
+    with pytest.raises(ValueError, match=rf"^requires .*\b{name}\b.*, got (\|{name}\| >= 2\*\*1328"
+                                         rf"|{name} = 1000)"):
+        func(**{**kwargs, name: value})
+
+
+@pytest.mark.parametrize("func, kwargs, name", [
+    (func, kwargs, name) for func, kwargs, names in _REAL if func in _EXACT_ROUTES
+    for name in names])
+def test_exact_routes_take_a_whole_number_beyond_the_float_range(func, kwargs, name):
+    assert isinstance(func(**{**kwargs, name: 10**400}), Fraction)
+
+
 @pytest.mark.parametrize("check, message", [
     (lambda: _real("s", "1"), "requires a real number s, got s = '1'"),
     (lambda: _real("s", math.nan), "requires finite s, got s = nan"),
@@ -304,6 +321,11 @@ def test_bad_real_argument_is_refused_by_name(func, kwargs, name, value):
     (lambda: _real("alpha", Fraction(0), 0, 1), "requires 0 < alpha < 1, got alpha = 0"),
     (lambda: _complex("z", "0.3"), "requires a complex number z, got z = '0.3'"),
     (lambda: _complex("z", complex(0, math.inf)), "requires finite z, got z = infj"),
+    (lambda: _float("x", -2**1024), "requires x within the float range, got |x| >= 2**1024"),
+    (lambda: _float("x", Fraction(10**400, 3)),
+     "requires x within the float range, got |x| >= 2**1327"),
+    (lambda: _complex("z", Fraction(-(10**400), 7)),
+     "requires z within the float range, got |z| >= 2**1325"),
 ])
 def test_real_and_complex_messages(check, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

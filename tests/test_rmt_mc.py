@@ -14,7 +14,12 @@ from cuederiv.rmt_mc import (
     estimate_moment,
     mean_zero_counts,
 )
-from oracles import eigenphase_lambda_and_deriv, haar_phases, szego_scaled_every_step
+from oracles import (
+    eigenphase_lambda_and_deriv,
+    haar_phases,
+    szego_scaled_every_step,
+    verblunsky_cexp,
+)
 
 
 def rng(seed=0):
@@ -54,6 +59,80 @@ class TestSampler:
         est = estimate_moment(6, 1.0, 0.5, 20_000, seed=3)
         exact = float(moment_exact(6, 1, 0.25))
         assert abs(est.mean - exact) <= 4 * est.std_error
+
+
+ULP = 2.0**-52  # of a unit coefficient; the tolerances below are in ULP * |alpha_k|
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _phases_extended(u):
+    """(cos 2 pi u, sin 2 pi u) in long double, about 2^-63 from the true values."""
+    angle = 2 * _PI * np.asarray(u, dtype=np.longdouble)
+    return np.cos(angle), np.sin(angle)
+
+
+def _ulps(alpha, re, im, modulus):
+    return np.hypot(np.asarray(alpha.real - re, dtype=float),
+                    np.asarray(alpha.imag - im, dtype=float)) / (ULP * modulus)
+
+
+class _Uniforms:
+    """A stand-in generator whose `random` fills its output with given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, out):
+        if out.size:
+            out[...] = self.values.reshape(out.shape)
+        return out
+
+
+class TestVerblunsky:
+    # Fixed before the first run: seeds 3400 + N, and the bounds.  The complex
+    # exponential form (tests/oracles.py) rounds 2 pi u, which costs up to about
+    # 3.1 ULP of the angle at u near 1, and then rounds its exp and product: up
+    # to about 4.6 ULP; with this sampler's 2 ULP, they may differ by 6 ULP.
+    @pytest.mark.parametrize("N, count", [(1, 20_000), (2, 20_000), (6, 20_000), (60, 2000),
+                                          (1100, 100)])
+    def test_matches_the_complex_exponential_and_the_extended_reference(self, N, count):
+        fast, slow, plain = rng(3400 + N), rng(3400 + N), rng(3400 + N)
+        alpha, reference = rmt_mc._verblunsky(N, count, fast), verblunsky_cexp(N, count, slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert alpha.shape == (count, N) and alpha.dtype == complex
+        assert np.all(np.abs(alpha - reference) <= 6 * ULP * np.abs(reference))
+        assert np.all(np.abs(np.abs(alpha[:, -1]) - 1) <= 2 * ULP)
+        if _EXTENDED:
+            v, u = 1.0 - plain.random((count, N - 1)), plain.random((count, N))
+            modulus = np.ones((count, N))
+            modulus[:, :-1] = np.sqrt(-np.expm1(np.log(v) / np.arange(N - 1, 0, -1)))
+            cos, sin = _phases_extended(u)
+            assert np.all(_ulps(alpha, modulus * cos, modulus * sin, modulus) <= 2)
+
+    def test_phase_at_ties_quarter_turns_and_the_wrap(self):
+        # q = rint(4u) rounds half to even at u = 1/8, 3/8, 5/8, 7/8 (q = 4 at
+        # 7/8, which is i^0), and 1 - 2^-53 wraps from q = 4 to the phase
+        # exp(-2 pi i 2^-53).
+        u = np.array([k / 8 for k in range(8)] + [1 - 2.0**-53])
+        alpha = rmt_mc._verblunsky(1, len(u), _Uniforms(u))[:, 0]
+        assert alpha[[0, 2, 4, 6]].tolist() == [1, 1j, -1, -1j]
+        assert np.all(np.abs(np.abs(alpha) - 1) <= 2 * ULP)
+        assert alpha[-1].real == 1 and -2 * math.pi * 2.0**-53 * (1 + ULP) < alpha[-1].imag < 0
+        if _EXTENDED:
+            cos, sin = _phases_extended(u)
+            assert np.all(_ulps(alpha, cos, sin, 1.0) <= 2)
+
+    def test_law_of_the_coefficients(self):
+        # Seed 3460 and the 1% level fixed before the first run.  The last
+        # coefficient's phase is uniform, and |alpha_k|^2 is Beta(1, N-k-1).
+        N = 6
+        alpha = rmt_mc._verblunsky(N, 20_000, rng(3460))
+        turns = np.angle(alpha[:, -1]) / (2 * np.pi) % 1.0
+        assert scipy.stats.kstest(turns, "uniform").pvalue > 0.01
+        for k in (0, N - 2):
+            beta = scipy.stats.kstest(np.abs(alpha[:, k]) ** 2, "beta", args=(1, N - k - 1))
+            assert beta.pvalue > 0.01
 
 
 class TestEval:
@@ -432,14 +511,14 @@ class TestSeededOutputs:
         est = estimate_moment(6, 2, 0.6, 20000, 3, threads=threads)
         assert (est.mean.hex(), est.std_error.hex(), est.top_contribution_fraction.hex(),
                 est.resampled) == (
-            "0x1.f4686352e98b8p+7", "0x1.d52b3f3992238p+4", "0x1.60eb928f1c9cdp-1", 0)
+            "0x1.f4686352e98b8p+7", "0x1.d52b3f399223cp+4", "0x1.60eb928f1c9cdp-1", 0)
 
     @pytest.mark.parametrize("threads", [None, 2])
     def test_joint_moment(self, threads):
         est = estimate_joint_moment(60, 1, 1, 0.3, 0.5j, 400, 5, threads=threads)
         assert (est.mean.hex(), est.std_error.hex(), est.top_contribution_fraction.hex(),
                 est.resampled) == (
-            "0x1.04577602ef5f3p+1", "0x1.41c1b3bc54ec5p-3", "0x1.e793eaa6ad040p-4", 0)
+            "0x1.04577602ef5f3p+1", "0x1.41c1b3bc54ec6p-3", "0x1.e793eaa6ad040p-4", 0)
 
 
 class TestPolyAndZeros:
